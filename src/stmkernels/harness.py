@@ -19,7 +19,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -243,17 +242,18 @@ def _evaluate_cell(kind, decomposed, labels, cfg, splits):
     per_repeat_acc = []
     per_repeat_choice = []
     for pairs in splits:
+        train_sets = [TrainingSet([decomposed[i] for i in tr], labels[tr])
+                      for tr, _ in pairs]
         acc_table = {}
         for g in cfg.g_grid:
             k_full = grams[g]
             fold_slices = [
-                (k_full[np.ix_(tr, tr)], k_full[np.ix_(tr, val)], tr, val)
-                for tr, val in pairs
+                (k_full[np.ix_(tr, tr)], k_full[np.ix_(tr, val)], ts, val)
+                for (tr, val), ts in zip(pairs, train_sets)
             ]
             for c in cfg.c_grid:
                 fold_accs = []
-                for k_tr, k_tv, tr, val in fold_slices:
-                    ts = TrainingSet([decomposed[i] for i in tr], labels[tr])
+                for k_tr, k_tv, ts, val in fold_slices:
                     t0 = clock()
                     try:
                         model = train(ts, k_tr, c, tol=cfg.smo_tol)
@@ -309,52 +309,42 @@ def run_experiment(cfg):
 
     Cells whose SVM never converges, or whose rank is infeasible for the
     data, are reported with NaN statistics instead of aborting the run.
-    Work is parallelized over (noise, rank) groups; `threads=1` runs
-    everything sequentially in a deterministic order.
+    The (noise, rank) groups run serially in a deterministic order;
+    `threads` is still validated but no longer changes anything.
     """
+    resolve_threads(cfg.threads)
     datasets = _load_source(cfg)
     labels0 = datasets[0][2]
     for _, _, lab in datasets[1:]:
         if not np.array_equal(lab, labels0):
             raise ValueError("datasets disagree on labels")
     splits = _fold_splits(labels0, cfg)
-    p = cfg.p
 
-    groups = [(d_idx, rank)
-              for d_idx in range(len(datasets))
-              for rank in cfg.rank_grid]
-
-    def work(group):
-        d_idx, rank = group
-        noise, raw_samples, labels = datasets[d_idx]
-        rows = []
-        if rank > min(raw_samples[0].shape):
+    rows = []
+    for noise, raw_samples, labels in datasets:
+        for rank in cfg.rank_grid:
+            if rank > min(raw_samples[0].shape):
+                rows.extend(
+                    CellResult(kind, rank, noise, math.nan, math.nan, math.nan,
+                               math.nan, math.nan, 0.0, 0.0)
+                    for kind in cfg.kernels)
+                continue
+            tuckers = _shared_tuckers(raw_samples, rank, cfg.p)
             for kind in cfg.kernels:
-                rows.append(CellResult(kind, rank, noise, math.nan, math.nan,
-                                       math.nan, math.nan, math.nan, 0.0, 0.0))
-            return rows
-        tuckers = _shared_tuckers(raw_samples, rank, p)
-        for kind in cfg.kernels:
-            decomposed = derive_kernel_inputs(tuckers, kind)
-            mean, std, ci, c, g, kt, tt = _evaluate_cell(
-                kind, decomposed, labels, cfg, splits)
-            rows.append(CellResult(kind, rank, noise, mean, std, ci, c, g, kt, tt))
-        return rows
-
-    threads = resolve_threads(cfg.threads)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            grouped = list(pool.map(work, groups))
-    else:
-        grouped = [work(g) for g in groups]
-
-    rows = [row for rows in grouped for row in rows]
+                decomposed = derive_kernel_inputs(tuckers, kind)
+                mean, std, ci, c, g, kt, tt = _evaluate_cell(
+                    kind, decomposed, labels, cfg, splits)
+                rows.append(
+                    CellResult(kind, rank, noise, mean, std, ci, c, g, kt, tt))
     rows.sort(key=_row_key)
     return CVReport(rows=rows, config=_config_dict(cfg))
 
 
 def resolve_threads(requested):
-    """Thread count: explicit value, else the env override, else 1."""
+    """Thread count: explicit value, else the env override, else 1.
+
+    Only validated: `run_experiment` runs serially whatever it returns.
+    """
     if requested is not None:
         return max(1, int(requested))
     env = os.environ.get(THREADS_ENV)

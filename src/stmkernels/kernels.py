@@ -3,7 +3,8 @@
 Four kernel families over decomposed (or dense) tensors:
 
 * ``gaussian``  - exp(-||X - Y||_F^2 / 2g^2), with the squared distance
-  expanded format-natively for Tucker, Kruskal, and TT inputs.
+  expanded as ||X||^2 + ||Y||^2 - 2<X,Y> and the inner products
+  contracted format-natively for Tucker, Kruskal, and TT inputs.
 * ``dusk``      - sum over CP column pairs of the product over modes of
   Gaussian scalar kernels on the factor columns.
 * ``subspace``  - product over modes of Gaussian kernels on the chordal
@@ -11,8 +12,11 @@ Four kernel families over decomposed (or dense) tensors:
 * ``wsek``      - product over modes of summed pairwise Gaussian kernels
   on the sigma**p weighted factor columns.
 
-Kernel entries are evaluated in a canonical argument order, so swapping
-the two inputs of any kernel function returns a bitwise identical value.
+Every kernel value comes from one row evaluator per kind, giving
+K(x, y_j) for each y_j of a list. `gram_matrix` fills rows from the
+diagonal onward and mirrors them; the single-pair functions average both
+argument orders, so swapping the inputs gives bitwise identical values.
+Expanded squared distances are clamped at 0 against cancellation.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
 from .decomp import KruskalTensor, TTTensor, TuckerTensor
 
 KINDS = ("gaussian", "dusk", "subspace", "wsek")
@@ -60,58 +63,6 @@ class KernelSpec:
         return tuple(self.ranks)
 
 
-# ---------------------------------------------------------------------------
-# format-native inner products
-# ---------------------------------------------------------------------------
-
-def _pair_inner(x, y):
-    if isinstance(x, np.ndarray):
-        return tensor.inner(x, y)
-    if isinstance(x, TuckerTensor):
-        z = y.core
-        for m in range(x.order):
-            z = tensor.mode_product(z, x.factors[m].T @ y.factors[m], m + 1)
-        return tensor.inner(x.core, z)
-    if isinstance(x, KruskalTensor):
-        h = np.outer(x.weights, y.weights)
-        for fx, fy in zip(x.factors, y.factors):
-            h = h * (fx.T @ fy)
-        return float(h.sum())
-    if isinstance(x, TTTensor):
-        v = np.ones((1, 1))
-        for cx, cy in zip(x.cores, y.cores):
-            v = np.einsum("ab,aic,bid->cd", v, cx, cy)
-        return float(v[0, 0])
-    raise TypeError(f"unsupported tensor representation {type(x).__name__}")
-
-
-def _check_pair(x, y):
-    # ndarray and every decomposition type expose mode sizes as .shape
-    if type(x) is not type(y):
-        raise ValueError(
-            f"mixed representations: {type(x).__name__} vs {type(y).__name__}")
-    if tuple(x.shape) != tuple(y.shape):
-        raise ValueError(f"shape mismatch: {tuple(x.shape)} vs {tuple(y.shape)}")
-
-
-def _canonical(x, y):
-    # Fixed evaluation order: both argument orders run the exact same
-    # floating-point computation, making every kernel bitwise symmetric.
-    if x is not y and id(y) < id(x):
-        return y, x
-    return x, y
-
-
-def _cross_sqdist(a, b):
-    """Matrix of squared Euclidean distances between columns of a and b."""
-    diff = a[:, :, None] - b[:, None, :]
-    return np.einsum("kij,kij->ij", diff, diff)
-
-
-# ---------------------------------------------------------------------------
-# kernels
-# ---------------------------------------------------------------------------
-
 def scalar_kernel(a, b, g):
     """Gaussian kernel exp(-||a - b||^2 / 2g^2) on two equal-length vectors."""
     a = np.asarray(a, dtype=np.float64).ravel()
@@ -124,65 +75,151 @@ def scalar_kernel(a, b, g):
     return math.exp(-d2 / (2.0 * g * g))
 
 
-def _gaussian_raw(x, y, g):
-    _check_pair(x, y)
-    if x is y:
-        return 1.0
+# ---------------------------------------------------------------------------
+# row evaluators: a view is computed once per sample; row(xv, yvs, g) gives
+# K(x, y_j) for every view y_j. Factor blocks of mixed widths (ranks) are
+# concatenated and summed back per sample with np.add.reduceat.
+# ---------------------------------------------------------------------------
+
+def _stack(blocks):
+    """Concatenate blocks along the last axis; return them and block starts."""
+    starts = np.cumsum([0] + [b.shape[-1] for b in blocks[:-1]])
+    return np.concatenate(blocks, axis=-1), starts
+
+
+def _inner_row(x, ys):
+    """<X, Y_j> for every y_j in `ys`, contracted format-natively."""
     if isinstance(x, np.ndarray):
-        d2 = float(np.sum((x - y) ** 2))
-    else:
-        d2 = (_pair_inner(x, x) + _pair_inner(y, y)) - 2.0 * _pair_inner(x, y)
-        d2 = max(d2, 0.0)
-    return math.exp(-d2 / (2.0 * g * g))
+        return np.array([np.vdot(x, y) for y in ys])
+    if isinstance(x, TuckerTensor):
+        # <X, Y> = <G_x, G_y x_m (U_x^(m)' U_y^(m))>; each tensordot
+        # contracts the leading mode of G_y and appends the x mode last
+        crosses = []
+        for m, fx in enumerate(x.factors):
+            fy, starts = _stack([y.factors[m] for y in ys])
+            crosses.append(np.split(fx.T @ fy, starts[1:], axis=1))
+        out = np.empty(len(ys))
+        for j, y in enumerate(ys):
+            z = y.core
+            for blocks in crosses:
+                z = np.tensordot(z, blocks[j], axes=(0, 1))
+            out[j] = np.vdot(x.core, z)
+        return out
+    if isinstance(x, KruskalTensor):
+        weights, starts = _stack([y.weights for y in ys])
+        h = np.outer(x.weights, weights)
+        for m, fx in enumerate(x.factors):
+            h *= fx.T @ _stack([y.factors[m] for y in ys])[0]
+        return np.add.reduceat(h.sum(axis=0), starts)
+    if isinstance(x, TTTensor):
+        out = np.empty(len(ys))
+        for j, y in enumerate(ys):
+            v = np.ones((1, 1))
+            for cx, cy in zip(x.cores, y.cores):
+                v = np.einsum("ab,aic,bid->cd", v, cx, cy)
+            out[j] = v[0, 0]
+        return out
+    raise TypeError(f"unsupported tensor representation {type(x).__name__}")
+
+
+def _gaussian_row(xv, yvs, g):
+    x, xx = xv  # the sample and its squared norm
+    yy = np.array([n for _, n in yvs])
+    d2 = np.maximum((xx + yy) - 2.0 * _inner_row(x, [y for y, _ in yvs]), 0.0)
+    return np.exp(-d2 / (2.0 * g * g))
+
+
+def _dusk_view(x):
+    """CP columns as rows, with the weights absorbed evenly into every
+    mode and the modes concatenated: (R, I_1 + ... + I_M)."""
+    factors = x.factors
+    if not np.all(x.weights == 1.0):
+        scale = x.weights ** (1.0 / x.order)
+        factors = [f * scale[None, :] for f in factors]
+    return np.ascontiguousarray(np.vstack(factors).T)
+
+
+def _dusk_row(xv, yvs, g):
+    # Exact column differences, one pair at a time: no cancellation, and the
+    # temporary stays one R_x x R_y x (I_1 + ... + I_M) block per pair.
+    out = np.empty(len(yvs))
+    for j, yv in enumerate(yvs):
+        diff = xv[:, None, :] - yv[None, :, :]
+        expo = np.einsum("ijk,ijk->ij", diff, diff)
+        out[j] = math.fsum(np.exp(-expo / (2.0 * g * g)).ravel())
+    return out
+
+
+def _subspace_row(xv, yvs, g):
+    # ||P_x - P_y||_F^2 = R_x + R_y - 2 ||U_x' U_y||_F^2 per mode
+    expo = 0.0
+    for m, ux in enumerate(xv):
+        uy, starts = _stack([yv[m] for yv in yvs])
+        cross = ux.T @ uy
+        overlap = np.add.reduceat((cross * cross).sum(axis=0), starts)
+        ranks = np.array([yv[m].shape[1] for yv in yvs])
+        expo += np.maximum(ux.shape[1] + ranks - 2.0 * overlap, 0.0)
+    return np.exp(-expo / (2.0 * g * g))
+
+
+def _wsek_row(xv, yvs, g):
+    value = 1.0
+    for m, a in enumerate(xv):
+        b, starts = _stack([yv[m] for yv in yvs])
+        aa, bb = np.einsum("ij,ij->j", a, a), np.einsum("ij,ij->j", b, b)
+        d2 = np.maximum(aa[:, None] + bb[None, :] - 2.0 * (a.T @ b), 0.0)
+        value *= np.add.reduceat(
+            np.exp(-d2 / (2.0 * g * g)).sum(axis=0), starts)
+    return value
+
+
+# kind -> (required input type, per-sample view, row evaluator)
+_EVALUATORS = {
+    "gaussian": (object, lambda x: (x, _inner_row(x, [x])[0]), _gaussian_row),
+    "dusk": (KruskalTensor, _dusk_view, _dusk_row),
+    "subspace": (TuckerTensor, TuckerTensor.unweighted_factors, _subspace_row),
+    "wsek": (TuckerTensor, lambda x: x.factors, _wsek_row),
+}
+
+# kinds whose K(x, x) is exactly 1
+_UNIT_DIAGONAL = ("gaussian", "subspace")
+
+
+def _check_samples(kind, samples):
+    required = _EVALUATORS[kind][0]
+    first = samples[0]
+    for s in samples:
+        if not isinstance(s, required):
+            raise TypeError(f"{kind} kernel requires {required.__name__} inputs")
+        # ndarray and every decomposition type expose mode sizes as .shape
+        if type(s) is not type(first):
+            raise ValueError(f"mixed representations: {type(first).__name__} "
+                             f"vs {type(s).__name__}")
+        if tuple(s.shape) != tuple(first.shape):
+            raise ValueError(
+                f"shape mismatch: {tuple(first.shape)} vs {tuple(s.shape)}")
+        if kind == "wsek" and s.p != first.p:
+            raise ValueError(f"weighting powers differ: {first.p} vs {s.p}")
+
+
+def _pair(kind, x, y, g):
+    _check_samples(kind, [x, y])
+    if x is y and kind in _UNIT_DIAGONAL:
+        return 1.0
+    _, view, row = _EVALUATORS[kind]
+    xv, yv = view(x), view(y)
+    # float addition commutes, so both argument orders give the same bits
+    return float(0.5 * (row(xv, [yv], g)[0] + row(yv, [xv], g)[0]))
 
 
 def gaussian_kernel(x, y, g):
-    """exp(-||X - Y||_F^2 / 2g^2) for dense or decomposed inputs.
-
-    For decomposed inputs the squared distance is expanded as
-    ||X||^2 - 2<X,Y> + ||Y||^2 with format-native contractions.
-    """
-    x, y = _canonical(x, y)
-    return _gaussian_raw(x, y, g)
-
-
-def _absorbed_columns(kt):
-    if np.all(kt.weights == 1.0):
-        return kt.factors
-    scale = kt.weights ** (1.0 / kt.order)
-    return [f * scale[None, :] for f in kt.factors]
-
-
-def _dusk_raw(x, y, g):
-    if not isinstance(x, KruskalTensor) or not isinstance(y, KruskalTensor):
-        raise TypeError("dusk kernel requires Kruskal (CP) inputs")
-    _check_pair(x, y)
-    fx = _absorbed_columns(x)
-    fy = _absorbed_columns(y)
-    expo = np.zeros((x.rank, y.rank))
-    for am, bm in zip(fx, fy):
-        expo += _cross_sqdist(am, bm)
-    return float(math.fsum(np.exp(-expo / (2.0 * g * g)).ravel()))
+    """exp(-||X - Y||_F^2 / 2g^2) for dense or decomposed inputs."""
+    return _pair("gaussian", x, y, g)
 
 
 def dusk_kernel(x, y, g):
     """Sum over CP column pairs of per-mode Gaussian kernel products."""
-    x, y = _canonical(x, y)
-    return _dusk_raw(x, y, g)
-
-
-def _subspace_raw(x, y, g):
-    if not isinstance(x, TuckerTensor) or not isinstance(y, TuckerTensor):
-        raise TypeError("subspace kernel requires Tucker inputs")
-    _check_pair(x, y)
-    if x is y:
-        return 1.0
-    expo = 0.0
-    for am, bm in zip(x.unweighted_factors(), y.unweighted_factors()):
-        cross = am.T @ bm
-        d2 = am.shape[1] + bm.shape[1] - 2.0 * float(np.sum(cross * cross))
-        expo += max(d2, 0.0)
-    return math.exp(-expo / (2.0 * g * g))
+    return _pair("dusk", x, y, g)
 
 
 def subspace_kernel(x, y, g):
@@ -193,72 +230,38 @@ def subspace_kernel(x, y, g):
     without forming any I_m x I_m projector. Invariant to rotation and
     reflection of the factor columns and to their sigma weighting.
     """
-    x, y = _canonical(x, y)
-    return _subspace_raw(x, y, g)
-
-
-def _wsek_raw(x, y, g):
-    if not isinstance(x, TuckerTensor) or not isinstance(y, TuckerTensor):
-        raise TypeError("wsek kernel requires Tucker inputs")
-    _check_pair(x, y)
-    if x.p != y.p:
-        raise ValueError(f"weighting powers differ: {x.p} vs {y.p}")
-    value = 1.0
-    for am, bm in zip(x.factors, y.factors):
-        d2 = _cross_sqdist(am, bm)
-        value *= math.fsum(np.exp(-d2 / (2.0 * g * g)).ravel())
-    return float(value)
+    return _pair("subspace", x, y, g)
 
 
 def wsek_kernel(x, y, g):
     """Product over modes of summed pairwise Gaussian kernels on the
     weighted factor columns (columns scaled by sigma**p)."""
-    x, y = _canonical(x, y)
-    return _wsek_raw(x, y, g)
-
-
-_ENTRY_RAW = {
-    "gaussian": _gaussian_raw,
-    "dusk": _dusk_raw,
-    "subspace": _subspace_raw,
-    "wsek": _wsek_raw,
-}
-
-_ENTRY = {
-    "gaussian": gaussian_kernel,
-    "dusk": dusk_kernel,
-    "subspace": subspace_kernel,
-    "wsek": wsek_kernel,
-}
+    return _pair("wsek", x, y, g)
 
 
 def kernel_value(spec, x, y):
     """Evaluate the kernel named by `spec` on one pair of samples."""
-    return _ENTRY[spec.kind](x, y, spec.g)
+    return _pair(spec.kind, x, y, spec.g)
 
 
 def gram_matrix(samples, spec):
     """Symmetric kernel matrix over a homogeneous sample list.
 
-    Entries are computed for i <= j only in list order and mirrored, which
-    keeps repeated runs bitwise reproducible. For `gaussian` and
+    Row i is evaluated for entries j >= i in list order and mirrored,
+    which keeps repeated runs bitwise reproducible. For `gaussian` and
     `subspace` the diagonal is exactly 1.
     """
     n = len(samples)
     if n == 0:
         raise ValueError("empty sample list")
-    first = samples[0]
-    for s in samples[1:]:
-        _check_pair(first, s)
-        if isinstance(s, TuckerTensor) and spec.kind == "wsek" and s.p != first.p:
-            raise ValueError("heterogeneous weighting powers in sample list")
-    entry = _ENTRY_RAW[spec.kind]
+    _check_samples(spec.kind, samples)
+    _, view, row = _EVALUATORS[spec.kind]
+    views = [view(s) for s in samples]
     k = np.empty((n, n))
     for i in range(n):
-        for j in range(i, n):
-            v = entry(samples[i], samples[j], spec.g)
-            k[i, j] = v
-            k[j, i] = v
+        k[i, i:] = k[i:, i] = row(views[i], views[i:], spec.g)
+    if spec.kind in _UNIT_DIAGONAL:
+        np.fill_diagonal(k, 1.0)
     return k
 
 

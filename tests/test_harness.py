@@ -210,6 +210,22 @@ class TestRunExperiment:
             assert a.mean_acc == b.mean_acc
             assert a.C == b.C and a.g == b.g
 
+    def test_one_gram_per_kernel_and_g_per_feasible_group(self, monkeypatch):
+        # the harness builds each Gram through `harness.gram_matrix`, once
+        # per (kernel, g) of every feasible (noise, rank) group
+        from stmkernels import harness
+        calls = []
+
+        def counting_gram(samples, spec):
+            calls.append(spec)
+            return gram_matrix(samples, spec)
+
+        monkeypatch.setattr(harness, "gram_matrix", counting_gram)
+        cfg = tiny_experiment(noise_grid=(0.01, 0.1), rank_grid=(1, 2, 13))
+        run_experiment(cfg)
+        feasible_groups = 2 * 2  # rank 13 exceeds the mode size of 12
+        assert len(calls) == feasible_groups * len(cfg.kernels) * len(cfg.g_grid)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="exactly one"):
             ExperimentConfig()

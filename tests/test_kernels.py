@@ -1,5 +1,6 @@
 """The four tensor kernels and Gram assembly."""
 
+import copy
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from stmkernels.decomp import (
     KruskalTensor,
     TuckerTensor,
     tt_svd,
+    tucker_to_cp,
     weighted_hosvd,
 )
 from stmkernels.kernels import (
@@ -36,6 +38,26 @@ def random_tucker(rng, shape=(6, 6, 6), ranks=(2, 2, 2), p=1 / 3):
 
 def random_kruskal(rng, shape=(6, 6, 6), rank=2):
     return KruskalTensor([rng.standard_normal((i, rank)) for i in shape])
+
+
+def as_format(fmt, t, rank=2):
+    """Order-3 dense tensor `t` as "dense", "tucker", "kruskal" or "tt"."""
+    if fmt == "dense":
+        return t
+    if fmt == "tucker":
+        return weighted_hosvd(t, (rank,) * 3, p=1 / 3)
+    if fmt == "kruskal":
+        # the CP expansion with part of each column moved into the weights
+        cp = tucker_to_cp(weighted_hosvd(t, (rank,) * 3, p=0.0))
+        w = np.linspace(0.5, 2.0, cp.rank)
+        return KruskalTensor([f * w ** (-1 / 3) for f in cp.factors], w)
+    return tt_svd(t, (rank, rank))
+
+
+# (kind, format) for every kernel and every format `gaussian` accepts
+KIND_FORMATS = [("gaussian", "dense"), ("gaussian", "tucker"),
+                ("gaussian", "kruskal"), ("gaussian", "tt"),
+                ("dusk", "kruskal"), ("subspace", "tucker"), ("wsek", "tucker")]
 
 
 class TestScalarKernel:
@@ -262,18 +284,43 @@ class TestWsekKernel:
 
 class TestSymmetryAndMonotonicity:
     def test_bitwise_symmetry_all_kernels(self):
+        # swapping the arguments, or the order in which the two samples
+        # were allocated, leaves every bit of the value unchanged
         rng = np.random.default_rng(21)
-        tx = random_tucker(rng)
-        ty = random_tucker(rng)
-        kx = random_kruskal(rng)
-        ky = random_kruskal(rng)
-        dx = rng.standard_normal((4, 4, 4))
-        dy = rng.standard_normal((4, 4, 4))
-        assert gaussian_kernel(dx, dy, 1.3) == gaussian_kernel(dy, dx, 1.3)
-        assert gaussian_kernel(tx, ty, 1.3) == gaussian_kernel(ty, tx, 1.3)
-        assert dusk_kernel(kx, ky, 0.9) == dusk_kernel(ky, kx, 0.9)
-        assert subspace_kernel(tx, ty, 1.1) == subspace_kernel(ty, tx, 1.1)
-        assert wsek_kernel(tx, ty, 0.7) == wsek_kernel(ty, tx, 0.7)
+        for kind, fmt in KIND_FORMATS:
+            a = as_format(fmt, rng.standard_normal((5, 5, 5)))
+            b = as_format(fmt, rng.standard_normal((5, 5, 5)), rank=3)
+            spec = KernelSpec(kind, g=1.3)
+            values = set()
+            for x_first in (True, False):
+                if x_first:
+                    x = copy.deepcopy(a)
+                    y = copy.deepcopy(b)
+                else:
+                    y = copy.deepcopy(b)
+                    x = copy.deepcopy(a)
+                values.add(kernel_value(spec, x, y))
+                values.add(kernel_value(spec, y, x))
+            assert len(values) == 1, (kind, fmt)
+
+    @pytest.mark.parametrize("kind,fmt", [("gaussian", "dense"),
+                                          ("gaussian", "tucker"),
+                                          ("gaussian", "kruskal"),
+                                          ("gaussian", "tt"),
+                                          ("subspace", "tucker")])
+    def test_near_duplicate_pair_stays_in_range(self, kind, fmt):
+        # expanded squared distances of almost equal samples cancel to
+        # rounding noise that may be negative; it must not lift K above 1
+        rng = np.random.default_rng(29)
+        t = 10.0 * rng.standard_normal((5, 5, 5))
+        samples = [as_format(fmt, t + 1e-9 * rng.standard_normal(t.shape))
+                   for _ in range(8)]
+        for g in (2.0 ** -4, 1.0):
+            spec = KernelSpec(kind, g=g)
+            values = [kernel_value(spec, samples[0], y) for y in samples[1:]]
+            k = gram_matrix(samples, spec)
+            assert not np.isnan(values).any() and max(values) <= 1.0
+            assert not np.isnan(k).any() and k.max() <= 1.0
 
     def test_monotone_in_g(self):
         rng = np.random.default_rng(22)
@@ -289,6 +336,19 @@ class TestSymmetryAndMonotonicity:
 
 
 class TestGramMatrix:
+    @pytest.mark.parametrize("kind,fmt", KIND_FORMATS)
+    @pytest.mark.parametrize("mixed_ranks", [False, True])
+    def test_matches_kernel_value(self, kind, fmt, mixed_ranks):
+        rng = np.random.default_rng(30)
+        samples = [as_format(fmt, rng.standard_normal((5, 5, 5)),
+                             rank=1 + k % 3 if mixed_ranks else 2)
+                   for k in range(5)]
+        spec = KernelSpec(kind, g=1.5)
+        k = gram_matrix(samples, spec)
+        expected = [[kernel_value(spec, x, y) for y in samples] for x in samples]
+        np.testing.assert_allclose(k, expected, rtol=1e-12, atol=0.0)
+        assert np.array_equal(k, k.T)
+
     def test_single_sample(self):
         rng = np.random.default_rng(23)
         x = random_tucker(rng)
