@@ -20,19 +20,18 @@ import json
 import sys
 
 from . import harness, synth
-from .kernels import KINDS
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
 
 
-def _parse_bool(text, key):
+def _parse_bool(text):
     low = text.lower()
     if low in _TRUE:
         return True
     if low in _FALSE:
         return False
-    raise ValueError(f"config key {key}: expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_int_list(text):
@@ -48,11 +47,48 @@ def _parse_float_list(text):
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+def _parse_str_list(text):
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
 def _parse_pow2_grid(text):
     """Inclusive a:b range of exponents, or a comma list of exponents,
     expanded as powers of two."""
     exps = _parse_int_list(text)
     return tuple(2.0 ** e for e in exps)
+
+
+# config key -> parser of its value; the field it sets has the same name,
+# except for the aliases below
+_PARSERS = {
+    "scenario": str,
+    "mode_size": int,
+    "r_exact": int,
+    "r_approx": int,
+    "samples_per_class": int,
+    "freq_uniform": _parse_bool,
+    "data_dir": str,
+    "noise_grid": _parse_float_list,
+    "kernels": _parse_str_list,
+    "rank_grid": _parse_int_list,
+    "c_grid": _parse_float_list,
+    "g_grid": _parse_float_list,
+    "c_grid_log2": _parse_pow2_grid,
+    "g_grid_log2": _parse_pow2_grid,
+    "repeats": int,
+    "folds": int,
+    "seed": int,
+    "p": float,
+    "threads": int,
+    "measure_time": _parse_bool,
+    "smo_tol": float,
+    "output": str,
+}
+_ALIASES = {"c_grid_log2": "c_grid", "g_grid_log2": "g_grid"}
+
+# keys that configure the synthetic generator (SynthConfig)
+_SYNTH_KEYS = ("scenario", "mode_size", "r_exact", "r_approx",
+               "samples_per_class", "freq_uniform")
 
 
 def read_config(path):
@@ -72,82 +108,30 @@ def read_config(path):
             key, value = line.split("=", 1)
             entries[key.strip()] = value.strip()
 
-    synth_keys = {}
-    exp_keys = {}
+    values = {}
     for key, value in entries.items():
-        if key == "scenario":
-            synth_keys["scenario"] = value
-        elif key == "mode_size":
-            synth_keys["mode_size"] = int(value)
-        elif key == "r_exact":
-            synth_keys["r_exact"] = int(value)
-        elif key == "r_approx":
-            synth_keys["r_approx"] = int(value)
-        elif key == "samples_per_class":
-            synth_keys["samples_per_class"] = int(value)
-        elif key == "freq_uniform":
-            synth_keys["freq_uniform"] = _parse_bool(value, key)
-        elif key == "data_dir":
-            exp_keys["data_dir"] = value
-        elif key == "noise_grid":
-            exp_keys["noise_grid"] = _parse_float_list(value)
-        elif key == "kernels":
-            kernels = tuple(k.strip() for k in value.split(",") if k.strip())
-            for k in kernels:
-                if k not in KINDS:
-                    raise ValueError(f"{path}: unknown kernel kind {k!r}")
-            exp_keys["kernels"] = kernels
-        elif key == "rank_grid":
-            exp_keys["rank_grid"] = _parse_int_list(value)
-        elif key == "c_grid":
-            exp_keys["c_grid"] = _parse_float_list(value)
-        elif key == "g_grid":
-            exp_keys["g_grid"] = _parse_float_list(value)
-        elif key == "c_grid_log2":
-            exp_keys["c_grid"] = _parse_pow2_grid(value)
-        elif key == "g_grid_log2":
-            exp_keys["g_grid"] = _parse_pow2_grid(value)
-        elif key == "repeats":
-            exp_keys["repeats"] = int(value)
-        elif key == "folds":
-            exp_keys["folds"] = int(value)
-        elif key == "seed":
-            exp_keys["seed"] = int(value)
-        elif key == "p":
-            exp_keys["p"] = float(value)
-        elif key == "threads":
-            exp_keys["threads"] = int(value)
-        elif key == "measure_time":
-            exp_keys["measure_time"] = _parse_bool(value, key)
-        elif key == "smo_tol":
-            exp_keys["smo_tol"] = float(value)
-        elif key == "output":
-            exp_keys["output"] = value
-        else:
+        if key not in _PARSERS:
             raise ValueError(f"{path}: unknown config key {key!r}")
+        try:
+            values[_ALIASES.get(key, key)] = _PARSERS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from None
 
-    if "data_dir" in exp_keys:
+    synth_keys = {k: values.pop(k) for k in _SYNTH_KEYS if k in values}
+    if "data_dir" in values:
         if synth_keys:
             raise ValueError(f"{path}: data_dir excludes synthetic keys")
-        return harness.ExperimentConfig(**exp_keys)
+        return harness.ExperimentConfig(**values)
     if "scenario" not in synth_keys:
         raise ValueError(f"{path}: either scenario or data_dir is required")
-    synth_keys["seed"] = exp_keys.get("seed", 0)
+    synth_keys["seed"] = values.get("seed", 0)
     return harness.ExperimentConfig(synth=synth.SynthConfig(**synth_keys),
-                                    **exp_keys)
+                                    **values)
 
 
 def _cmd_synth(args):
-    cfg = synth.SynthConfig(
-        scenario=args.scenario,
-        mode_size=args.mode_size,
-        r_exact=args.r_exact,
-        r_approx=args.r_approx,
-        noise_variance=args.noise_variance,
-        samples_per_class=args.samples_per_class,
-        seed=args.seed,
-        freq_uniform=args.freq_uniform,
-    )
+    cfg = synth.SynthConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(synth.SynthConfig)})
     manifest = harness.save_dataset(synth.generate(cfg), args.out)
     print(manifest)
     return 0
@@ -192,7 +176,8 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", type=int, default=None,
+                       help="accepted and ignored")
     p_run.add_argument("--output", default=None)
     p_run.set_defaults(func=_cmd_run)
 

@@ -29,7 +29,6 @@ from .kernels import KINDS, KernelSpec, gram_matrix
 from .svm import ConvergenceError, TrainingSet, predict_from_gram, train
 from .tensor import load_tensor, save_tensor
 
-THREADS_ENV = "STMKERNELS_THREADS"
 MANIFEST_NAME = "manifest.txt"
 
 DEFAULT_C_GRID = tuple(2.0 ** k for k in range(-8, 9))
@@ -49,6 +48,7 @@ class ExperimentConfig:
     sources, `noise_grid` overrides the noise variance of the base
     config, one generated dataset per value; class-defining draws are
     shared across noise levels by the generator's stream splitting.
+    `threads` is echoed in the report's config and changes nothing.
     """
 
     synth: synth.SynthConfig | None = None
@@ -218,15 +218,6 @@ def derive_kernel_inputs(tuckers, kind):
     return tuckers
 
 
-def decompose_samples(raw_samples, kind, rank, p):
-    """Per-kernel decomposition of a sample list at one rank.
-
-    Dense (or generated Tucker) inputs are decomposed by the weighted
-    HOSVD; `dusk` additionally converts the unweighted (p=0) form to CP.
-    """
-    return derive_kernel_inputs(_shared_tuckers(raw_samples, rank, p), kind)
-
-
 def _evaluate_cell(kind, decomposed, labels, cfg, splits):
     """Grid search + repeated CV for one (kernel, rank, noise) cell."""
     clock = time.perf_counter if cfg.measure_time else (lambda: 0.0)
@@ -310,14 +301,24 @@ def run_experiment(cfg):
     Cells whose SVM never converges, or whose rank is infeasible for the
     data, are reported with NaN statistics instead of aborting the run.
     The (noise, rank) groups run serially in a deterministic order;
-    `threads` is still validated but no longer changes anything.
+    `threads` is echoed in the config but changes nothing. Raises
+    ValueError before any decomposition when a class is too small for
+    `folds`: fewer than `folds` samples in the largest class leaves a
+    fold empty, and a class of fewer than 2 samples leaves a training
+    fold without it.
     """
-    resolve_threads(cfg.threads)
     datasets = _load_source(cfg)
     labels0 = datasets[0][2]
     for _, _, lab in datasets[1:]:
         if not np.array_equal(lab, labels0):
             raise ValueError("datasets disagree on labels")
+    counts = (int(np.sum(labels0 < 0)), int(np.sum(labels0 > 0)))
+    sizes = f"class counts (-1: {counts[0]}, +1: {counts[1]})"
+    if max(counts) < cfg.folds:
+        raise ValueError(f"{sizes} leave a fold empty with folds = {cfg.folds}")
+    if min(counts) < 2:
+        raise ValueError(f"{sizes} leave a training fold without one class "
+                         f"with folds = {cfg.folds}")
     splits = _fold_splits(labels0, cfg)
 
     rows = []
@@ -338,19 +339,6 @@ def run_experiment(cfg):
                     CellResult(kind, rank, noise, mean, std, ci, c, g, kt, tt))
     rows.sort(key=_row_key)
     return CVReport(rows=rows, config=_config_dict(cfg))
-
-
-def resolve_threads(requested):
-    """Thread count: explicit value, else the env override, else 1.
-
-    Only validated: `run_experiment` runs serially whatever it returns.
-    """
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def _row_key(row):
@@ -416,7 +404,6 @@ def load_report(json_path):
 
 
 __all__ = [
-    "THREADS_ENV",
     "MANIFEST_NAME",
     "CSV_COLUMNS",
     "DEFAULT_C_GRID",
@@ -429,10 +416,8 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "stratified_folds",
-    "decompose_samples",
     "derive_kernel_inputs",
     "run_experiment",
-    "resolve_threads",
     "render_csv",
     "emit_report",
     "load_report",

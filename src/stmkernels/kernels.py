@@ -33,34 +33,21 @@ KINDS = ("gaussian", "dusk", "subspace", "wsek")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Everything needed to evaluate one Gram-matrix entry.
+    """A kernel family and its length scale g.
 
-    `ranks` holds the per-mode decomposition ranks (a single integer means
-    the same rank in every mode, and the CP rank for `dusk`). `p` is the
-    weighting power used when decomposing for `wsek`; None means 1/M.
+    The `wsek` weighting power p is not part of the spec: it is fixed when
+    the samples are decomposed (`weighted_hosvd`) and travels with each
+    TuckerTensor.
     """
 
     kind: str
     g: float
-    ranks: tuple | int | None = None
-    p: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if not self.g > 0:
             raise ValueError("length scale g must be positive")
-        if self.ranks is not None:
-            ranks = self.ranks if isinstance(self.ranks, tuple) else (self.ranks,)
-            if any(int(r) < 1 for r in ranks):
-                raise ValueError("ranks must be positive")
-
-    def mode_ranks(self, order):
-        if self.ranks is None:
-            raise ValueError("kernel spec carries no ranks")
-        if isinstance(self.ranks, int):
-            return (self.ranks,) * order
-        return tuple(self.ranks)
 
 
 def scalar_kernel(a, b, g):

@@ -81,8 +81,9 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
     gram = np.asarray(gram, dtype=np.float64)
     if gram.shape != (n, n):
         raise ValueError(f"gram shape {gram.shape} does not match {n} samples")
-    scale = np.max(np.abs(gram)) if gram.size else 1.0
-    if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-12 * max(scale, 1.0)):
+    # a NaN entry makes the comparison false, so it is rejected too
+    bound = 1e-12 * np.max(np.abs(gram), initial=1.0)
+    if not np.max(np.abs(gram - gram.T), initial=0.0) <= bound:
         raise ValueError("gram matrix is not symmetric")
     if np.all(y > 0) or np.all(y < 0):
         raise ValueError("training set must contain both classes")
@@ -92,19 +93,16 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
     grad = -np.ones(n)  # gradient of 1/2 a'Qa - sum(a)
     history = [0.0] if record_objective else None
     updates = 0
-    idx = np.arange(n)
 
     while True:
-        yg = y * grad
+        # maximal violating pair; an empty side gives -inf and stops
+        f = -(y * grad)
         up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
         low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-        if not up.any() or not low.any():
-            break
-        up_idx = idx[up]
-        low_idx = idx[low]
-        i = up_idx[np.argmax(-yg[up_idx])]
-        j = low_idx[np.argmin(-yg[low_idx])]
-        violation = (-yg[i]) - (-yg[j])
+        fu = np.where(up, f, -np.inf)
+        fl = np.where(low, f, np.inf)
+        i, j = fu.argmax(), fl.argmin()
+        violation = fu[i] - fl[j]
         if violation <= tol:
             break
         if updates >= max_updates:

@@ -149,14 +149,6 @@ def load_tensor(path):
     return values.astype(np.float64).reshape(shape, order="F")
 
 
-def dataset_bytes(shape):
-    """Container size in bytes for a tensor of the given shape."""
-    count = 1
-    for d in shape:
-        count *= d
-    return 8 + 8 * len(shape) + 8 * count
-
-
 __all__ = [
     "MAX_ORDER",
     "matricize",
@@ -166,5 +158,4 @@ __all__ = [
     "frobenius_norm",
     "save_tensor",
     "load_tensor",
-    "dataset_bytes",
 ]

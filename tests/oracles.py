@@ -224,3 +224,57 @@ def qp_reference(kmat, y, c):
 
 def qp_decision(kvec, alpha, y, bias):
     return float((alpha * y) @ kvec + bias)
+
+
+# ---------------------------------------------------------------------------
+# reference SMO: maximal violating pair selected over explicit index lists
+# ---------------------------------------------------------------------------
+
+def smo_index_selection(kmat, y, c, tol):
+    """Soft-margin SMO choosing the maximal violating pair by indexing the
+    `up` and `low` index sets, stopping when either set is empty.
+
+    Same update and bias rules as `svm.train`; returns (alpha, bias,
+    updates). Ties in the selection go to the smaller index.
+    """
+    kmat = np.asarray(kmat, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    q = kmat * np.outer(y, y)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    updates = 0
+    idx = np.arange(n)
+    while True:
+        yg = y * grad
+        up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < c)) | ((y > 0) & (alpha > 0))
+        if not up.any() or not low.any():
+            break
+        up_idx = idx[up]
+        low_idx = idx[low]
+        i = up_idx[np.argmax(-yg[up_idx])]
+        j = low_idx[np.argmin(-yg[low_idx])]
+        violation = (-yg[i]) - (-yg[j])
+        if violation <= tol:
+            break
+        curv = max(kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j], 1e-12)
+        step = violation / curv
+        bound_i = (c - alpha[i]) if y[i] > 0 else alpha[i]
+        bound_j = alpha[j] if y[j] > 0 else (c - alpha[j])
+        step = min(step, bound_i, bound_j)
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        if step == bound_i:
+            alpha[i] = c if y[i] > 0 else 0.0
+        if step == bound_j:
+            alpha[j] = 0.0 if y[j] > 0 else c
+        grad += (y[i] * step) * q[:, i] - (y[j] * step) * q[:, j]
+        updates += 1
+    f0 = (alpha * y) @ kmat
+    free = (alpha > 0) & (alpha < c)
+    if free.any():
+        bias = float(np.mean(y[free] - f0[free]))
+    else:
+        bias = float(-0.5 * (np.max(f0[y < 0]) + np.min(f0[y > 0])))
+    return alpha, bias, updates

@@ -5,7 +5,13 @@ import json
 import pytest
 
 from stmkernels.cli import main, read_config
-from stmkernels.harness import DEFAULT_C_GRID, DEFAULT_G_GRID, load_dataset
+from stmkernels.harness import (
+    DEFAULT_C_GRID,
+    DEFAULT_G_GRID,
+    ExperimentConfig,
+    load_dataset,
+)
+from stmkernels.synth import SynthConfig
 
 
 CONFIG_TEXT = """
@@ -64,11 +70,54 @@ class TestConfigParsing:
 
     def test_data_dir_source(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text(f"data_dir = {tmp_path}\nrank_grid = 1:2\n")
+        path.write_text(f"data_dir = {tmp_path}\nrank_grid = 1:2\n"
+                        "c_grid = 0.5, 2\ng_grid = 4\n")
         cfg = read_config(path)
         assert cfg.data_dir == str(tmp_path)
         assert cfg.synth is None
         assert cfg.rank_grid == (1, 2)
+        assert cfg.c_grid == (0.5, 2.0)
+        assert cfg.g_grid == (4.0,)
+
+    def test_every_key_sets_its_field(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "scenario = core\nmode_size = 9\nr_exact = 2\nr_approx = 4\n"
+            "samples_per_class = 7\nfreq_uniform = yes\n"
+            "noise_grid = 0.1, 0.5\nkernels = dusk\nrank_grid = 1, 3\n"
+            "c_grid_log2 = -1, 3\ng_grid_log2 = 2:4\nrepeats = 4\n"
+            "folds = 6\nseed = 17\np = 0.75\nthreads = 3\n"
+            "measure_time = off\nsmo_tol = 1e-5\noutput = results\n")
+        cfg = read_config(path)
+        assert cfg.synth == SynthConfig(
+            scenario="core", mode_size=9, r_exact=2, r_approx=4,
+            samples_per_class=7, seed=17, freq_uniform=True)
+        assert cfg == ExperimentConfig(
+            synth=cfg.synth, noise_grid=(0.1, 0.5), kernels=("dusk",),
+            rank_grid=(1, 3), c_grid=(0.5, 8.0), g_grid=(4.0, 8.0, 16.0),
+            repeats=4, folds=6, seed=17, p=0.75, threads=3,
+            measure_time=False, smo_tol=1e-5, output="results")
+
+    def test_parse_error_names_the_key(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("scenario = leaf\nfolds = 2.5\n")
+        with pytest.raises(ValueError, match="^config key folds: "):
+            read_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("scenario = leaf\nbogus = 1\n", "{path}: unknown config key 'bogus'"),
+        ("scenario = leaf\nmeasure_time = maybe\n",
+         "config key measure_time: expected a boolean, got 'maybe'"),
+        ("data_dir = d\nmode_size = 9\n",
+         "{path}: data_dir excludes synthetic keys"),
+        ("folds = 3\n", "{path}: either scenario or data_dir is required"),
+    ])
+    def test_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_config(path)
+        assert str(err.value) == message.format(path=path)
 
 
 class TestCliCommands:

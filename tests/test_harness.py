@@ -15,7 +15,6 @@ from stmkernels.harness import (
     load_dataset,
     load_report,
     render_csv,
-    resolve_threads,
     run_experiment,
     save_dataset,
     stratified_folds,
@@ -47,6 +46,10 @@ def tiny_experiment(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def _no_decomposition(*args, **kwargs):
+    raise AssertionError("decomposed before the class counts were checked")
 
 
 class TestDatasetIO:
@@ -178,19 +181,6 @@ class TestRunExperiment:
         assert row.C == -best[1]
         assert row.g == -best[2]
 
-    def test_decomposition_cache_invisible(self):
-        # the cached pipeline must agree with per-kernel decomposition
-        # from scratch
-        from stmkernels.harness import decompose_samples
-        data = generate(tiny_synth())
-        raw = [s.tensor for s in data]
-        from stmkernels.harness import _shared_tuckers, derive_kernel_inputs
-        cached = derive_kernel_inputs(_shared_tuckers(raw, 2, None), "dusk")
-        fresh = decompose_samples(raw, "dusk", 2, None)
-        for a, b in zip(cached, fresh):
-            for fa, fb in zip(a.factors, b.factors):
-                assert np.array_equal(fa, fb)
-
     def test_infeasible_rank_marks_cell_invalid(self):
         cfg = tiny_experiment(rank_grid=(2, 13))
         rep = run_experiment(cfg)
@@ -225,6 +215,33 @@ class TestRunExperiment:
         run_experiment(cfg)
         feasible_groups = 2 * 2  # rank 13 exceeds the mode size of 12
         assert len(calls) == feasible_groups * len(cfg.kernels) * len(cfg.g_grid)
+
+    @pytest.mark.parametrize("per_class, folds", [(2, 3), (1, 2)])
+    def test_fold_left_empty_rejected_before_decomposing(
+            self, monkeypatch, per_class, folds):
+        # each class deals round-robin from fold 0, so folds past the
+        # largest class get no sample
+        from stmkernels import harness
+        monkeypatch.setattr(harness, "weighted_hosvd", _no_decomposition)
+        cfg = tiny_experiment(synth=tiny_synth(samples_per_class=per_class),
+                              folds=folds)
+        with pytest.raises(ValueError, match=(
+                rf"class counts \(-1: {per_class}, \+1: {per_class}\) "
+                rf"leave a fold empty with folds = {folds}")):
+            run_experiment(cfg)
+
+    def test_training_fold_without_class_rejected(self, tmp_path, monkeypatch):
+        # the lone -1 sample's fold trains on +1 samples only
+        rng = np.random.default_rng(3)
+        save_dataset([sk.LabeledSample(rng.standard_normal((4, 4, 4)), label)
+                      for label in (-1, 1, 1, 1, 1)], tmp_path)
+        from stmkernels import harness
+        monkeypatch.setattr(harness, "weighted_hosvd", _no_decomposition)
+        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path), folds=2)
+        with pytest.raises(ValueError, match=(
+                r"class counts \(-1: 1, \+1: 4\) leave a training fold "
+                r"without one class with folds = 2")):
+            run_experiment(cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -282,17 +299,3 @@ class TestReports:
         payload = json.loads(open(json_path).read())
         assert payload["config"]["folds"] == 3
         assert payload["config"]["synth"]["scenario"] == "leaf"
-
-
-class TestThreadsResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("STMKERNELS_THREADS", "7")
-        assert resolve_threads(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("STMKERNELS_THREADS", "5")
-        assert resolve_threads(None) == 5
-
-    def test_default_one(self, monkeypatch):
-        monkeypatch.delenv("STMKERNELS_THREADS", raising=False)
-        assert resolve_threads(None) == 1

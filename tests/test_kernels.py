@@ -400,9 +400,3 @@ class TestKernelSpec:
             KernelSpec("rbf", g=1.0)
         with pytest.raises(ValueError, match="positive"):
             KernelSpec("gaussian", g=0.0)
-        with pytest.raises(ValueError, match="ranks"):
-            KernelSpec("gaussian", g=1.0, ranks=(0, 2))
-
-    def test_mode_ranks_expansion(self):
-        assert KernelSpec("wsek", g=1.0, ranks=3).mode_ranks(3) == (3, 3, 3)
-        assert KernelSpec("wsek", g=1.0, ranks=(1, 2, 3)).mode_ranks(3) == (1, 2, 3)

@@ -15,7 +15,7 @@ from stmkernels.svm import (
     train,
 )
 
-from oracles import qp_decision, qp_reference
+from oracles import qp_decision, qp_reference, smo_index_selection
 
 
 def gaussian_gram(points, g):
@@ -74,6 +74,33 @@ class TestOracleEquivalence:
         assert abs(model.dual_objective - obj_ref) <= 1e-6
 
 
+class TestSelectionReference:
+    """`train` selects pairs exactly as the index-list reference does."""
+
+    @pytest.mark.parametrize("log2_c", range(-8, 9, 2))
+    def test_bitwise_equal_on_random_instances(self, log2_c):
+        c = 2.0 ** log2_c
+        rng = np.random.default_rng(2000 + log2_c)
+        for _ in range(5):
+            pts, y, k = random_instance(rng, 26, g=float(rng.uniform(0.5, 3.0)))
+            model = train(TrainingSet(list(pts), y), k, c)
+            alpha, bias, updates = smo_index_selection(k, y, c, 1e-3)
+            assert np.array_equal(model.alphas, alpha)
+            assert model.bias == bias
+            assert model.updates == updates
+
+    def test_bitwise_equal_with_all_alphas_at_bound(self):
+        k = np.eye(4)
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        model = train(TrainingSet(list(range(4)), y), k, 0.5, tol=1e-10)
+        alpha, bias, updates = smo_index_selection(k, y, 0.5, 1e-10)
+        assert model.bias_fallback
+        assert np.all(alpha == 0.5)
+        assert np.array_equal(model.alphas, alpha)
+        assert model.bias == bias
+        assert model.updates == updates
+
+
 class TestConstraintsAndKkt:
     def test_box_and_equality(self):
         rng = np.random.default_rng(3)
@@ -130,6 +157,11 @@ class TestErrors:
 
     def test_nonsymmetric_gram_rejected(self):
         k = np.array([[1.0, 0.5], [0.2, 1.0]])
+        with pytest.raises(ValueError, match="not symmetric"):
+            train(TrainingSet([0, 1], np.array([1.0, -1.0])), k, 1.0)
+
+    def test_nan_gram_rejected(self):
+        k = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ValueError, match="not symmetric"):
             train(TrainingSet([0, 1], np.array([1.0, -1.0])), k, 1.0)
 
