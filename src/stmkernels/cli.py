@@ -95,9 +95,10 @@ def read_config(path):
     """Parse a flat `key = value` config file into an ExperimentConfig.
 
     Every field defaults to the reference protocol values; unknown keys
-    are rejected. Lines starting with # are comments.
+    are rejected, and so is a field set twice (an alias and its target
+    count as one field). Lines starting with # are comments.
     """
-    entries = {}
+    entries = {}  # field -> (line, key, value)
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -106,14 +107,19 @@ def read_config(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+            key = key.strip()
+            name = _ALIASES.get(key, key)
+            if name in entries:
+                raise ValueError(f"{path}:{lineno}: {name} is already set "
+                                 f"on line {entries[name][0]}")
+            entries[name] = (lineno, key, value.strip())
 
     values = {}
-    for key, value in entries.items():
+    for name, (_, key, value) in entries.items():
         if key not in _PARSERS:
             raise ValueError(f"{path}: unknown config key {key!r}")
         try:
-            values[_ALIASES.get(key, key)] = _PARSERS[key](value)
+            values[name] = _PARSERS[key](value)
         except ValueError as exc:
             raise ValueError(f"config key {key}: {exc}") from None
 

@@ -195,6 +195,24 @@ def khatri_rao(mats):
 # weighted HOSVD
 # ---------------------------------------------------------------------------
 
+def _checked_ranks(shape, ranks):
+    ranks = tuple(int(r) for r in ranks)
+    if len(ranks) != len(shape):
+        raise ValueError(f"expected {len(shape)} ranks, got {len(ranks)}")
+    for m, r in enumerate(ranks):
+        if r < 1 or r > shape[m]:
+            raise ValueError(
+                f"rank {r} invalid for mode {m + 1} of size {shape[m]}")
+    return ranks
+
+
+def _left_svd(g, m):
+    """Left singular vectors and values of the mode-(m+1) unfolding; the
+    right singular vectors are dropped at once."""
+    u, s, _ = np.linalg.svd(matricize(g, m + 1), full_matrices=False)
+    return u, s
+
+
 def weighted_hosvd(t, ranks, p=None):
     """Sequentially truncated HOSVD with sigma**p weighted factors.
 
@@ -206,32 +224,42 @@ def weighted_hosvd(t, ranks, p=None):
     the rank-(R_1,...,R_M) sequential truncation of `t` for every p. The
     retained subspaces do not depend on p. Default p is 1/M.
 
+    `ranks` is either one per-mode rank tuple, which returns one
+    TuckerTensor, or a sequence of such tuples, which returns a list with
+    one TuckerTensor per entry. All entries are validated before any SVD.
+    The mode-1 unfolding is the full `t` whatever the ranks, so its SVD is
+    computed once and shared by every entry; each entry is bitwise equal
+    to a separate call with that tuple.
+
     Requested ranks are additionally capped by the column count of each
     unfolding (directions beyond it carry zero singular values).
     """
     t = np.asarray(t, dtype=np.float64)
-    order = t.ndim
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != order:
-        raise ValueError(f"expected {order} ranks, got {len(ranks)}")
-    for m, r in enumerate(ranks):
-        if r < 1 or r > t.shape[m]:
-            raise ValueError(
-                f"rank {r} invalid for mode {m + 1} of size {t.shape[m]}")
+    ranks = list(ranks)
+    single = len(ranks) == 0 or np.ndim(ranks[0]) == 0
+    grid = [_checked_ranks(t.shape, r) for r in ([ranks] if single else ranks)]
     if p is None:
-        p = 1.0 / order
+        p = 1.0 / t.ndim
     if frobenius_norm(t) == 0.0:
         raise ValueError("cannot decompose an all-zero tensor")
 
+    mode1 = _left_svd(t, 0)
+    out = [_truncate(t, mode1, r, p) for r in grid]
+    return out[0] if single else out
+
+
+def _truncate(t, mode1, ranks, p):
+    """ST-HOSVD of `t` at `ranks`, given the SVD of its mode-1 unfolding."""
+    order = t.ndim
     g = t
     basis = []
     sigmas = []
     for m in range(order):
-        u, s, _ = np.linalg.svd(matricize(g, m + 1), full_matrices=False)
+        u, s = mode1 if m == 0 else _left_svd(g, m)
         r = min(ranks[m], u.shape[1])
         u = fix_signs(u[:, :r])
         basis.append(u)
-        sigmas.append(s[:r])
+        sigmas.append(s[:r].copy())
         g = mode_product(g, u.T, m + 1)
 
     factors = []

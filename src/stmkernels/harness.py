@@ -3,13 +3,15 @@ grid search over (C, g) with repeated stratified k-fold cross-validation,
 and deterministic CSV/JSON reporting.
 
 Protocol per (kernel, rank, noise) cell: every sample is decomposed once
-at that rank and reused across the whole (C, g) grid. For each repeat a
-stratified fold split is drawn (shared by all cells of the run); the
-(C, g) pair maximizing the mean validation accuracy over folds is
-selected per repeat (ties go to the smaller C, then the smaller g), and
-the selected pair's accuracy enters the aggregate. Reported numbers are
-the mean over repeats, the sample standard deviation, and the normal
-approximation 95% half-width 1.96 * std / sqrt(repeats).
+per noise level, by one call for all feasible ranks that shares the
+mode-1 SVD, and each rank's decomposition is reused across the whole
+(C, g) grid. For each repeat a stratified fold split is drawn (shared by
+all cells of the run); the (C, g) pair maximizing the mean validation
+accuracy over folds is selected per repeat (ties go to the smaller C,
+then the smaller g), and the selected pair's accuracy enters the
+aggregate. Reported numbers are the mean over repeats, the sample
+standard deviation, and the normal approximation 95% half-width
+1.96 * std / sqrt(repeats).
 """
 
 from __future__ import annotations
@@ -76,6 +78,15 @@ class ExperimentConfig:
         for k in self.kernels:
             if k not in KINDS:
                 raise ValueError(f"unknown kernel kind {k!r}")
+        if not self.smo_tol > 0:
+            raise ValueError(f"smo_tol must be positive, got {self.smo_tol}")
+        for name in ("c_grid", "g_grid"):
+            for v in getattr(self, name):
+                if not v > 0:
+                    raise ValueError(f"{name} entries must be positive, got {v}")
+        for r in self.rank_grid:
+            if r < 1:
+                raise ValueError(f"rank_grid entries must be at least 1, got {r}")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
         if self.repeats < 1:
@@ -203,11 +214,20 @@ def _fold_splits(labels, cfg):
     return splits
 
 
-def _shared_tuckers(raw_samples, rank, p):
-    out = []
+def _decompose_by_rank(raw_samples, ranks, p):
+    """{rank: one TuckerTensor per sample} for every rank in `ranks`.
+
+    Each sample is made dense once and decomposed by one weighted_hosvd
+    call for all ranks, which computes its mode-1 SVD once.
+    """
+    out = {rank: [] for rank in ranks}
+    if not out:
+        return out
     for s in raw_samples:
         dense = s if isinstance(s, np.ndarray) else tucker_reconstruct(s)
-        out.append(weighted_hosvd(dense, (rank,) * dense.ndim, p))
+        grid = [(rank,) * dense.ndim for rank in out]
+        for tuckers, tk in zip(out.values(), weighted_hosvd(dense, grid, p)):
+            tuckers.append(tk)
     return out
 
 
@@ -323,16 +343,18 @@ def run_experiment(cfg):
 
     rows = []
     for noise, raw_samples, labels in datasets:
+        max_rank = min(raw_samples[0].shape)
+        by_rank = _decompose_by_rank(
+            raw_samples, [r for r in cfg.rank_grid if r <= max_rank], cfg.p)
         for rank in cfg.rank_grid:
-            if rank > min(raw_samples[0].shape):
+            if rank not in by_rank:
                 rows.extend(
                     CellResult(kind, rank, noise, math.nan, math.nan, math.nan,
                                math.nan, math.nan, 0.0, 0.0)
                     for kind in cfg.kernels)
                 continue
-            tuckers = _shared_tuckers(raw_samples, rank, cfg.p)
             for kind in cfg.kernels:
-                decomposed = derive_kernel_inputs(tuckers, kind)
+                decomposed = derive_kernel_inputs(by_rank[rank], kind)
                 mean, std, ci, c, g, kt, tt = _evaluate_cell(
                     kind, decomposed, labels, cfg, splits)
                 rows.append(

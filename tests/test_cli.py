@@ -105,6 +105,21 @@ class TestConfigParsing:
             read_config(path)
 
     @pytest.mark.parametrize("text, message", [
+        ("scenario = leaf\nfolds = 3\n\nfolds = 4\n",
+         "{path}:4: folds is already set on line 2"),
+        ("c_grid = 1\nscenario = leaf\nc_grid_log2 = 3\n",
+         "{path}:3: c_grid is already set on line 1"),
+        ("g_grid_log2 = 1\ng_grid = 2\nscenario = leaf\n",
+         "{path}:2: g_grid is already set on line 1"),
+    ])
+    def test_duplicate_field_rejected(self, tmp_path, text, message):
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_config(path)
+        assert str(err.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("text, message", [
         ("scenario = leaf\nbogus = 1\n", "{path}: unknown config key 'bogus'"),
         ("scenario = leaf\nmeasure_time = maybe\n",
          "config key measure_time: expected a boolean, got 'maybe'"),

@@ -118,6 +118,72 @@ class TestWeightedHosvd:
         with pytest.raises(ValueError, match="rank 0"):
             weighted_hosvd(t, (0, 1, 1))
 
+    def test_rank_grid_bitwise_equals_separate_calls(self):
+        # rank 4 exceeds the data's Tucker rank of 2 (numerically zero
+        # sigmas); on shape (2, 3, 10) the mode-3 rank is capped by the
+        # column count of its unfolding
+        rng = np.random.default_rng(10)
+        capped = rng.standard_normal((2, 3, 10))
+        cases = [
+            (random_tucker_tensor(rng, (6, 6, 6), (2, 2, 2)),
+             [(1, 1, 1), (2, 2, 2), (4, 4, 4), (2, 3, 1)]),
+            (capped, [(2, 3, 10), (1, 1, 5), (2, 2, 2)]),
+        ]
+        for t, grid in cases:
+            for p in (None, 0.0, 0.7):
+                many = weighted_hosvd(t, grid, p)
+                assert isinstance(many, list) and len(many) == len(grid)
+                for ranks, a in zip(grid, many):
+                    b = weighted_hosvd(t, ranks, p)
+                    assert a.p == b.p
+                    assert np.array_equal(a.core, b.core)
+                    for x, y in zip(a.factors + a.sigmas, b.factors + b.sigmas):
+                        assert x.shape == y.shape
+                        assert np.array_equal(x, y)
+        assert weighted_hosvd(capped, [(2, 3, 10)])[0].ranks == (2, 3, 6)
+
+    def test_rank_grid_shares_the_mode1_svd(self, monkeypatch):
+        import stmkernels.decomp as decomp
+        modes = []
+        real = decomp._left_svd
+
+        def counting(g, m):
+            modes.append(m)
+            return real(g, m)
+
+        monkeypatch.setattr(decomp, "_left_svd", counting)
+        t = np.random.default_rng(11).standard_normal((5, 4, 3))
+        weighted_hosvd(t, [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
+        assert modes.count(0) == 1
+        assert len(modes) == 1 + 2 * 3
+
+    def test_rank_tuple_forms(self):
+        t = np.random.default_rng(12).standard_normal((4, 4, 4))
+        one = weighted_hosvd(t, (2, 2, 2))
+        for ranks in ([2, 2, 2], np.array([2, 2, 2])):
+            tk = weighted_hosvd(t, ranks)
+            assert not isinstance(tk, list)
+            assert np.array_equal(tk.core, one.core)
+        for grid in ([(2, 2, 2)], ((2, 2, 2),), np.array([[2, 2, 2]])):
+            out = weighted_hosvd(t, grid)
+            assert isinstance(out, list) and len(out) == 1
+            assert np.array_equal(out[0].core, one.core)
+
+    def test_rank_grid_validated_before_any_svd(self, monkeypatch):
+        import stmkernels.decomp as decomp
+
+        def no_svd(g, m):
+            raise AssertionError("SVD before all ranks were validated")
+
+        monkeypatch.setattr(decomp, "_left_svd", no_svd)
+        t = np.random.default_rng(13).standard_normal((3, 3, 3))
+        with pytest.raises(ValueError, match="rank 4"):
+            weighted_hosvd(t, [(2, 2, 2), (4, 3, 3)])
+        with pytest.raises(ValueError, match="expected 3 ranks, got 2"):
+            weighted_hosvd(t, [(2, 2, 2), (1, 1)])
+        with pytest.raises(ValueError, match="expected 3 ranks, got 0"):
+            weighted_hosvd(t, [])
+
     def test_reweight_preserves_tensor(self):
         rng = np.random.default_rng(9)
         t = rng.standard_normal((5, 4, 3))

@@ -159,10 +159,10 @@ class TestRunExperiment:
         rep = run_experiment(cfg)
         row = rep.rows[0]
 
-        from stmkernels.harness import _fold_splits, _shared_tuckers
+        from stmkernels.harness import _decompose_by_rank, _fold_splits
         data = generate(tiny_synth())
         labels = np.array([s.label for s in data], float)
-        samples = _shared_tuckers([s.tensor for s in data], 2, None)
+        samples = _decompose_by_rank([s.tensor for s in data], (2,), None)[2]
         pairs = _fold_splits(labels, cfg)[0]
         best = None
         for g in cfg.g_grid:
@@ -188,6 +188,39 @@ class TestRunExperiment:
         good = [r for r in rep.rows if r.rank == 2]
         assert bad and all(math.isnan(r.mean_acc) for r in bad)
         assert good and all(not math.isnan(r.mean_acc) for r in good)
+
+    def test_rank_grid_rows_equal_separate_runs(self):
+        # decomposing all ranks together changes no bit of any row
+        together = run_experiment(tiny_experiment(rank_grid=(1, 2, 13))).rows
+        apart = (run_experiment(tiny_experiment(rank_grid=(1,))).rows
+                 + run_experiment(tiny_experiment(rank_grid=(2,))).rows)
+        feasible = [r for r in together if r.rank != 13]
+        assert sorted(feasible, key=lambda r: (r.kernel, r.rank)) == \
+            sorted(apart, key=lambda r: (r.kernel, r.rank))
+        bad = [r for r in together if r.rank == 13]
+        assert len(bad) == 2 and all(math.isnan(r.mean_acc) for r in bad)
+
+    def test_one_decomposition_per_sample_and_noise(self, monkeypatch):
+        # every rank of the grid comes out of one weighted_hosvd call on
+        # one dense reconstruction per sample and noise level
+        from stmkernels import harness
+        calls = {"weighted_hosvd": 0, "tucker_reconstruct": 0}
+
+        def counting(name):
+            real = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(harness, name, counting(name))
+        cfg = tiny_experiment(noise_grid=(0.01, 0.1), rank_grid=(1, 2, 13))
+        run_experiment(cfg)
+        samples = 2 * cfg.synth.samples_per_class
+        assert calls == {"weighted_hosvd": 2 * samples,
+                         "tucker_reconstruct": 2 * samples}
 
     def test_threads_match_serial(self):
         cfg1 = tiny_experiment(rank_grid=(1, 2), threads=1)
@@ -252,6 +285,18 @@ class TestRunExperiment:
             tiny_experiment(kernels=())
         with pytest.raises(ValueError, match="unknown kernel"):
             tiny_experiment(kernels=("linear",))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("smo_tol", 0.0, "smo_tol must be positive, got 0.0"),
+        ("smo_tol", -1e-3, "smo_tol must be positive, got -0.001"),
+        ("c_grid", (1.0, 0.0), "c_grid entries must be positive, got 0.0"),
+        ("g_grid", (-2.0, 1.0), "g_grid entries must be positive, got -2.0"),
+        ("rank_grid", (2, 0), "rank_grid entries must be at least 1, got 0"),
+    ])
+    def test_unusable_settings_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            tiny_experiment(**{field: value})
+        assert str(err.value) == message
 
 
 class TestReports:
