@@ -240,7 +240,7 @@ def weighted_hosvd(t, ranks, p=None):
     grid = [_checked_ranks(t.shape, r) for r in ([ranks] if single else ranks)]
     if p is None:
         p = 1.0 / t.ndim
-    if frobenius_norm(t) == 0.0:
+    if not t.any():
         raise ValueError("cannot decompose an all-zero tensor")
 
     mode1 = _left_svd(t, 0)

@@ -5,13 +5,14 @@ and deterministic CSV/JSON reporting.
 Protocol per (kernel, rank, noise) cell: every sample is decomposed once
 per noise level, by one call for all feasible ranks that shares the
 mode-1 SVD, and each rank's decomposition is reused across the whole
-(C, g) grid. For each repeat a stratified fold split is drawn (shared by
-all cells of the run); the (C, g) pair maximizing the mean validation
-accuracy over folds is selected per repeat (ties go to the smaller C,
-then the smaller g), and the selected pair's accuracy enters the
-aggregate. Reported numbers are the mean over repeats, the sample
-standard deviation, and the normal approximation 95% half-width
-1.96 * std / sqrt(repeats).
+(C, g) grid. The cell's Grams for every g come from one `gram_matrix`
+call over the whole g grid, which computes each distance once. For each
+repeat a stratified fold split is drawn (shared by all cells of the
+run); the (C, g) pair maximizing the mean validation accuracy over folds
+is selected per repeat (ties go to the smaller C, then the smaller g),
+and the selected pair's accuracy enters the aggregate. Reported numbers
+are the mean over repeats, the sample standard deviation, and the normal
+approximation 95% half-width 1.96 * std / sqrt(repeats).
 """
 
 from __future__ import annotations
@@ -80,10 +81,16 @@ class ExperimentConfig:
                 raise ValueError(f"unknown kernel kind {k!r}")
         if not self.smo_tol > 0:
             raise ValueError(f"smo_tol must be positive, got {self.smo_tol}")
+        for name in ("p", "smo_tol"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         for name in ("c_grid", "g_grid"):
             for v in getattr(self, name):
                 if not v > 0:
                     raise ValueError(f"{name} entries must be positive, got {v}")
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} entries must be finite, got {v}")
         for r in self.rank_grid:
             if r < 1:
                 raise ValueError(f"rank_grid entries must be at least 1, got {r}")
@@ -242,12 +249,10 @@ def _evaluate_cell(kind, decomposed, labels, cfg, splits):
     """Grid search + repeated CV for one (kernel, rank, noise) cell."""
     clock = time.perf_counter if cfg.measure_time else (lambda: 0.0)
 
-    kernel_seconds = 0.0
-    grams = {}
-    for g in cfg.g_grid:
-        t0 = clock()
-        grams[g] = gram_matrix(decomposed, KernelSpec(kind=kind, g=g))
-        kernel_seconds += clock() - t0
+    t0 = clock()
+    stack = gram_matrix(decomposed, KernelSpec(kind, g=cfg.g_grid))
+    kernel_seconds = clock() - t0
+    grams = dict(zip(cfg.g_grid, stack))
 
     train_seconds = 0.0
     per_repeat_acc = []

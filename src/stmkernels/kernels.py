@@ -13,10 +13,14 @@ Four kernel families over decomposed (or dense) tensors:
   on the sigma**p weighted factor columns.
 
 Every kernel value comes from one row evaluator per kind, giving
-K(x, y_j) for each y_j of a list. `gram_matrix` fills rows from the
-diagonal onward and mirrors them; the single-pair functions average both
-argument orders, so swapping the inputs gives bitwise identical values.
-Expanded squared distances are clamped at 0 against cancellation.
+K(x, y_j) for each y_j of a list and each length scale g of a grid. The
+g-independent part of a row (squared distances, chordal exponents) is
+computed once and exp(-d2 / 2g^2) is applied per g, so a Gram over a
+whole g grid costs about one distance pass. `gram_matrix` fills rows from
+the diagonal onward and mirrors them; the single-pair functions are the
+one-g view and average both argument orders, so swapping the inputs
+gives bitwise identical values. Expanded squared distances are clamped
+at 0 against cancellation.
 """
 
 from __future__ import annotations
@@ -31,9 +35,34 @@ from .decomp import KruskalTensor, TTTensor, TuckerTensor
 KINDS = ("gaussian", "dusk", "subspace", "wsek")
 
 
+def _length_scales(g):
+    """`g` (one length scale or a sequence of them) as a checked 1-D
+    float64 array: nonempty, every entry finite and positive."""
+    gs = np.atleast_1d(np.asarray(g, dtype=np.float64))
+    if gs.ndim != 1 or gs.size == 0:
+        raise ValueError("length scale grid g must be a nonempty sequence")
+    for v in gs:
+        if not v > 0:
+            raise ValueError(f"length scale g must be positive, got {v}")
+        if not math.isfinite(v):
+            raise ValueError(f"length scale g must be finite, got {v}")
+    return gs
+
+
+def _one_length_scale(g, name):
+    """`_length_scales(g)` for a function that takes no g grid."""
+    if np.ndim(g) != 0:
+        raise ValueError(f"{name} takes one length scale g, not a grid")
+    return _length_scales(g)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel family and its length scale g.
+
+    `g` is either one length scale or a tuple of them (a g grid). With a
+    grid, `gram_matrix` returns one Gram per entry, stacked; the
+    single-pair functions take one length scale only.
 
     The `wsek` weighting power p is not part of the spec: it is fixed when
     the samples are decomposed (`weighted_hosvd`) and travels with each
@@ -41,13 +70,14 @@ class KernelSpec:
     """
 
     kind: str
-    g: float
+    g: float | tuple
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not self.g > 0:
-            raise ValueError("length scale g must be positive")
+        if np.ndim(self.g) != 0:
+            object.__setattr__(self, "g", tuple(self.g))
+        _length_scales(self.g)
 
 
 def scalar_kernel(a, b, g):
@@ -56,17 +86,26 @@ def scalar_kernel(a, b, g):
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
         raise ValueError(f"vector length mismatch: {a.size} vs {b.size}")
-    if not g > 0:
-        raise ValueError("length scale g must be positive")
+    _one_length_scale(g, "scalar_kernel")
     d2 = float(np.sum((a - b) ** 2))
     return math.exp(-d2 / (2.0 * g * g))
 
 
 # ---------------------------------------------------------------------------
 # row evaluators: a view is computed once per sample; row(xv, yvs, g) gives
-# K(x, y_j) for every view y_j. Factor blocks of mixed widths (ranks) are
+# K(x, y_j) for every view y_j and every entry of the 1-D float64 array g,
+# shape (len(g), len(yvs)). Factor blocks of mixed widths (ranks) are
 # concatenated and summed back per sample with np.add.reduceat.
 # ---------------------------------------------------------------------------
+
+def _exp_per_g(expo, g):
+    """exp(-expo / 2g^2) for every g, stacked along a new leading axis.
+
+    Each element goes through the same IEEE operations as the one-g
+    expression, so every layer of the stack is bitwise equal to it.
+    """
+    return np.exp(-expo / (2.0 * g * g).reshape((-1,) + (1,) * np.ndim(expo)))
+
 
 def _stack(blocks):
     """Concatenate blocks along the last axis; return them and block starts."""
@@ -113,7 +152,7 @@ def _gaussian_row(xv, yvs, g):
     x, xx = xv  # the sample and its squared norm
     yy = np.array([n for _, n in yvs])
     d2 = np.maximum((xx + yy) - 2.0 * _inner_row(x, [y for y, _ in yvs]), 0.0)
-    return np.exp(-d2 / (2.0 * g * g))
+    return _exp_per_g(d2, g)
 
 
 def _dusk_view(x):
@@ -128,12 +167,16 @@ def _dusk_view(x):
 
 def _dusk_row(xv, yvs, g):
     # Exact column differences, one pair at a time: no cancellation, and the
-    # temporary stays one R_x x R_y x (I_1 + ... + I_M) block per pair.
-    out = np.empty(len(yvs))
+    # temporary stays one R_x x R_y x (I_1 + ... + I_M) block per pair. fsum
+    # is exact, so summing Python floats from .tolist() gives the same value
+    # as iterating numpy scalars, only faster; converting one g at a time
+    # keeps a single g's floats alive, not the whole grid's.
+    out = np.empty((len(g), len(yvs)))
     for j, yv in enumerate(yvs):
         diff = xv[:, None, :] - yv[None, :, :]
         expo = np.einsum("ijk,ijk->ij", diff, diff)
-        out[j] = math.fsum(np.exp(-expo / (2.0 * g * g)).ravel())
+        terms = _exp_per_g(expo, g).reshape(len(g), -1)
+        out[:, j] = [math.fsum(t.tolist()) for t in terms]
     return out
 
 
@@ -146,7 +189,7 @@ def _subspace_row(xv, yvs, g):
         overlap = np.add.reduceat((cross * cross).sum(axis=0), starts)
         ranks = np.array([yv[m].shape[1] for yv in yvs])
         expo += np.maximum(ux.shape[1] + ranks - 2.0 * overlap, 0.0)
-    return np.exp(-expo / (2.0 * g * g))
+    return _exp_per_g(expo, g)
 
 
 def _wsek_row(xv, yvs, g):
@@ -156,7 +199,7 @@ def _wsek_row(xv, yvs, g):
         aa, bb = np.einsum("ij,ij->j", a, a), np.einsum("ij,ij->j", b, b)
         d2 = np.maximum(aa[:, None] + bb[None, :] - 2.0 * (a.T @ b), 0.0)
         value *= np.add.reduceat(
-            np.exp(-d2 / (2.0 * g * g)).sum(axis=0), starts)
+            _exp_per_g(d2, g).sum(axis=1), starts, axis=1)
     return value
 
 
@@ -190,13 +233,15 @@ def _check_samples(kind, samples):
 
 
 def _pair(kind, x, y, g):
+    """The one-pair, one-g view of the row evaluator of `kind`."""
+    gs = _one_length_scale(g, f"{kind} kernel")
     _check_samples(kind, [x, y])
     if x is y and kind in _UNIT_DIAGONAL:
         return 1.0
     _, view, row = _EVALUATORS[kind]
     xv, yv = view(x), view(y)
     # float addition commutes, so both argument orders give the same bits
-    return float(0.5 * (row(xv, [yv], g)[0] + row(yv, [xv], g)[0]))
+    return float(0.5 * (row(xv, [yv], gs)[0, 0] + row(yv, [xv], gs)[0, 0]))
 
 
 def gaussian_kernel(x, y, g):
@@ -227,12 +272,19 @@ def wsek_kernel(x, y, g):
 
 
 def kernel_value(spec, x, y):
-    """Evaluate the kernel named by `spec` on one pair of samples."""
+    """Evaluate the kernel named by `spec` on one pair of samples.
+
+    Raises ValueError if `spec.g` is a grid."""
     return _pair(spec.kind, x, y, spec.g)
 
 
 def gram_matrix(samples, spec):
     """Symmetric kernel matrix over a homogeneous sample list.
+
+    With one length scale `spec.g` the result is the (n, n) Gram; with a
+    tuple of them it is a (len(g), n, n) stack, one Gram per entry, each
+    bitwise equal to the Gram built with that entry alone. Every
+    g-independent distance is computed once for the whole stack.
 
     Row i is evaluated for entries j >= i in list order and mirrored,
     which keeps repeated runs bitwise reproducible. For `gaussian` and
@@ -243,13 +295,14 @@ def gram_matrix(samples, spec):
         raise ValueError("empty sample list")
     _check_samples(spec.kind, samples)
     _, view, row = _EVALUATORS[spec.kind]
+    gs = _length_scales(spec.g)
     views = [view(s) for s in samples]
-    k = np.empty((n, n))
+    k = np.empty((len(gs), n, n))
     for i in range(n):
-        k[i, i:] = k[i:, i] = row(views[i], views[i:], spec.g)
+        k[:, i, i:] = k[:, i:, i] = row(views[i], views[i:], gs)
     if spec.kind in _UNIT_DIAGONAL:
-        np.fill_diagonal(k, 1.0)
-    return k
+        k[:, range(n), range(n)] = 1.0
+    return k if isinstance(spec.g, tuple) else k[0]
 
 
 __all__ = [

@@ -118,6 +118,19 @@ class TestWeightedHosvd:
         with pytest.raises(ValueError, match="rank 0"):
             weighted_hosvd(t, (0, 1, 1))
 
+    def test_tiny_tensor_is_not_all_zero(self):
+        # ||t||_F underflows to 0 here, yet the SVD is fine; only a tensor
+        # of exact zeros is rejected
+        rng = np.random.default_rng(9)
+        t = 1e-170 * rng.standard_normal((4, 4, 4))
+        assert frobenius_norm(t) == 0.0
+        tk = weighted_hosvd(t, (4, 4, 4))
+        assert tk.sigmas[0][0] > 0
+        err = np.abs(tucker_reconstruct(tk) - t).max() / np.abs(t).max()
+        assert err < 1e-12
+        with pytest.raises(ValueError, match="all-zero"):
+            weighted_hosvd(-np.zeros((4, 4, 4)), (1, 1, 1))
+
     def test_rank_grid_bitwise_equals_separate_calls(self):
         # rank 4 exceeds the data's Tucker rank of 2 (numerically zero
         # sigmas); on shape (2, 3, 10) the mode-3 rank is capped by the

@@ -233,9 +233,10 @@ class TestRunExperiment:
             assert a.mean_acc == b.mean_acc
             assert a.C == b.C and a.g == b.g
 
-    def test_one_gram_per_kernel_and_g_per_feasible_group(self, monkeypatch):
-        # the harness builds each Gram through `harness.gram_matrix`, once
-        # per (kernel, g) of every feasible (noise, rank) group
+    def test_one_gram_per_kernel_per_feasible_group(self, monkeypatch):
+        # the harness builds the Grams of a whole g grid through one
+        # `harness.gram_matrix` call per kernel of every feasible
+        # (noise, rank) group
         from stmkernels import harness
         calls = []
 
@@ -247,7 +248,8 @@ class TestRunExperiment:
         cfg = tiny_experiment(noise_grid=(0.01, 0.1), rank_grid=(1, 2, 13))
         run_experiment(cfg)
         feasible_groups = 2 * 2  # rank 13 exceeds the mode size of 12
-        assert len(calls) == feasible_groups * len(cfg.kernels) * len(cfg.g_grid)
+        assert len(calls) == feasible_groups * len(cfg.kernels)
+        assert all(spec.g == cfg.g_grid for spec in calls)
 
     @pytest.mark.parametrize("per_class, folds", [(2, 3), (1, 2)])
     def test_fold_left_empty_rejected_before_decomposing(
@@ -292,6 +294,13 @@ class TestRunExperiment:
         ("c_grid", (1.0, 0.0), "c_grid entries must be positive, got 0.0"),
         ("g_grid", (-2.0, 1.0), "g_grid entries must be positive, got -2.0"),
         ("rank_grid", (2, 0), "rank_grid entries must be at least 1, got 0"),
+        ("p", math.nan, "p must be finite, got nan"),
+        ("p", math.inf, "p must be finite, got inf"),
+        ("smo_tol", math.inf, "smo_tol must be finite, got inf"),
+        ("smo_tol", math.nan, "smo_tol must be positive, got nan"),
+        ("c_grid", (1.0, math.inf), "c_grid entries must be finite, got inf"),
+        ("g_grid", (math.inf,), "g_grid entries must be finite, got inf"),
+        ("g_grid", (1.0, math.nan), "g_grid entries must be positive, got nan"),
     ])
     def test_unusable_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:

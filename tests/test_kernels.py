@@ -82,6 +82,10 @@ class TestScalarKernel:
     def test_bad_g(self):
         with pytest.raises(ValueError, match="positive"):
             scalar_kernel([1.0], [1.0], 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            scalar_kernel([1.0], [1.0], math.inf)
+        with pytest.raises(ValueError, match="not a grid"):
+            scalar_kernel([1.0], [2.0], (1.0,))
 
 
 class TestGaussianKernel:
@@ -349,6 +353,30 @@ class TestGramMatrix:
         np.testing.assert_allclose(k, expected, rtol=1e-12, atol=0.0)
         assert np.array_equal(k, k.T)
 
+    @pytest.mark.parametrize("kind,fmt", KIND_FORMATS)
+    @pytest.mark.parametrize("mixed_ranks", [False, True])
+    def test_grid_bitwise_equals_per_g_grams(self, kind, fmt, mixed_ranks):
+        # the whole g grid in one call, against one call per g
+        rng = np.random.default_rng(31)
+        samples = [as_format(fmt, 3.0 * rng.standard_normal((5, 5, 5)),
+                             rank=1 + k % 3 if mixed_ranks else 2)
+                   for k in range(6)]
+        grid = tuple(2.0 ** e for e in range(-4, 13))
+        stack = gram_matrix(samples, KernelSpec(kind, g=grid))
+        assert stack.shape == (len(grid), 6, 6)
+        for layer, g in zip(stack, grid):
+            k = gram_matrix(samples, KernelSpec(kind, g=g))
+            assert k.shape == (6, 6)
+            assert np.array_equal(layer, k), (kind, fmt, g)
+
+    def test_one_entry_grid_is_a_stack(self):
+        rng = np.random.default_rng(32)
+        samples = [random_tucker(rng) for _ in range(3)]
+        stack = gram_matrix(samples, KernelSpec("wsek", g=(1.5,)))
+        assert stack.shape == (1, 3, 3)
+        assert np.array_equal(
+            stack[0], gram_matrix(samples, KernelSpec("wsek", g=1.5)))
+
     def test_single_sample(self):
         rng = np.random.default_rng(23)
         x = random_tucker(rng)
@@ -400,3 +428,33 @@ class TestKernelSpec:
             KernelSpec("rbf", g=1.0)
         with pytest.raises(ValueError, match="positive"):
             KernelSpec("gaussian", g=0.0)
+
+    @pytest.mark.parametrize("g, message", [
+        (math.inf, "length scale g must be finite, got inf"),
+        (math.nan, "length scale g must be positive, got nan"),
+        ((), "length scale grid g must be a nonempty sequence"),
+        ((1.0, math.inf), "length scale g must be finite, got inf"),
+        ((1.0, math.nan), "length scale g must be positive, got nan"),
+        ((2.0, -1.0), "length scale g must be positive, got -1.0"),
+    ])
+    def test_unusable_length_scales_rejected(self, g, message):
+        with pytest.raises(ValueError) as err:
+            KernelSpec("wsek", g=g)
+        assert str(err.value) == message
+
+    def test_grid_kept_as_tuple(self):
+        assert KernelSpec("dusk", g=[1.0, 2.0]).g == (1.0, 2.0)
+        assert KernelSpec("dusk", g=2.0).g == 2.0
+
+    @pytest.mark.parametrize("kind,fmt", KIND_FORMATS)
+    def test_single_pair_functions_reject_a_grid(self, kind, fmt):
+        rng = np.random.default_rng(33)
+        x, y = (as_format(fmt, rng.standard_normal((5, 5, 5)))
+                for _ in range(2))
+        by_kind = {"gaussian": gaussian_kernel, "dusk": dusk_kernel,
+                   "subspace": subspace_kernel, "wsek": wsek_kernel}
+        for g in ((1.0,), (1.0, 2.0)):
+            with pytest.raises(ValueError, match="not a grid"):
+                kernel_value(KernelSpec(kind, g=g), x, y)
+            with pytest.raises(ValueError, match="not a grid"):
+                by_kind[kind](x, y, g)

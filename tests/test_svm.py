@@ -218,6 +218,18 @@ class TestKernelBackedPrediction:
         assert np.isclose(decision_value(model, x),
                           float(decision_from_gram(model, kvec)), rtol=1e-12)
 
+    def test_grid_spec_rejected_by_decision_value(self):
+        rng = np.random.default_rng(10)
+        from stmkernels.decomp import weighted_hosvd
+        samples = [weighted_hosvd(rng.standard_normal((4, 4, 4)), (2, 2, 2))
+                   for _ in range(4)]
+        y = np.array([1.0, -1.0] * 2)
+        grid = KernelSpec("wsek", g=(2.0, 4.0))
+        k = gram_matrix(samples, grid)[0]
+        model = train(TrainingSet(samples, y), k, C=10.0, tol=1e-10, spec=grid)
+        with pytest.raises(ValueError, match="not a grid"):
+            decision_value(model, samples[0])
+
     def test_objective_helper(self):
         rng = np.random.default_rng(9)
         pts, y, k = random_instance(rng, 6)
