@@ -326,6 +326,10 @@ def cp_als(t, rank, max_iters=200, tol=1e-8):
     if rank < 1:
         raise ValueError("rank must be a positive integer")
     order = t.ndim
+    # sweep on t / 2**e, whose largest entry is in [1/2, 1), so the factor
+    # Grams cannot underflow; the exact scale returns through the weights
+    e = int(np.frexp(np.max(np.abs(t), initial=0.0))[1])
+    t = np.ldexp(t, -e)
     norm_t = frobenius_norm(t)
 
     pad_rng = np.random.default_rng(8191)
@@ -376,7 +380,8 @@ def cp_als(t, rank, max_iters=200, tol=1e-8):
             break
         prev_err = err
 
-    kt = equilibrate(KruskalTensor(factors), fix_column_signs=True)
+    kt = equilibrate(KruskalTensor(factors, np.ldexp(np.ones(rank), e)),
+                     fix_column_signs=True)
     info = {
         "iterations": iterations,
         "rel_error": history[-1] if history else np.nan,

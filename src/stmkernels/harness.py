@@ -8,11 +8,13 @@ mode-1 SVD, and each rank's decomposition is reused across the whole
 (C, g) grid. The cell's Grams for every g come from one `gram_matrix`
 call over the whole g grid, which computes each distance once. For each
 repeat a stratified fold split is drawn (shared by all cells of the
-run); the (C, g) pair maximizing the mean validation accuracy over folds
-is selected per repeat (ties go to the smaller C, then the smaller g),
-and the selected pair's accuracy enters the aggregate. Reported numbers
-are the mean over repeats, the sample standard deviation, and the normal
-approximation 95% half-width 1.96 * std / sqrt(repeats).
+run). acc[repeat, i, j] is the mean validation accuracy over folds at
+c_grid[i] and g_grid[j], NaN if training failed on a fold. Each repeat
+selects the first maximum of its (C, g) plane, and the reported pair is
+the one selected most often; both grids increase, so ties go to the
+smaller C, then the smaller g. Reported numbers are the mean of the
+selected accuracies over repeats, the sample standard deviation, and the
+normal approximation 95% half-width 1.96 * std / sqrt(repeats).
 """
 
 from __future__ import annotations
@@ -38,9 +40,6 @@ DEFAULT_C_GRID = tuple(2.0 ** k for k in range(-8, 9))
 DEFAULT_G_GRID = tuple(2.0 ** k for k in range(-4, 13))
 DEFAULT_NOISE_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
 DEFAULT_RANK_GRID = tuple(range(1, 11))
-
-CSV_COLUMNS = ("kernel", "rank", "noise", "mean_acc", "std", "ci95",
-               "C", "g", "kernel_seconds", "train_seconds")
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.synth is None) == (self.data_dir is None):
             raise ValueError("exactly one of synth/data_dir must be given")
-        for name in ("kernels", "rank_grid", "c_grid", "g_grid"):
+        # noise_grid is read only for synthetic sources
+        noise = ("noise_grid",) if self.synth is not None else ()
+        positive = ("c_grid", "g_grid") + noise
+        for name in ("kernels", "rank_grid") + positive:
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be nonempty")
         for k in self.kernels:
@@ -85,7 +87,7 @@ class ExperimentConfig:
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-        for name in ("c_grid", "g_grid"):
+        for name in positive:
             for v in getattr(self, name):
                 if not v > 0:
                     raise ValueError(f"{name} entries must be positive, got {v}")
@@ -98,6 +100,18 @@ class ExperimentConfig:
             raise ValueError("folds must be at least 2")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
+        # selection breaks ties by grid position, which must follow value
+        for name in ("c_grid", "g_grid"):
+            grid = getattr(self, name)
+            for lo, hi in zip(grid, grid[1:]):
+                if not lo < hi:
+                    raise ValueError(f"{name} must be strictly increasing, "
+                                     f"got {hi} after {lo}")
+        for name in ("kernels", "rank_grid") + noise:
+            entries = getattr(self, name)
+            for k, v in enumerate(entries):
+                if v in entries[:k]:
+                    raise ValueError(f"{name} lists {v!r} twice")
 
 
 @dataclass
@@ -114,6 +128,9 @@ class CellResult:
     g: float
     kernel_seconds: float
     train_seconds: float
+
+
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(CellResult))
 
 
 @dataclass
@@ -208,16 +225,11 @@ def _fold_splits(labels, cfg):
     """Per repeat: list of (train_idx, val_idx) pairs, seeded from the
     experiment seed (stream 1000+repeat, disjoint from generator streams)."""
     splits = []
-    n = len(labels)
+    everyone = np.arange(len(labels))
     for rep in range(cfg.repeats):
         seq = np.random.SeedSequence(cfg.seed, spawn_key=(1000, rep))
         folds = stratified_folds(labels, cfg.folds, np.random.default_rng(seq))
-        pairs = []
-        for f in folds:
-            mask = np.ones(n, dtype=bool)
-            mask[f] = False
-            pairs.append((np.where(mask)[0], f))
-        splits.append(pairs)
+        splits.append([(np.setdiff1d(everyone, f), f) for f in folds])
     return splits
 
 
@@ -245,64 +257,55 @@ def derive_kernel_inputs(tuckers, kind):
     return tuckers
 
 
-def _evaluate_cell(kind, decomposed, labels, cfg, splits):
+def _nan_cell(kind, rank, noise, kernel_seconds=0.0, train_seconds=0.0):
+    """Row of an infeasible rank, or of a repeat that failed at every pair."""
+    return CellResult(kind, rank, noise, math.nan, math.nan, math.nan,
+                      math.nan, math.nan, kernel_seconds, train_seconds)
+
+
+def _evaluate_cell(kind, rank, noise, decomposed, labels, cfg, splits):
     """Grid search + repeated CV for one (kernel, rank, noise) cell."""
     clock = time.perf_counter if cfg.measure_time else (lambda: 0.0)
 
     t0 = clock()
     stack = gram_matrix(decomposed, KernelSpec(kind, g=cfg.g_grid))
     kernel_seconds = clock() - t0
-    grams = dict(zip(cfg.g_grid, stack))
 
     train_seconds = 0.0
-    per_repeat_acc = []
-    per_repeat_choice = []
-    for pairs in splits:
-        train_sets = [TrainingSet([decomposed[i] for i in tr], labels[tr])
-                      for tr, _ in pairs]
-        acc_table = {}
-        for g in cfg.g_grid:
-            k_full = grams[g]
+    acc = np.full((len(splits), len(cfg.c_grid), len(cfg.g_grid)), math.nan)
+    for rep, pairs in enumerate(splits):
+        # a fold's training samples are its indices into the cell
+        train_sets = [TrainingSet(tr, labels[tr]) for tr, _ in pairs]
+        for j, k_full in enumerate(stack):
             fold_slices = [
                 (k_full[np.ix_(tr, tr)], k_full[np.ix_(tr, val)], ts, val)
                 for (tr, val), ts in zip(pairs, train_sets)
             ]
-            for c in cfg.c_grid:
+            for i, c in enumerate(cfg.c_grid):
                 fold_accs = []
                 for k_tr, k_tv, ts, val in fold_slices:
                     t0 = clock()
                     try:
                         model = train(ts, k_tr, c, tol=cfg.smo_tol)
                     except ConvergenceError:
-                        fold_accs = None
-                        train_seconds += clock() - t0
                         break
-                    train_seconds += clock() - t0
+                    finally:
+                        train_seconds += clock() - t0
                     pred = predict_from_gram(model, k_tv)
-                    fold_accs.append(float(np.mean(pred == labels[val])))
-                if fold_accs is not None:
-                    acc_table[(c, g)] = float(np.mean(fold_accs))
-        if not acc_table:
-            per_repeat_acc.append(None)
-            continue
-        best = max(acc_table.items(), key=lambda kv: (kv[1], -kv[0][0], -kv[0][1]))
-        per_repeat_choice.append(best[0])
-        per_repeat_acc.append(best[1])
+                    fold_accs.append(np.mean(pred == labels[val]))
+                else:
+                    acc[rep, i, j] = np.mean(fold_accs)
 
-    if any(a is None for a in per_repeat_acc):
-        return (math.nan, math.nan, math.nan, math.nan, math.nan,
-                kernel_seconds, train_seconds)
-
-    accs = np.array(per_repeat_acc)
-    mean = float(np.mean(accs))
+    plane = acc.reshape(len(splits), -1)
+    if np.isnan(plane).all(axis=1).any():
+        return _nan_cell(kind, rank, noise, kernel_seconds, train_seconds)
+    best = np.nanargmax(plane, axis=1)
+    accs = plane[np.arange(len(splits)), best]
     std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
-    ci95 = 1.96 * std / math.sqrt(len(accs))
-    counts = {}
-    for choice in per_repeat_choice:
-        counts[choice] = counts.get(choice, 0) + 1
-    top = max(counts.values())
-    chosen = min(c for c, cnt in counts.items() if cnt == top)
-    return mean, std, ci95, chosen[0], chosen[1], kernel_seconds, train_seconds
+    i, j = np.unravel_index(np.bincount(best).argmax(), acc.shape[1:])
+    return CellResult(kind, rank, noise, float(np.mean(accs)), std,
+                      1.96 * std / math.sqrt(len(accs)), cfg.c_grid[i],
+                      cfg.g_grid[j], kernel_seconds, train_seconds)
 
 
 def _load_source(cfg):
@@ -352,18 +355,13 @@ def run_experiment(cfg):
         by_rank = _decompose_by_rank(
             raw_samples, [r for r in cfg.rank_grid if r <= max_rank], cfg.p)
         for rank in cfg.rank_grid:
-            if rank not in by_rank:
-                rows.extend(
-                    CellResult(kind, rank, noise, math.nan, math.nan, math.nan,
-                               math.nan, math.nan, 0.0, 0.0)
-                    for kind in cfg.kernels)
-                continue
             for kind in cfg.kernels:
+                if rank not in by_rank:
+                    rows.append(_nan_cell(kind, rank, noise))
+                    continue
                 decomposed = derive_kernel_inputs(by_rank[rank], kind)
-                mean, std, ci, c, g, kt, tt = _evaluate_cell(
-                    kind, decomposed, labels, cfg, splits)
-                rows.append(
-                    CellResult(kind, rank, noise, mean, std, ci, c, g, kt, tt))
+                rows.append(_evaluate_cell(
+                    kind, rank, noise, decomposed, labels, cfg, splits))
     rows.sort(key=_row_key)
     return CVReport(rows=rows, config=_config_dict(cfg))
 

@@ -24,7 +24,9 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(eq=False)
 class TrainingSet:
-    """Samples (dense or decomposed tensors) with labels in {-1, +1}."""
+    """Samples with labels in {-1, +1}. Samples are dense or decomposed
+    tensors, or indices into a caller's list when the caller keeps the
+    tensors; `train` reads only the labels."""
 
     samples: list
     labels: np.ndarray
@@ -141,7 +143,7 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
         bias=bias,
         C=float(C),
         labels=y.copy(),
-        samples=list(ts.samples) if ts.samples is not None else None,
+        samples=ts.samples,
         spec=spec,
         bias_fallback=fallback,
         dual_objective=dual_objective(alpha, y, gram),

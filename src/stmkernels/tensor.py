@@ -93,8 +93,11 @@ def inner(t, s):
 
 
 def frobenius_norm(t):
-    """Square root of inner(t, t)."""
-    return float(np.linalg.norm(_as_tensor(t).ravel()))
+    """Square root of inner(t, t), taken on `t` scaled by an exact power
+    of two so that tiny or huge entries cannot underflow or overflow."""
+    flat = _as_tensor(t).ravel()
+    e = int(np.frexp(np.max(np.abs(flat), initial=0.0))[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(flat, -e)), e))
 
 
 # ---------------------------------------------------------------------------

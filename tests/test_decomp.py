@@ -119,11 +119,11 @@ class TestWeightedHosvd:
             weighted_hosvd(t, (0, 1, 1))
 
     def test_tiny_tensor_is_not_all_zero(self):
-        # ||t||_F underflows to 0 here, yet the SVD is fine; only a tensor
-        # of exact zeros is rejected
+        # a plain sum of squares underflows to 0 here, yet the SVD is fine;
+        # only a tensor of exact zeros is rejected
         rng = np.random.default_rng(9)
         t = 1e-170 * rng.standard_normal((4, 4, 4))
-        assert frobenius_norm(t) == 0.0
+        assert np.sum(t * t) == 0.0
         tk = weighted_hosvd(t, (4, 4, 4))
         assert tk.sigmas[0][0] > 0
         err = np.abs(tucker_reconstruct(tk) - t).max() / np.abs(t).max()
@@ -244,6 +244,19 @@ class TestCpAls:
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             cp_als(np.ones((2, 2, 2)), 0)
+
+    def test_tiny_scale_runs_the_unit_scale_sweeps(self):
+        # at 2**-600 the factor Grams of an unscaled sweep underflow and
+        # the first solve is flagged rank-deficient
+        rng = np.random.default_rng(15)
+        t = rank_one_sum([rng.standard_normal((4, 2)) for _ in range(3)])
+        t += 0.01 * rng.standard_normal(t.shape)
+        kt, info = cp_als(t, 2)
+        tiny_kt, tiny = cp_als(2.0 ** -600 * t, 2)
+        assert not tiny["degenerate"] and tiny["converged"]
+        assert tiny["error_history"] == info["error_history"]
+        rec = 2.0 ** 600 * kruskal_reconstruct(tiny_kt)
+        assert np.abs(rec - kruskal_reconstruct(kt)).max() <= 1e-13 * np.abs(t).max()
 
     def test_error_monotone(self):
         rng = np.random.default_rng(13)

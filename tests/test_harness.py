@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from stmkernels.harness import (
     stratified_folds,
 )
 from stmkernels.kernels import KernelSpec, gram_matrix
-from stmkernels.svm import TrainingSet, predict_from_gram, train
+from stmkernels.svm import ConvergenceError, TrainingSet, predict_from_gram, train
 from stmkernels.synth import SynthConfig, generate
 
 
@@ -153,33 +154,83 @@ class TestRunExperiment:
         assert rep.rows[0].mean_acc >= 0.95
 
     def test_exhaustive_replay_of_grid_selection(self):
-        # replay the whole search with plain loops (no harness caching)
-        # and check the selected pair and accuracy agree
-        cfg = tiny_experiment(repeats=1, kernels=("wsek",))
+        # replay the whole search with plain loops (no harness caching):
+        # each repeat picks its best (accuracy, -C, -g); the row holds the
+        # mean and spread of the picked accuracies and the most frequent
+        # pair, ties to the smaller C, then the smaller g. At this noise
+        # the three repeats pick three different pairs.
+        synth_cfg = tiny_synth(noise_variance=0.5, seed=9)
+        cfg = tiny_experiment(synth=synth_cfg, noise_grid=(0.5,), repeats=3,
+                              kernels=("wsek",), seed=9)
         rep = run_experiment(cfg)
         row = rep.rows[0]
 
         from stmkernels.harness import _decompose_by_rank, _fold_splits
-        data = generate(tiny_synth())
+        data = generate(synth_cfg)
         labels = np.array([s.label for s in data], float)
         samples = _decompose_by_rank([s.tensor for s in data], (2,), None)[2]
-        pairs = _fold_splits(labels, cfg)[0]
-        best = None
-        for g in cfg.g_grid:
-            k = gram_matrix(samples, KernelSpec("wsek", g=g))
-            for c in cfg.c_grid:
-                accs = []
-                for tr, val in pairs:
-                    model = train(TrainingSet([samples[i] for i in tr],
-                                              labels[tr]), k[np.ix_(tr, tr)], c)
-                    accs.append(np.mean(
-                        predict_from_gram(model, k[np.ix_(tr, val)]) == labels[val]))
-                cand = (float(np.mean(accs)), -c, -g)
-                if best is None or cand > best:
-                    best = cand
-        assert row.mean_acc == best[0]
-        assert row.C == -best[1]
-        assert row.g == -best[2]
+        grams = {g: gram_matrix(samples, KernelSpec("wsek", g=g))
+                 for g in cfg.g_grid}
+        picks = []
+        for pairs in _fold_splits(labels, cfg):
+            best = None
+            for g in cfg.g_grid:
+                k = grams[g]
+                for c in cfg.c_grid:
+                    accs = []
+                    for tr, val in pairs:
+                        model = train(TrainingSet([samples[i] for i in tr],
+                                                  labels[tr]), k[np.ix_(tr, tr)], c)
+                        accs.append(np.mean(predict_from_gram(
+                            model, k[np.ix_(tr, val)]) == labels[val]))
+                    cand = (float(np.mean(accs)), -c, -g)
+                    if best is None or cand > best:
+                        best = cand
+            picks.append(best)
+        accs = [acc for acc, _, _ in picks]
+        assert row.mean_acc == np.mean(accs)
+        assert row.std == np.std(accs, ddof=1)
+        assert row.ci95 == 1.96 * row.std / math.sqrt(3)
+        counts = {}
+        for _, c, g in picks:
+            counts[(-c, -g)] = counts.get((-c, -g), 0) + 1
+        assert len(counts) == 3
+        top = max(counts.values())
+        assert (row.C, row.g) == min(p for p, n in counts.items() if n == top)
+
+    def test_nonconverging_c_is_never_chosen(self, monkeypatch):
+        # a (C, g) whose training fails on any fold leaves the search as if
+        # C were not on the grid
+        from stmkernels import harness
+        cfg = tiny_experiment(kernels=("wsek",))
+        chosen = run_experiment(cfg).rows[0].C
+        real_train = harness.train
+
+        def failing_train(ts, gram, C, **kwargs):
+            if C == chosen:
+                raise ConvergenceError("forced")
+            return real_train(ts, gram, C, **kwargs)
+
+        monkeypatch.setattr(harness, "train", failing_train)
+        row = run_experiment(cfg).rows[0]
+        monkeypatch.setattr(harness, "train", real_train)
+        rest = tuple(c for c in cfg.c_grid if c != chosen)
+        assert row == run_experiment(replace(cfg, c_grid=rest)).rows[0]
+        assert row.C != chosen
+
+    def test_training_that_never_converges_gives_nan_rows(self, monkeypatch):
+        from stmkernels import harness
+
+        def failing_train(*args, **kwargs):
+            raise ConvergenceError("forced")
+
+        monkeypatch.setattr(harness, "train", failing_train)
+        rows = run_experiment(tiny_experiment()).rows
+        assert [r.kernel for r in rows] == ["subspace", "wsek"]
+        for r in rows:
+            for stat in (r.mean_acc, r.std, r.ci95, r.C, r.g):
+                assert math.isnan(stat)
+            assert r.kernel_seconds == 0.0 and r.train_seconds == 0.0
 
     def test_infeasible_rank_marks_cell_invalid(self):
         cfg = tiny_experiment(rank_grid=(2, 13))
@@ -287,6 +338,8 @@ class TestRunExperiment:
             tiny_experiment(kernels=())
         with pytest.raises(ValueError, match="unknown kernel"):
             tiny_experiment(kernels=("linear",))
+        # a data directory has no noise grid to read
+        tiny_experiment(synth=None, data_dir="data", noise_grid=())
 
     @pytest.mark.parametrize("field, value, message", [
         ("smo_tol", 0.0, "smo_tol must be positive, got 0.0"),
@@ -301,6 +354,17 @@ class TestRunExperiment:
         ("c_grid", (1.0, math.inf), "c_grid entries must be finite, got inf"),
         ("g_grid", (math.inf,), "g_grid entries must be finite, got inf"),
         ("g_grid", (1.0, math.nan), "g_grid entries must be positive, got nan"),
+        ("noise_grid", (), "noise_grid must be nonempty"),
+        ("noise_grid", (0.01, 0.0), "noise_grid entries must be positive, got 0.0"),
+        ("noise_grid", (-0.1,), "noise_grid entries must be positive, got -0.1"),
+        ("noise_grid", (math.nan,), "noise_grid entries must be positive, got nan"),
+        ("noise_grid", (0.01, math.inf), "noise_grid entries must be finite, got inf"),
+        ("kernels", ("wsek", "subspace", "wsek"), "kernels lists 'wsek' twice"),
+        ("rank_grid", (1, 2, 1), "rank_grid lists 1 twice"),
+        ("noise_grid", (0.1, 0.01, 0.1), "noise_grid lists 0.1 twice"),
+        ("c_grid", (1.0, 4.0, 2.0),
+         "c_grid must be strictly increasing, got 2.0 after 4.0"),
+        ("g_grid", (0.5, 0.5), "g_grid must be strictly increasing, got 0.5 after 0.5"),
     ])
     def test_unusable_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:

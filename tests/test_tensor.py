@@ -131,6 +131,13 @@ class TestInnerAndNorm:
         assert np.isclose(frobenius_norm(np.ones((2, 3, 4))), np.sqrt(24.0),
                           rtol=1e-14)
 
+    def test_norm_scales_exactly_by_powers_of_two(self):
+        # a plain sum of squares underflows at 2**-600 and overflows at
+        # 2**600; power-of-two scaling keeps every bit
+        t = np.random.default_rng(24).standard_normal((3, 4, 5))
+        for k in (-600, 600):
+            assert frobenius_norm(2.0 ** k * t) == 2.0 ** k * frobenius_norm(t)
+
     def test_norm_matches_flat_oracle(self):
         rng = np.random.default_rng(23)
         t = rng.standard_normal((3, 2, 4))
