@@ -55,7 +55,10 @@ def _parse_pow2_grid(text):
     """Inclusive a:b range of exponents, or a comma list of exponents,
     expanded as powers of two."""
     exps = _parse_int_list(text)
-    return tuple(2.0 ** e for e in exps)
+    try:
+        return tuple(2.0 ** e for e in exps)
+    except OverflowError:
+        raise ValueError(f"2**{max(exps)} overflows a float") from None
 
 
 # config key -> parser of its value; the field it sets has the same name,

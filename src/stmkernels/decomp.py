@@ -380,8 +380,14 @@ def cp_als(t, rank, max_iters=200, tol=1e-8):
             break
         prev_err = err
 
-    kt = equilibrate(KruskalTensor(factors, np.ldexp(np.ones(rank), e)),
-                     fix_column_signs=True)
+    # 2**e returns through equilibrate's weights, except a multiple of the
+    # order beyond 2**(+-512), which goes to every mode afterwards as an exact
+    # power of two (none at unit scale), so no intermediate overflows
+    k = int((e - min(max(e, -512), 512)) / order)
+    kt = equilibrate(
+        KruskalTensor(factors, np.ldexp(np.ones(rank), e - order * k)),
+        fix_column_signs=True)
+    kt.factors = [np.ldexp(f, k) for f in kt.factors]
     info = {
         "iterations": iterations,
         "rel_error": history[-1] if history else np.nan,

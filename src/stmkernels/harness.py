@@ -171,7 +171,8 @@ def load_dataset(data_dir):
     """Read a manifest directory back into a TrainingSet of dense tensors.
 
     Labels 0/-1 map to -1 and 1/+1 to +1; anything else is rejected, as
-    are missing files, malformed containers, and mixed shapes.
+    are missing files, malformed containers, NaN or inf entries, and mixed
+    shapes.
     """
     manifest = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.exists(manifest):
@@ -192,7 +193,11 @@ def load_dataset(data_dir):
             if label_txt not in _LABEL_MAP:
                 raise ValueError(
                     f"{manifest}:{lineno}: unknown label {label_txt!r}")
-            samples.append(load_tensor(os.path.join(data_dir, rel.strip())))
+            path = os.path.join(data_dir, rel.strip())
+            t = load_tensor(path)
+            if not np.isfinite(t).all():
+                raise ValueError(f"{path}: tensor holds NaN or inf values")
+            samples.append(t)
             labels.append(_LABEL_MAP[label_txt])
     if not samples:
         raise ValueError(f"{manifest}: empty manifest")

@@ -16,7 +16,9 @@ Every kernel value comes from one row evaluator per kind, giving
 K(x, y_j) for each y_j of a list and each length scale g of a grid. The
 g-independent part of a row (squared distances, chordal exponents) is
 computed once and exp(-d2 / 2g^2) is applied per g, so a Gram over a
-whole g grid costs about one distance pass. `gram_matrix` fills rows from
+whole g grid costs about one distance pass. For ``dusk`` the per-pair
+terms of every g are summed in one plain array reduction; each term is a
+positive exp, so nothing cancels. `gram_matrix` fills rows from
 the diagonal onward and mirrors them; the single-pair functions are the
 one-g view and average both argument orders, so swapping the inputs
 gives bitwise identical values. Expanded squared distances are clamped
@@ -167,16 +169,12 @@ def _dusk_view(x):
 
 def _dusk_row(xv, yvs, g):
     # Exact column differences, one pair at a time: no cancellation, and the
-    # temporary stays one R_x x R_y x (I_1 + ... + I_M) block per pair. fsum
-    # is exact, so summing Python floats from .tolist() gives the same value
-    # as iterating numpy scalars, only faster; converting one g at a time
-    # keeps a single g's floats alive, not the whole grid's.
+    # temporary stays one R_x x R_y x (I_1 + ... + I_M) block per pair.
     out = np.empty((len(g), len(yvs)))
     for j, yv in enumerate(yvs):
         diff = xv[:, None, :] - yv[None, :, :]
         expo = np.einsum("ijk,ijk->ij", diff, diff)
-        terms = _exp_per_g(expo, g).reshape(len(g), -1)
-        out[:, j] = [math.fsum(t.tolist()) for t in terms]
+        out[:, j] = _exp_per_g(expo, g).reshape(len(g), -1).sum(axis=1)
     return out
 
 

@@ -62,7 +62,10 @@ class SvmModel:
 
 def dual_objective(alphas, labels, gram):
     """Value of the dual objective sum(a) - 1/2 a'Qa with Q = yy' * K."""
-    q = gram * np.outer(labels, labels)
+    return _objective(alphas, gram * np.outer(labels, labels))
+
+
+def _objective(alphas, q):
     return float(alphas.sum() - 0.5 * alphas @ q @ alphas)
 
 
@@ -127,7 +130,7 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
         grad += (y[i] * step) * q[:, i] - (y[j] * step) * q[:, j]
         updates += 1
         if record_objective:
-            history.append(dual_objective(alpha, y, gram))
+            history.append(_objective(alpha, q))
 
     f0 = (alpha * y) @ gram
     free = (alpha > 0) & (alpha < C)
@@ -146,7 +149,7 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
         samples=ts.samples,
         spec=spec,
         bias_fallback=fallback,
-        dual_objective=dual_objective(alpha, y, gram),
+        dual_objective=_objective(alpha, q),
         updates=updates,
         objective_history=history,
     )

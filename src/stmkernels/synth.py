@@ -66,6 +66,9 @@ class SynthConfig:
             raise ValueError("r_exact must be positive")
         if not self.noise_variance > 0:
             raise ValueError("noise variance must be positive")
+        if not math.isfinite(self.noise_variance):
+            raise ValueError(
+                f"noise variance must be finite, got {self.noise_variance}")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be positive")
 

@@ -103,6 +103,11 @@ class TestConfigParsing:
         path.write_text("scenario = leaf\nfolds = 2.5\n")
         with pytest.raises(ValueError, match="^config key folds: "):
             read_config(path)
+        for key in ("c_grid_log2", "g_grid_log2"):
+            path.write_text(f"scenario = leaf\n{key} = 0, 2000\n")
+            with pytest.raises(ValueError,
+                               match=f"^config key {key}: 2\\*\\*2000 "):
+                read_config(path)
 
     @pytest.mark.parametrize("text, message", [
         ("scenario = leaf\nfolds = 3\n\nfolds = 4\n",

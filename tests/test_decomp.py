@@ -257,6 +257,16 @@ class TestCpAls:
         assert tiny["error_history"] == info["error_history"]
         rec = 2.0 ** 600 * kruskal_reconstruct(tiny_kt)
         assert np.abs(rec - kruskal_reconstruct(kt)).max() <= 1e-13 * np.abs(t).max()
+        # largest entry in [2**1023, 2**1024): 2**e itself overflows
+        shift = 1024 - np.frexp(np.abs(t).max())[1]
+        huge_kt, huge = cp_als(np.ldexp(t, shift), 2)
+        assert 2.0 ** 1023 <= np.abs(np.ldexp(t, shift)).max()
+        assert all(np.isfinite(f).all() for f in huge_kt.factors)
+        assert not huge["degenerate"] and huge["converged"]
+        assert huge["error_history"] == info["error_history"]
+        huge_kt.factors[0] = np.ldexp(huge_kt.factors[0], -shift)
+        rec = kruskal_reconstruct(huge_kt)
+        assert np.abs(rec - kruskal_reconstruct(kt)).max() <= 1e-13 * np.abs(t).max()
 
     def test_error_monotone(self):
         rng = np.random.default_rng(13)

@@ -90,6 +90,15 @@ class TestDatasetIO:
         assert "sample_0001.tnsr" in str(err.value)
         assert "bytes" in str(err.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_names_file(self, tmp_path, bad):
+        data = generate(tiny_synth(samples_per_class=1), dense=True)
+        data[1].tensor[0, 1, 0] = bad
+        save_dataset(data, tmp_path)
+        with pytest.raises(ValueError, match="NaN or inf") as err:
+            load_dataset(tmp_path)
+        assert "sample_0001.tnsr" in str(err.value)
+
     def test_mixed_shapes_rejected(self, tmp_path):
         data = generate(tiny_synth(samples_per_class=1), dense=True)
         save_dataset(data, tmp_path)

@@ -82,6 +82,8 @@ class TestStructure:
             small_cfg(r_approx=31)
         with pytest.raises(ValueError, match="noise"):
             small_cfg(noise_variance=0.0)
+        with pytest.raises(ValueError, match="noise variance must be finite"):
+            small_cfg(noise_variance=np.inf)
 
     def test_uniform_frequency_flag(self):
         gauss = small_cfg(freq_uniform=False)
