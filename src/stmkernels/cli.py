@@ -56,9 +56,12 @@ def _parse_pow2_grid(text):
     expanded as powers of two."""
     exps = _parse_int_list(text)
     try:
-        return tuple(2.0 ** e for e in exps)
+        powers = tuple(2.0 ** e for e in exps)
     except OverflowError:
         raise ValueError(f"2**{max(exps)} overflows a float") from None
+    if 0.0 in powers:
+        raise ValueError(f"2**{min(exps)} underflows to 0")
+    return powers
 
 
 # config key -> parser of its value; the field it sets has the same name,

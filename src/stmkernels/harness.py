@@ -30,7 +30,7 @@ import numpy as np
 
 from . import synth
 from .decomp import reweight, tucker_reconstruct, tucker_to_cp, weighted_hosvd
-from .kernels import KINDS, KernelSpec, gram_matrix
+from .kernels import KINDS, KernelSpec, _check_length_scale, gram_matrix
 from .svm import ConvergenceError, TrainingSet, predict_from_gram, train
 from .tensor import load_tensor, save_tensor
 
@@ -87,12 +87,15 @@ class ExperimentConfig:
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-        for name in positive:
+        for name in ("c_grid",) + noise:
             for v in getattr(self, name):
                 if not v > 0:
                     raise ValueError(f"{name} entries must be positive, got {v}")
                 if not math.isfinite(v):
                     raise ValueError(f"{name} entries must be finite, got {v}")
+        # the length-scale rule lives with the kernels that divide by 2g^2
+        for v in self.g_grid:
+            _check_length_scale(v, "g_grid entries")
         for r in self.rank_grid:
             if r < 1:
                 raise ValueError(f"rank_grid entries must be at least 1, got {r}")

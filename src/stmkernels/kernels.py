@@ -37,17 +37,27 @@ from .decomp import KruskalTensor, TTTensor, TuckerTensor
 KINDS = ("gaussian", "dusk", "subspace", "wsek")
 
 
+def _check_length_scale(g, name="length scale g"):
+    """Raise ValueError, naming `name`, unless `g` is finite, positive and
+    large enough that the kernels' denominator 2g^2 is not 0 (g below
+    about 2**-537 underflows it)."""
+    if not g > 0:
+        raise ValueError(f"{name} must be positive, got {g}")
+    if not math.isfinite(g):
+        raise ValueError(f"{name} must be finite, got {g}")
+    if not 2.0 * g * g > 0:
+        raise ValueError(f"{name} must be large enough that 2g^2 is not 0, "
+                         f"got {g}")
+
+
 def _length_scales(g):
     """`g` (one length scale or a sequence of them) as a checked 1-D
-    float64 array: nonempty, every entry finite and positive."""
+    float64 array: nonempty, every entry usable (`_check_length_scale`)."""
     gs = np.atleast_1d(np.asarray(g, dtype=np.float64))
     if gs.ndim != 1 or gs.size == 0:
         raise ValueError("length scale grid g must be a nonempty sequence")
     for v in gs:
-        if not v > 0:
-            raise ValueError(f"length scale g must be positive, got {v}")
-        if not math.isfinite(v):
-            raise ValueError(f"length scale g must be finite, got {v}")
+        _check_length_scale(v)
     return gs
 
 

@@ -3,8 +3,8 @@
 The trainer works on a precomputed Gram matrix (kernel evaluations
 dominate the cost, so they are cached by the caller and shared across the
 regularization grid). Working pairs are chosen as the maximal
-KKT-violating pair; the two-variable subproblem is solved analytically
-and clipped to the box.
+KKT-violating pair, read from one class mask computed per call; the
+two-variable subproblem is solved analytically and clipped to the box.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
     bound = 1e-12 * np.max(np.abs(gram), initial=1.0)
     if not np.max(np.abs(gram - gram.T), initial=0.0) <= bound:
         raise ValueError("gram matrix is not symmetric")
-    if np.all(y > 0) or np.all(y < 0):
+    pos = y > 0  # the class split; y is fixed for the whole call
+    if pos.all() or not pos.any():
         raise ValueError("training set must contain both classes")
 
     q = gram * np.outer(y, y)
@@ -102,10 +103,9 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
     while True:
         # maximal violating pair; an empty side gives -inf and stops
         f = -(y * grad)
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < C)) | ((y > 0) & (alpha > 0))
-        fu = np.where(up, f, -np.inf)
-        fl = np.where(low, f, np.inf)
+        below, above = alpha < C, alpha > 0
+        fu = np.where(np.where(pos, below, above), f, -np.inf)
+        fl = np.where(np.where(pos, above, below), f, np.inf)
         i, j = fu.argmax(), fl.argmin()
         violation = fu[i] - fl[j]
         if violation <= tol:
@@ -116,17 +116,17 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
 
         curv = max(gram[i, i] + gram[j, j] - 2.0 * gram[i, j], 1e-12)
         step = violation / curv
-        bound_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
-        bound_j = alpha[j] if y[j] > 0 else (C - alpha[j])
+        bound_i = (C - alpha[i]) if pos[i] else alpha[i]
+        bound_j = alpha[j] if pos[j] else (C - alpha[j])
         step = min(step, bound_i, bound_j)
 
         alpha[i] += y[i] * step
         alpha[j] -= y[j] * step
         # land exactly on the box when a bound binds
         if step == bound_i:
-            alpha[i] = C if y[i] > 0 else 0.0
+            alpha[i] = C if pos[i] else 0.0
         if step == bound_j:
-            alpha[j] = 0.0 if y[j] > 0 else C
+            alpha[j] = 0.0 if pos[j] else C
         grad += (y[i] * step) * q[:, i] - (y[j] * step) * q[:, j]
         updates += 1
         if record_objective:
@@ -138,7 +138,7 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
         bias = float(np.mean(y[free] - f0[free]))
         fallback = False
     else:
-        bias = float(-0.5 * (np.max(f0[y < 0]) + np.min(f0[y > 0])))
+        bias = float(-0.5 * (np.max(f0[~pos]) + np.min(f0[pos])))
         fallback = True
 
     return SvmModel(
@@ -159,11 +159,10 @@ def decision_value(model, x):
     """sum_i a_i y_i K(X_i, x) + b for a single query sample."""
     if model.spec is None or model.samples is None:
         raise ValueError("model carries no kernel spec; use decision_from_gram")
-    total = model.bias
+    column = np.zeros(len(model.alphas))
     for i in model.support_indices:
-        total += model.alphas[i] * model.labels[i] * kernel_value(
-            model.spec, model.samples[i], x)
-    return float(total)
+        column[i] = kernel_value(model.spec, model.samples[i], x)
+    return float(decision_from_gram(model, column))
 
 
 def predict(model, x):

@@ -112,6 +112,8 @@ def save_tensor(path, t):
     t = _as_tensor(t)
     if t.ndim > MAX_ORDER:
         raise ValueError(f"tensor order {t.ndim} exceeds maximum {MAX_ORDER}")
+    if t.size == 0:
+        raise ValueError(f"{path}: nonpositive mode size in {t.shape}")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(_HEADER.pack(t.ndim))

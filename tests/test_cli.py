@@ -108,6 +108,10 @@ class TestConfigParsing:
             with pytest.raises(ValueError,
                                match=f"^config key {key}: 2\\*\\*2000 "):
                 read_config(path)
+            path.write_text(f"scenario = leaf\n{key} = -2000, 0\n")
+            with pytest.raises(ValueError) as err:
+                read_config(path)
+            assert str(err.value) == f"config key {key}: 2**-2000 underflows to 0"
 
     @pytest.mark.parametrize("text, message", [
         ("scenario = leaf\nfolds = 3\n\nfolds = 4\n",

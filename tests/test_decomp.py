@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stmkernels.decomp import (
+    SIGMA_FLOOR,
     KruskalTensor,
     cp_als,
     equilibrate,
@@ -130,6 +131,27 @@ class TestWeightedHosvd:
         assert err < 1e-12
         with pytest.raises(ValueError, match="all-zero"):
             weighted_hosvd(-np.zeros((4, 4, 4)), (1, 1, 1))
+
+    def test_numerically_zero_sigmas_are_inert(self):
+        # rank 4 exceeds the data's Tucker rank of 2: each extra column has
+        # sigma/sigma_1 below SIGMA_FLOOR, keeps weight 1 (the 0**0 = 1
+        # convention, so it is a unit-norm column) and carries an exactly
+        # zero core slice, for any p and after reweighting
+        rng = np.random.default_rng(11)
+        t = random_tucker_tensor(rng, (6, 6, 6), (2, 2, 2))
+        low = tucker_reconstruct(weighted_hosvd(t, (2, 2, 2), p=0.7))
+        unit = weighted_hosvd(t, (4, 4, 4), p=0.0)
+        tk = weighted_hosvd(t, (4, 4, 4), p=0.7)
+        for tt in (tk, reweight(tk, 0.0)):
+            for m in range(3):
+                s, f = tt.sigmas[m], tt.factors[m]
+                assert np.all(s[2:] / s[0] < SIGMA_FLOOR)
+                assert np.array_equal(f[:, 2:], unit.factors[m][:, 2:])
+                assert np.allclose(np.linalg.norm(f[:, 2:], axis=0), 1.0,
+                                   rtol=0, atol=1e-14)
+                assert not np.any(np.take(tt.core, [2, 3], axis=m))
+            err = np.abs(tucker_reconstruct(tt) - low).max()
+            assert err <= 1e-12 * np.abs(low).max()
 
     def test_rank_grid_bitwise_equals_separate_calls(self):
         # rank 4 exceeds the data's Tucker rank of 2 (numerically zero

@@ -374,6 +374,8 @@ class TestRunExperiment:
         ("c_grid", (1.0, 4.0, 2.0),
          "c_grid must be strictly increasing, got 2.0 after 4.0"),
         ("g_grid", (0.5, 0.5), "g_grid must be strictly increasing, got 0.5 after 0.5"),
+        ("g_grid", (2.0 ** -600, 1.0), "g_grid entries must be large enough "
+                                       "that 2g^2 is not 0, got 2.409919865102884e-181"),
     ])
     def test_unusable_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:

@@ -436,6 +436,11 @@ class TestKernelSpec:
         ((1.0, math.inf), "length scale g must be finite, got inf"),
         ((1.0, math.nan), "length scale g must be positive, got nan"),
         ((2.0, -1.0), "length scale g must be positive, got -1.0"),
+        # 2g^2 underflows to 0 below about 2**-537
+        (2.0 ** -600, "length scale g must be large enough that 2g^2 is "
+                      "not 0, got 2.409919865102884e-181"),
+        ((2.0 ** -538, 1.0), "length scale g must be large enough that 2g^2 "
+                             "is not 0, got 1.1113793747425387e-162"),
     ])
     def test_unusable_length_scales_rejected(self, g, message):
         with pytest.raises(ValueError) as err:

@@ -188,6 +188,16 @@ class TestContainer:
         with pytest.raises(ValueError, match="order 9"):
             load_tensor(path)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 4)])
+    def test_zero_size_mode_not_written(self, tmp_path, shape):
+        # load_tensor rejects such a container, so save_tensor must not
+        # write one
+        path = tmp_path / "t.tnsr"
+        with pytest.raises(ValueError) as err:
+            save_tensor(path, np.zeros(shape))
+        assert str(err.value) == f"{path}: nonpositive mode size in {shape}"
+        assert not path.exists()
+
     def test_layout_is_column_major(self, tmp_path):
         t = np.arange(1.0, 9.0).reshape((2, 2, 2), order="F")
         path = tmp_path / "t.tnsr"
