@@ -20,9 +20,10 @@ import numpy as np
 
 from .tensor import frobenius_norm, matricize, mode_product
 
-# Singular values below SIGMA_FLOOR * sigma_max count as numerically zero:
-# they keep weight 1 in the factor scaling (the 0**0 = 1 convention) and
-# their directions are dropped from the inverse-weighted core projection.
+# Singular values below SIGMA_FLOOR * sigma_max count as numerically zero.
+# weighted_hosvd zeroes the core along their directions once, at
+# decomposition time; every weighting power then gives them weight 1 (the
+# 0**0 = 1 convention), so reweighting leaves those core slices zero.
 SIGMA_FLOOR = 1e-12
 
 
@@ -219,10 +220,14 @@ def weighted_hosvd(t, ranks, p=None):
     Mode by mode, the leading `ranks[m]` left singular vectors of the
     partially projected tensor are extracted, sign-fixed, and recorded
     together with their singular values; the tensor is then projected onto
-    that subspace. Afterwards each factor is scaled by diag(sigma**p) and
-    the core inversely, so that the contraction of core and factors equals
-    the rank-(R_1,...,R_M) sequential truncation of `t` for every p. The
-    retained subspaces do not depend on p. Default p is 1/M.
+    that subspace. This p = 0 ST-HOSVD has its core zeroed along the
+    numerically zero directions (sigma < SIGMA_FLOOR * sigma_1) and is
+    then moved to power p by `reweight`: each factor is scaled by
+    diag(sigma**p) and the core inversely, so the contraction of core and
+    factors equals the rank-(R_1,...,R_M) sequential truncation of `t`
+    (without the dropped directions) for every p. The retained subspaces do
+    not depend on p, and `reweight(weighted_hosvd(t, r, 0.0), p)` is
+    bitwise equal to `weighted_hosvd(t, r, p)`. Default p is 1/M.
 
     `ranks` is either one per-mode rank tuple, which returns one
     TuckerTensor, or a sequence of such tuples, which returns a list with
@@ -249,28 +254,23 @@ def weighted_hosvd(t, ranks, p=None):
 
 
 def _truncate(t, mode1, ranks, p):
-    """ST-HOSVD of `t` at `ranks`, given the SVD of its mode-1 unfolding."""
-    order = t.ndim
+    """ST-HOSVD of `t` at `ranks`, given the SVD of its mode-1 unfolding,
+    reweighted from p = 0 to `p`."""
     g = t
     basis = []
     sigmas = []
-    for m in range(order):
+    for m in range(t.ndim):
         u, s = mode1 if m == 0 else _left_svd(g, m)
         r = min(ranks[m], u.shape[1])
         u = fix_signs(u[:, :r])
         basis.append(u)
-        sigmas.append(s[:r].copy())
+        sigmas.append(s[:r])
         g = mode_product(g, u.T, m + 1)
-
-    factors = []
-    for m in range(order):
-        w = _sigma_weights(sigmas[m], p)
-        factors.append(basis[m] * w[None, :])
-        inv = np.where(_tiny_mask(sigmas[m]), 0.0, 1.0 / w)
-        bshape = [1] * order
-        bshape[m] = len(inv)
-        g = g * inv.reshape(bshape)
-    return TuckerTensor(core=g, factors=factors, sigmas=sigmas, p=float(p))
+    for m, s in enumerate(sigmas):
+        bshape = [1] * t.ndim
+        bshape[m] = len(s)
+        g = g * ~_tiny_mask(s).reshape(bshape)
+    return reweight(TuckerTensor(core=g, factors=basis, sigmas=sigmas), p)
 
 
 def tucker_reconstruct(tt):
@@ -335,7 +335,7 @@ def cp_als(t, rank, max_iters=200, tol=1e-8):
     pad_rng = np.random.default_rng(8191)
     factors = []
     for m in range(order):
-        u = np.linalg.svd(matricize(t, m + 1), full_matrices=False)[0]
+        u = _left_svd(t, m)[0]
         have = min(rank, u.shape[1])
         f = u[:, :have]
         if have < rank:

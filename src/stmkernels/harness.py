@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ValueError("folds must be at least 2")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         # selection breaks ties by grid position, which must follow value
         for name in ("c_grid", "g_grid"):
             grid = getattr(self, name)
@@ -371,20 +373,12 @@ def run_experiment(cfg):
                 rows.append(_evaluate_cell(
                     kind, rank, noise, decomposed, labels, cfg, splits))
     rows.sort(key=_row_key)
-    return CVReport(rows=rows, config=_config_dict(cfg))
+    return CVReport(rows=rows, config=dataclasses.asdict(cfg))
 
 
 def _row_key(row):
     nan = math.isnan(row.noise)
     return (row.kernel, row.rank, nan, 0.0 if nan else row.noise)
-
-
-def _config_dict(cfg):
-    d = dataclasses.asdict(cfg)
-    for key, value in list(d.items()):
-        if isinstance(value, tuple):
-            d[key] = list(value)
-    return d
 
 
 # ---------------------------------------------------------------------------

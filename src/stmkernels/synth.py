@@ -71,6 +71,8 @@ class SynthConfig:
                 f"noise variance must be finite, got {self.noise_variance}")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def info_size(self):

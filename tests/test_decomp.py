@@ -177,6 +177,35 @@ class TestWeightedHosvd:
                         assert np.array_equal(x, y)
         assert weighted_hosvd(capped, [(2, 3, 10)])[0].ranks == (2, 3, 6)
 
+    def test_every_p_is_the_reweighted_p0_decomposition(self):
+        # weighted_hosvd at p is reweight of its p = 0 result, bit for bit,
+        # so one decomposition serves every p; the rank-2 Tucker tensor
+        # taken at rank 4 carries numerically zero sigmas
+        rng = np.random.default_rng(14)
+        exact = random_tucker_tensor(rng, (6, 6, 6), (2, 2, 2))
+        cases = [
+            (rng.standard_normal((6, 6, 6)), [(2, 2, 2), (3, 4, 5)]),
+            (rng.standard_normal((5, 7, 4)), [(2, 3, 2), (5, 7, 4)]),
+            (rng.standard_normal((4, 4, 4, 4)), [(2, 2, 2, 2), (3, 1, 4, 2)]),
+            (exact, [(4, 4, 4), (2, 2, 2)]),
+        ]
+        for s in weighted_hosvd(exact, (4, 4, 4), 0.0).sigmas:
+            assert np.all(s[2:] / s[0] < SIGMA_FLOOR)
+        for t, grid in cases:
+            for p in (0.0, 1 / 3, 0.7, 2.0, None):
+                target = 1.0 / t.ndim if p is None else p
+                base = weighted_hosvd(t, grid, 0.0)
+                pairs = list(zip(weighted_hosvd(t, grid, p), base))
+                pairs += [(weighted_hosvd(t, r, p), weighted_hosvd(t, r, 0.0))
+                          for r in grid]
+                for a, b0 in pairs:
+                    b = reweight(b0, target)
+                    assert a.p == b.p
+                    assert np.array_equal(a.core, b.core)
+                    assert len(a.factors) == len(b.factors) == t.ndim
+                    for x, y in zip(a.factors + a.sigmas, b.factors + b.sigmas):
+                        assert np.array_equal(x, y)
+
     def test_rank_grid_shares_the_mode1_svd(self, monkeypatch):
         import stmkernels.decomp as decomp
         modes = []

@@ -227,6 +227,33 @@ class TestRunExperiment:
         assert row == run_experiment(replace(cfg, c_grid=rest)).rows[0]
         assert row.C != chosen
 
+    def test_c_failing_on_one_fold_is_never_chosen(self, monkeypatch):
+        # training fails at the smallest C only on each repeat's last fold,
+        # found by its training indices; the folds that succeeded at that C
+        # count for nothing, so the row is the one without that C
+        from stmkernels import harness
+        cfg = tiny_experiment(kernels=("wsek",))
+        smallest = cfg.c_grid[0]
+        assert run_experiment(cfg).rows[0].C == smallest
+        labels = harness._load_source(cfg)[0][2]
+        last = {tuple(pairs[-1][0]) for pairs in harness._fold_splits(labels, cfg)}
+        real_train = harness.train
+        failed = []
+
+        def failing_train(ts, gram, C, **kwargs):
+            if C == smallest and tuple(ts.samples) in last:
+                failed.append(tuple(ts.samples))
+                raise ConvergenceError("forced")
+            return real_train(ts, gram, C, **kwargs)
+
+        monkeypatch.setattr(harness, "train", failing_train)
+        row = run_experiment(cfg).rows[0]
+        monkeypatch.setattr(harness, "train", real_train)
+        assert set(failed) == last
+        rest = run_experiment(replace(cfg, c_grid=cfg.c_grid[1:])).rows[0]
+        assert row == rest
+        assert row.C != smallest
+
     def test_training_that_never_converges_gives_nan_rows(self, monkeypatch):
         from stmkernels import harness
 
@@ -376,6 +403,7 @@ class TestRunExperiment:
         ("g_grid", (0.5, 0.5), "g_grid must be strictly increasing, got 0.5 after 0.5"),
         ("g_grid", (2.0 ** -600, 1.0), "g_grid entries must be large enough "
                                        "that 2g^2 is not 0, got 2.409919865102884e-181"),
+        ("seed", -1, "seed must be nonnegative, got -1"),
     ])
     def test_unusable_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:

@@ -84,6 +84,8 @@ class TestStructure:
             small_cfg(noise_variance=0.0)
         with pytest.raises(ValueError, match="noise variance must be finite"):
             small_cfg(noise_variance=np.inf)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            small_cfg(seed=-1)
 
     def test_uniform_frequency_flag(self):
         gauss = small_cfg(freq_uniform=False)
