@@ -31,11 +31,10 @@ SIGMA_FLOOR = 1e-12
 class TuckerTensor:
     """Core tensor plus per-mode weighted factor matrices.
 
-    ``factors[m]`` holds U_hat^(m) * diag(sigma^(m))**p, so the unweighted
-    (orthonormal) factors are recovered by dividing the columns by the
-    sigma weights. ``sigmas`` may be None for externally constructed
-    Tucker representations that never went through an SVD (then p must
-    be 0 and the factors themselves are taken as orthonormal).
+    ``factors[m]`` holds U_hat^(m) * diag(sigma^(m))**p, a weighting that
+    only `reweight` applies and removes. ``sigmas`` may be None for
+    externally constructed Tucker representations that never went through
+    an SVD (then p must be 0 and the factors are taken as orthonormal).
     """
 
     core: np.ndarray
@@ -76,11 +75,9 @@ class TuckerTensor:
         return self.core.shape
 
     def unweighted_factors(self):
-        """Orthonormal factor matrices with the sigma weighting removed."""
-        if self.sigmas is None or self.p == 0.0:
-            return list(self.factors)
-        return [f / _sigma_weights(s, self.p)[None, :]
-                for f, s in zip(self.factors, self.sigmas)]
+        """Orthonormal factors: those of `reweight(self, 0.0)`, the only
+        code that applies and removes sigma**p, exactly at both ends."""
+        return list(reweight(self, 0.0).factors)
 
 
 @dataclass(eq=False)
@@ -197,14 +194,14 @@ def khatri_rao(mats):
 # ---------------------------------------------------------------------------
 
 def _checked_ranks(shape, ranks):
-    ranks = tuple(int(r) for r in ranks)
+    ranks = tuple(ranks)
     if len(ranks) != len(shape):
         raise ValueError(f"expected {len(shape)} ranks, got {len(ranks)}")
     for m, r in enumerate(ranks):
-        if r < 1 or r > shape[m]:
+        if not isinstance(r, (int, np.integer)) or r < 1 or r > shape[m]:
             raise ValueError(
                 f"rank {r} invalid for mode {m + 1} of size {shape[m]}")
-    return ranks
+    return tuple(int(r) for r in ranks)
 
 
 def _left_svd(g, m):
@@ -285,7 +282,13 @@ def reweight(tt, p):
     """Move a Tucker representation to a different weighting power.
 
     Pure rescaling of factors and core; the represented tensor and the
-    underlying subspaces are unchanged. Requires sigma vectors.
+    underlying subspaces are unchanged. Requires sigma vectors. The only
+    code that applies and removes sigma**p, exactly at both ends: factor
+    columns are divided by the old weight, then multiplied by the new.
+
+    Raises ValueError, naming p, when float64 cannot hold the result: the
+    core or a factor gets a non-finite entry, or one that had a nonzero
+    entry has its largest magnitude fall below the smallest normal float.
     """
     if tt.sigmas is None:
         if p == tt.p:
@@ -293,13 +296,20 @@ def reweight(tt, p):
         raise ValueError("cannot reweight without sigma vectors")
     core = tt.core
     factors = []
-    for m, (f, s) in enumerate(zip(tt.factors, tt.sigmas)):
-        w_old = _sigma_weights(s, tt.p)
-        w_new = _sigma_weights(s, p)
-        factors.append(f * (w_new / w_old)[None, :])
-        bshape = [1] * tt.order
-        bshape[m] = len(s)
-        core = core * (w_old / w_new).reshape(bshape)
+    with np.errstate(all="ignore"):
+        for m, (f, s) in enumerate(zip(tt.factors, tt.sigmas)):
+            w_old = _sigma_weights(s, tt.p)
+            w_new = _sigma_weights(s, p)
+            factors.append(f / w_old[None, :] * w_new[None, :])
+            bshape = [1] * tt.order
+            bshape[m] = len(s)
+            core = core * (w_old / w_new).reshape(bshape)
+    tiny = np.finfo(np.float64).tiny
+    for old, new in zip([tt.core] + tt.factors, [core] + factors):
+        lost = old.any() and not np.max(np.abs(new), initial=0.0) >= tiny
+        if lost or not np.isfinite(new).all():
+            raise ValueError(f"weighting power p = {p} over- or underflows "
+                             "the core or a factor of this tensor")
     return TuckerTensor(core=core, factors=factors,
                         sigmas=[s.copy() for s in tt.sigmas], p=float(p))
 

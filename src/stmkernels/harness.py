@@ -1,6 +1,6 @@
-"""Experiment engine: dataset I/O, per-sample decomposition with caching,
-grid search over (C, g) with repeated stratified k-fold cross-validation,
-and deterministic CSV/JSON reporting.
+"""Experiment engine: dataset I/O, one decomposition of each sample per
+noise level for all ranks, grid search over (C, g) with repeated
+stratified k-fold cross-validation, and deterministic CSV/JSON reporting.
 
 Protocol per (kernel, rank, noise) cell: every sample is decomposed once
 per noise level, by one call for all feasible ranks that shares the
@@ -97,8 +97,14 @@ class ExperimentConfig:
         for v in self.g_grid:
             _check_length_scale(v, "g_grid entries")
         for r in self.rank_grid:
+            if not isinstance(r, (int, np.integer)):
+                raise ValueError(f"rank_grid entries must be integers, got {r}")
             if r < 1:
                 raise ValueError(f"rank_grid entries must be at least 1, got {r}")
+        for name in ("folds", "repeats"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v}")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
         if self.repeats < 1:

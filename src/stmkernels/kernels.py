@@ -34,8 +34,6 @@ import numpy as np
 
 from .decomp import KruskalTensor, TTTensor, TuckerTensor
 
-KINDS = ("gaussian", "dusk", "subspace", "wsek")
-
 
 def _check_length_scale(g, name="length scale g"):
     """Raise ValueError, naming `name`, unless `g` is finite, positive and
@@ -211,16 +209,18 @@ def _wsek_row(xv, yvs, g):
     return value
 
 
-# kind -> (required input type, per-sample view, row evaluator)
+# kind -> (required input type, per-sample view, row evaluator,
+#          whether K(x, x) is exactly 1)
 _EVALUATORS = {
-    "gaussian": (object, lambda x: (x, _inner_row(x, [x])[0]), _gaussian_row),
-    "dusk": (KruskalTensor, _dusk_view, _dusk_row),
-    "subspace": (TuckerTensor, TuckerTensor.unweighted_factors, _subspace_row),
-    "wsek": (TuckerTensor, lambda x: x.factors, _wsek_row),
+    "gaussian": (object, lambda x: (x, _inner_row(x, [x])[0]), _gaussian_row,
+                 True),
+    "dusk": (KruskalTensor, _dusk_view, _dusk_row, False),
+    "subspace": (TuckerTensor, TuckerTensor.unweighted_factors, _subspace_row,
+                 True),
+    "wsek": (TuckerTensor, lambda x: x.factors, _wsek_row, False),
 }
 
-# kinds whose K(x, x) is exactly 1
-_UNIT_DIAGONAL = ("gaussian", "subspace")
+KINDS = tuple(_EVALUATORS)
 
 
 def _check_samples(kind, samples):
@@ -244,9 +244,9 @@ def _pair(kind, x, y, g):
     """The one-pair, one-g view of the row evaluator of `kind`."""
     gs = _one_length_scale(g, f"{kind} kernel")
     _check_samples(kind, [x, y])
-    if x is y and kind in _UNIT_DIAGONAL:
+    _, view, row, unit_diagonal = _EVALUATORS[kind]
+    if x is y and unit_diagonal:
         return 1.0
-    _, view, row = _EVALUATORS[kind]
     xv, yv = view(x), view(y)
     # float addition commutes, so both argument orders give the same bits
     return float(0.5 * (row(xv, [yv], gs)[0, 0] + row(yv, [xv], gs)[0, 0]))
@@ -302,13 +302,13 @@ def gram_matrix(samples, spec):
     if n == 0:
         raise ValueError("empty sample list")
     _check_samples(spec.kind, samples)
-    _, view, row = _EVALUATORS[spec.kind]
+    _, view, row, unit_diagonal = _EVALUATORS[spec.kind]
     gs = _length_scales(spec.g)
     views = [view(s) for s in samples]
     k = np.empty((len(gs), n, n))
     for i in range(n):
         k[:, i, i:] = k[:, i:, i] = row(views[i], views[i:], gs)
-    if spec.kind in _UNIT_DIAGONAL:
+    if unit_diagonal:
         k[:, range(n), range(n)] = 1.0
     return k if isinstance(spec.g, tuple) else k[0]
 

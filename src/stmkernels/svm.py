@@ -1,10 +1,11 @@
 """Soft-margin kernel SVM trained by sequential minimal optimization.
 
-The trainer works on a precomputed Gram matrix (kernel evaluations
-dominate the cost, so they are cached by the caller and shared across the
-regularization grid). Working pairs are chosen as the maximal
-KKT-violating pair, read from one class mask computed per call; the
-two-variable subproblem is solved analytically and clipped to the box.
+The trainer works on a precomputed Gram matrix, which the caller builds
+once and shares across the regularization grid, so the pair updates
+here, not the kernel evaluations, take most of a grid search's time.
+Working pairs are chosen as the maximal KKT-violating pair, read from one
+class mask computed per call; the two-variable subproblem is solved
+analytically and clipped to the box.
 """
 
 from __future__ import annotations
@@ -76,11 +77,14 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
     Maximizes sum(a) - 1/2 sum_ij a_i a_j y_i y_j K_ij subject to
     0 <= a_i <= C and sum_i a_i y_i = 0, stopping when the largest KKT
     violation drops below `tol`. Raises ConvergenceError after
-    `max_updates` pair updates; raises ValueError for C <= 0, a
-    single-class training set, or a non-symmetric Gram matrix.
+    `max_updates` pair updates; raises ValueError for C <= 0, a negative
+    or NaN `tol`, a single-class training set, or a non-symmetric Gram
+    matrix.
     """
     if not C > 0:
         raise ValueError("C must be positive")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     y = ts.labels
     n = len(y)
     gram = np.asarray(gram, dtype=np.float64)

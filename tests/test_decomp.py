@@ -206,6 +206,64 @@ class TestWeightedHosvd:
                     for x, y in zip(a.factors + a.sigmas, b.factors + b.sigmas):
                         assert np.array_equal(x, y)
 
+    def test_unweighted_factors_are_the_reweighted_p0_factors(self):
+        # reweight is the one place sigma**p is removed: the unweighted
+        # factors are those of reweight(t, 0.0), bit for bit
+        rng = np.random.default_rng(14)
+        exact = random_tucker_tensor(rng, (6, 6, 6), (2, 2, 2))
+        cases = [
+            (rng.standard_normal((6, 6, 6)), [(2, 2, 2), (3, 4, 5)]),
+            (rng.standard_normal((5, 7, 4)), [(2, 3, 2), (5, 7, 4)]),
+            (rng.standard_normal((4, 4, 4, 4)), [(2, 2, 2, 2), (3, 1, 4, 2)]),
+            (exact, [(4, 4, 4), (2, 2, 2)]),
+        ]
+        for t, grid in cases:
+            for p in (0.0, 1 / 3, 0.7, 2.0, None):
+                tks = weighted_hosvd(t, grid, p)
+                tks += [weighted_hosvd(t, r, p) for r in grid]
+                for tk in tks:
+                    u = tk.unweighted_factors()
+                    assert isinstance(u, list) and u is not tk.factors
+                    assert len(u) == t.ndim
+                    for x, y in zip(u, reweight(tk, 0.0).factors):
+                        assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("scale, p", [
+        (1e-170, 1.0), (1e-170, 2.0), (1e-170, 5.0), (1e150, -1.0),
+        (1e150, 2.0), (1e100, 2.0), (1e100, 3.0),
+    ])
+    def test_unrepresentable_weighting_rejected(self, scale, p):
+        # sigma**p or its inverse leaves float64 (non-finite core, or a core
+        # flushed to zero); no RuntimeWarning escapes
+        t = scale * np.random.default_rng(15).standard_normal((4, 4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"weighting power p = {p} "):
+                weighted_hosvd(t, (4, 4, 4), p)
+
+    @pytest.mark.parametrize("scale, p", [
+        (1e-170, 1 / 3), (1e-170, 0.5), (1e-170, 0.9), (1e150, 1 / 3),
+        (1e150, 1.0), (1.0, -3.0), (1.0, -1.0), (1.0, 1 / 3), (1.0, 1.0),
+        (1.0, 2.0), (1.0, 5.0),
+    ])
+    def test_representable_weighting_reconstructs(self, scale, p):
+        t = scale * np.random.default_rng(15).standard_normal((4, 4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tk = weighted_hosvd(t, (4, 4, 4), p)
+            err = frobenius_norm(tucker_reconstruct(tk) - t) / frobenius_norm(t)
+        assert err <= 2e-15
+
+    def test_non_integral_rank_rejected(self):
+        t = np.random.default_rng(16).standard_normal((4, 4, 4))
+        for ranks, message in (((2.5, 2, 2), "rank 2.5 invalid for mode 1"),
+                               ((2, 2.0, 2), "rank 2.0 invalid for mode 2")):
+            with pytest.raises(ValueError, match=message):
+                weighted_hosvd(t, ranks)
+        one = weighted_hosvd(t, (2, 2, 2))
+        tk = weighted_hosvd(t, (np.int64(2), np.int32(2), 2))
+        assert np.array_equal(tk.core, one.core)
+
     def test_rank_grid_shares_the_mode1_svd(self, monkeypatch):
         import stmkernels.decomp as decomp
         modes = []

@@ -404,11 +404,20 @@ class TestRunExperiment:
         ("g_grid", (2.0 ** -600, 1.0), "g_grid entries must be large enough "
                                        "that 2g^2 is not 0, got 2.409919865102884e-181"),
         ("seed", -1, "seed must be nonnegative, got -1"),
+        ("rank_grid", (2.5,), "rank_grid entries must be integers, got 2.5"),
+        ("rank_grid", (2, 3.0), "rank_grid entries must be integers, got 3.0"),
+        ("folds", 2.5, "folds must be an integer, got 2.5"),
+        ("repeats", 1.5, "repeats must be an integer, got 1.5"),
     ])
     def test_unusable_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:
             tiny_experiment(**{field: value})
         assert str(err.value) == message
+
+    def test_numpy_integer_settings_accepted(self):
+        cfg = tiny_experiment(rank_grid=(np.int64(2), 3), folds=np.int32(3),
+                              repeats=np.int64(2))
+        assert cfg.rank_grid == (2, 3) and cfg.folds == 3 and cfg.repeats == 2
 
 
 class TestReports:

@@ -175,6 +175,15 @@ class TestErrors:
         with pytest.raises(ConvergenceError):
             train(TrainingSet(list(pts), y), k, C=1.0, tol=0.0, max_updates=3)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1e-3])
+    def test_unmeetable_tol_rejected(self, tol):
+        # no KKT violation is <= a NaN or negative tol, so SMO would run to
+        # the update cap; it is refused before any update
+        rng = np.random.default_rng(7)
+        pts, y, k = random_instance(rng, 10)
+        with pytest.raises(ValueError, match=f"tol must be nonnegative, got {tol}"):
+            train(TrainingSet(list(pts), y), k, C=1.0, tol=tol, max_updates=1000)
+
 
 class TestBiasFallback:
     def test_all_alphas_at_bounds(self):
