@@ -15,10 +15,18 @@ the one selected most often; both grids increase, so ties go to the
 smaller C, then the smaller g. Reported numbers are the mean of the
 selected accuracies over repeats, the sample standard deviation, and the
 normal approximation 95% half-width 1.96 * std / sqrt(repeats).
+
+A run computes with numpy's BLAS (OpenBLAS, found through ctypes) set
+to one thread and gives the caller's thread count back when it ends. A
+multi-threaded SVD rounds differently from a single-threaded one, so
+one thread makes every report independent of the host's core count;
+at the mode sizes of the benchmark's workloads (50 to 100) the small
+per-sample SVDs are also as fast or faster on one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -36,6 +44,13 @@ from .tensor import load_tensor, save_tensor
 
 MANIFEST_NAME = "manifest.txt"
 
+# (get, set) thread-count functions, by the names OpenBLAS builds export
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
 DEFAULT_C_GRID = tuple(2.0 ** k for k in range(-8, 9))
 DEFAULT_G_GRID = tuple(2.0 ** k for k in range(-4, 13))
 DEFAULT_NOISE_GRID = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
@@ -50,7 +65,8 @@ class ExperimentConfig:
     sources, `noise_grid` overrides the noise variance of the base
     config, one generated dataset per value; class-defining draws are
     shared across noise levels by the generator's stream splitting.
-    `threads` is echoed in the report's config and changes nothing.
+    `threads` is echoed in the report's config and changes nothing: a
+    run always computes on one BLAS thread (see `run_experiment`).
     """
 
     synth: synth.SynthConfig | None = None
@@ -70,6 +86,12 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        # the config is echoed to JSON, which writes only Python ints
+        for name in ("repeats", "folds", "seed", "threads"):
+            if isinstance(getattr(self, name), np.integer):
+                object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "rank_grid", tuple(
+            int(r) if isinstance(r, np.integer) else r for r in self.rank_grid))
         if (self.synth is None) == (self.data_dir is None):
             raise ValueError("exactly one of synth/data_dir must be given")
         # noise_grid is read only for synthetic sources
@@ -249,19 +271,25 @@ def _fold_splits(labels, cfg):
     return splits
 
 
-def _decompose_by_rank(raw_samples, ranks, p):
+def _decompose_by_rank(raw_samples, ranks, p, noise):
     """{rank: one TuckerTensor per sample} for every rank in `ranks`.
 
     Each sample is made dense once and decomposed by one weighted_hosvd
-    call for all ranks, which computes its mode-1 SVD once.
+    call for all ranks, which computes its mode-1 SVD once. A refused
+    decomposition is re-raised naming the sample (its index in
+    generation or manifest order) and the noise level.
     """
     out = {rank: [] for rank in ranks}
     if not out:
         return out
-    for s in raw_samples:
+    for k, s in enumerate(raw_samples):
         dense = s if isinstance(s, np.ndarray) else tucker_reconstruct(s)
         grid = [(rank,) * dense.ndim for rank in out]
-        for tuckers, tk in zip(out.values(), weighted_hosvd(dense, grid, p)):
+        try:
+            decomposed = weighted_hosvd(dense, grid, p)
+        except ValueError as err:
+            raise ValueError(f"sample {k} at noise {noise}: {err}") from err
+        for tuckers, tk in zip(out.values(), decomposed):
             tuckers.append(tk)
     return out
 
@@ -324,6 +352,54 @@ def _evaluate_cell(kind, rank, noise, decomposed, labels, cfg, splits):
                       cfg.g_grid[j], kernel_seconds, train_seconds)
 
 
+def _openblas_paths():
+    """Files of the OpenBLAS libraries mapped into this process; empty
+    where /proc/self/maps does not exist (non-Linux)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = {f[5].rstrip("\n") for f in fields if len(f) == 6}
+    return sorted(p for p in paths if "openblas" in os.path.basename(p))
+
+
+def _blas_thread_calls():
+    """(get, set) thread-count functions of every mapped OpenBLAS."""
+    import ctypes
+
+    calls = []
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                calls.append((get, put))
+                break
+    return calls
+
+
+@contextlib.contextmanager
+def _blas_threads(n):
+    """Run the body with numpy's BLAS on `n` threads; restore the caller's
+    thread count on return or raise. Does nothing without OpenBLAS."""
+    calls = _blas_thread_calls()
+    before = [get() for get, _ in calls]
+    for _, put in calls:
+        put(n)
+    try:
+        yield
+    finally:
+        for (_, put), k in zip(calls, before):
+            put(k)
+
+
 def _load_source(cfg):
     """List of (noise_value, raw_samples, labels) datasets for the run."""
     if cfg.data_dir is not None:
@@ -339,17 +415,23 @@ def _load_source(cfg):
     return datasets
 
 
+@_blas_threads(1)
 def run_experiment(cfg):
     """Execute the full grid and return a CVReport.
 
     Cells whose SVM never converges, or whose rank is infeasible for the
     data, are reported with NaN statistics instead of aborting the run.
-    The (noise, rank) groups run serially in a deterministic order;
-    `threads` is echoed in the config but changes nothing. Raises
+    The (noise, rank) groups run serially in a deterministic order, and
+    the whole run computes with numpy's BLAS on one thread: a multi-
+    threaded SVD rounds differently, so the report would follow the
+    host's core count. The caller's thread count is restored on return
+    or raise. `threads` is echoed in the config but changes nothing. Raises
     ValueError before any decomposition when a class is too small for
     `folds`: fewer than `folds` samples in the largest class leaves a
     fold empty, and a class of fewer than 2 samples leaves a training
-    fold without it.
+    fold without it. A weighting power `p` whose sigma**p float64 cannot
+    hold for some sample raises ValueError naming the sample and its
+    noise level.
     """
     datasets = _load_source(cfg)
     labels0 = datasets[0][2]
@@ -369,7 +451,8 @@ def run_experiment(cfg):
     for noise, raw_samples, labels in datasets:
         max_rank = min(raw_samples[0].shape)
         by_rank = _decompose_by_rank(
-            raw_samples, [r for r in cfg.rank_grid if r <= max_rank], cfg.p)
+            raw_samples, [r for r in cfg.rank_grid if r <= max_rank], cfg.p,
+            noise)
         for rank in cfg.rank_grid:
             for kind in cfg.kernels:
                 if rank not in by_rank:
@@ -417,14 +500,15 @@ def emit_report(report, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "report.csv")
     json_path = os.path.join(out_dir, "summary.json")
-    render_csv(report.rows, csv_path)
     payload = {
         "config": report.config,
         "rows": [dataclasses.asdict(r) for r in report.rows],
     }
+    # built first, so a value json cannot write leaves no partial file
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
+    render_csv(report.rows, csv_path)
     with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return csv_path, json_path
 
 

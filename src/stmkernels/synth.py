@@ -58,6 +58,11 @@ class SynthConfig:
     freq_uniform: bool = False
 
     def __post_init__(self):
+        # the config is echoed to JSON, which writes only Python ints
+        for name in ("mode_size", "r_exact", "r_approx", "samples_per_class",
+                     "seed"):
+            if isinstance(getattr(self, name), np.integer):
+                object.__setattr__(self, name, int(getattr(self, name)))
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
         if self.r_approx < 1 or self.r_approx > self.mode_size:

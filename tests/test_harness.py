@@ -177,7 +177,7 @@ class TestRunExperiment:
         from stmkernels.harness import _decompose_by_rank, _fold_splits
         data = generate(synth_cfg)
         labels = np.array([s.label for s in data], float)
-        samples = _decompose_by_rank([s.tensor for s in data], (2,), None)[2]
+        samples = _decompose_by_rank([s.tensor for s in data], (2,), None, 0.5)[2]
         grams = {g: gram_matrix(samples, KernelSpec("wsek", g=g))
                  for g in cfg.g_grid}
         picks = []
@@ -414,10 +414,108 @@ class TestRunExperiment:
             tiny_experiment(**{field: value})
         assert str(err.value) == message
 
-    def test_numpy_integer_settings_accepted(self):
-        cfg = tiny_experiment(rank_grid=(np.int64(2), 3), folds=np.int32(3),
-                              repeats=np.int64(2))
+    def test_numpy_integer_settings_accepted(self, tmp_path):
+        synth_cfg = tiny_synth(mode_size=np.int64(12),
+                               samples_per_class=np.int64(6), seed=np.int64(5))
+        cfg = tiny_experiment(synth=synth_cfg, rank_grid=(np.int64(2), 3),
+                              folds=np.int32(3), repeats=np.int64(2),
+                              seed=np.int64(5))
         assert cfg.rank_grid == (2, 3) and cfg.folds == 3 and cfg.repeats == 2
+        # the run's config echo and rows reach summary.json as plain ints
+        csv_path, json_path = emit_report(run_experiment(cfg), tmp_path / "np")
+        render_csv(load_report(json_path).rows, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == open(csv_path, "rb").read()
+        plain = emit_report(run_experiment(tiny_experiment(rank_grid=(2, 3))),
+                            tmp_path / "plain")
+        for ours, theirs in zip((csv_path, json_path), plain):
+            assert open(ours, "rb").read() == open(theirs, "rb").read()
+
+    @pytest.mark.parametrize("source", ["synth", "data_dir"])
+    def test_refused_weighting_names_the_sample(self, tmp_path, source):
+        # sample 5 is the first whose sigma**200 float64 cannot hold
+        synth_cfg = tiny_synth(mode_size=6, r_exact=3, r_approx=3,
+                               noise_variance=0.1)
+        cfg = tiny_experiment(synth=synth_cfg, noise_grid=(0.1,), p=200.0)
+        noise = "0.1"
+        if source == "data_dir":
+            save_dataset(generate(synth_cfg, dense=True), tmp_path)
+            cfg = replace(cfg, synth=None, data_dir=str(tmp_path))
+            noise = "nan"
+        with pytest.raises(ValueError, match=(
+                rf"^sample 5 at noise {noise}: weighting power p = 200.0 "
+                r"over- or underflows")):
+            run_experiment(cfg)
+
+
+def _blas_calls_or_skip():
+    from stmkernels import harness
+    calls = harness._blas_thread_calls()
+    if not calls:
+        pytest.skip("numpy's BLAS is not a mapped OpenBLAS")
+    return calls
+
+
+def _blas_counts(calls):
+    return [get() for get, _ in calls]
+
+
+class TestBlasThreads:
+    def test_run_computes_on_one_blas_thread(self, monkeypatch):
+        calls = _blas_calls_or_skip()
+        from stmkernels import harness
+        seen = []
+        real = harness.weighted_hosvd
+
+        def recording(*args, **kwargs):
+            seen.append(_blas_counts(calls))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "weighted_hosvd", recording)
+        with harness._blas_threads(2):
+            run_experiment(tiny_experiment())
+            assert _blas_counts(calls) == [2] * len(calls)
+        assert len(seen) == 12
+        assert all(threads == [1] * len(calls) for threads in seen)
+
+    def test_caller_threads_restored_after_raise(self, monkeypatch):
+        calls = _blas_calls_or_skip()
+        from stmkernels import harness
+        monkeypatch.setattr(harness, "weighted_hosvd", _no_decomposition)
+        cfg = tiny_experiment(synth=tiny_synth(samples_per_class=2), folds=3)
+        with harness._blas_threads(2):
+            with pytest.raises(ValueError, match="leave a fold empty"):
+                run_experiment(cfg)
+            assert _blas_counts(calls) == [2] * len(calls)
+
+    def test_run_without_openblas_gives_the_same_report(self, tmp_path,
+                                                        monkeypatch):
+        from stmkernels import harness
+        cfg = tiny_experiment()
+        pinned = emit_report(run_experiment(cfg), tmp_path / "pinned")
+        monkeypatch.setattr(harness, "_openblas_paths", lambda: [])
+        assert harness._blas_thread_calls() == []
+        unpinned = emit_report(run_experiment(cfg), tmp_path / "unpinned")
+        for ours, theirs in zip(pinned, unpinned):
+            assert open(ours, "rb").read() == open(theirs, "rb").read()
+
+    def test_report_independent_of_caller_blas_threads(self, tmp_path):
+        # decomp_ranks' config at experiment seed 1000: a two-thread
+        # mode-100 SVD moves the rank-4 cell from 0.7 to 0.9
+        _blas_calls_or_skip()
+        from stmkernels import harness
+        cfg = ExperimentConfig(
+            synth=SynthConfig("leaf", mode_size=100, r_approx=3,
+                              samples_per_class=5, seed=1000),
+            noise_grid=(0.1,), kernels=("subspace",), rank_grid=(2, 4),
+            c_grid=tuple(2.0 ** k for k in (-8, -4, 0, 4, 8)),
+            g_grid=tuple(2.0 ** k for k in (-4, 0, 4, 8, 12)),
+            repeats=1, folds=5, seed=1000, measure_time=False)
+        for n in (1, 2):
+            with harness._blas_threads(n):
+                emit_report(run_experiment(cfg), tmp_path / str(n))
+        one, two = ((tmp_path / str(n) / "report.csv").read_bytes()
+                    for n in (1, 2))
+        assert one == two
 
 
 class TestReports:
