@@ -142,8 +142,9 @@ def read_config(path):
 
 
 def _cmd_synth(args):
-    cfg = synth.SynthConfig(**{f.name: getattr(args, f.name)
-                               for f in dataclasses.fields(synth.SynthConfig)})
+    fields = {f.name for f in dataclasses.fields(synth.SynthConfig)}
+    cfg = synth.SynthConfig(**{k: v for k, v in vars(args).items()
+                               if k in fields})
     manifest = harness.save_dataset(synth.generate(cfg), args.out)
     print(manifest)
     return 0
@@ -174,15 +175,17 @@ def build_parser():
         description="Tensor-kernel SVM benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate and export synthetic data")
+    # a generator flag left out takes SynthConfig's default
+    p_synth = sub.add_parser("synth", help="generate and export synthetic data",
+                             argument_default=argparse.SUPPRESS)
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.add_argument("--scenario", choices=synth.SCENARIOS, default="leaf")
-    p_synth.add_argument("--mode-size", type=int, default=100)
-    p_synth.add_argument("--r-exact", type=int, default=3)
-    p_synth.add_argument("--r-approx", type=int, default=3)
-    p_synth.add_argument("--noise-variance", type=float, default=0.01)
-    p_synth.add_argument("--samples-per-class", type=int, default=50)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--mode-size", type=int)
+    p_synth.add_argument("--r-exact", type=int)
+    p_synth.add_argument("--r-approx", type=int)
+    p_synth.add_argument("--noise-variance", type=float)
+    p_synth.add_argument("--samples-per-class", type=int)
+    p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--freq-uniform", action="store_true")
     p_synth.set_defaults(func=_cmd_synth)
 

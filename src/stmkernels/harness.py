@@ -8,8 +8,12 @@ mode-1 SVD, and each rank's decomposition is reused across the whole
 (C, g) grid. The cell's Grams for every g come from one `gram_matrix`
 call over the whole g grid, which computes each distance once. For each
 repeat a stratified fold split is drawn (shared by all cells of the
-run). acc[repeat, i, j] is the mean validation accuracy over folds at
-c_grid[i] and g_grid[j], NaN if training failed on a fold. Each repeat
+run). One function, `_cross_validate`, runs the whole (C, g) search: it
+cuts each fold's training and validation blocks from the Gram stack once
+and fills acc[repeat, i, j], the mean validation accuracy over folds at
+c_grid[i] and g_grid[j], NaN if training failed on a fold. A cell's
+`kernel_seconds` time its Gram stack and its `train_seconds` the whole
+search, SMO and validation predictions alike. Each repeat
 selects the first maximum of its (C, g) plane, and the reported pair is
 the one selected most often; both grids increase, so ties go to the
 smaller C, then the smaller g. Reported numbers are the mean of the
@@ -248,8 +252,14 @@ def load_dataset(data_dir):
 
 def stratified_folds(labels, n_folds, rng):
     """Index arrays of `n_folds` folds with per-class counts within one of
-    perfect proportion (shuffle within class, deal round-robin)."""
+    perfect proportion (shuffle within class, deal round-robin).
+
+    Raises ValueError for labels other than -1 and +1, which no fold
+    would hold."""
     labels = np.asarray(labels)
+    bad = [v for v in np.unique(labels).tolist() if v not in (-1, 1)]
+    if bad:
+        raise ValueError(f"labels must be -1 or +1, found {bad}")
     folds = [[] for _ in range(n_folds)]
     for cls in (-1, 1):
         idx = np.where(labels == cls)[0]
@@ -307,38 +317,42 @@ def _nan_cell(kind, rank, noise, kernel_seconds=0.0, train_seconds=0.0):
                       math.nan, math.nan, kernel_seconds, train_seconds)
 
 
-def _evaluate_cell(kind, rank, noise, decomposed, labels, cfg, splits):
-    """Grid search + repeated CV for one (kernel, rank, noise) cell."""
-    clock = time.perf_counter if cfg.measure_time else (lambda: 0.0)
-
-    t0 = clock()
-    stack = gram_matrix(decomposed, KernelSpec(kind, g=cfg.g_grid))
-    kernel_seconds = clock() - t0
-
-    train_seconds = 0.0
-    acc = np.full((len(splits), len(cfg.c_grid), len(cfg.g_grid)), math.nan)
+def _cross_validate(stack, labels, splits, c_grid, tol):
+    """acc[repeat, i, j]: mean validation accuracy over the folds of
+    splits[repeat] at c_grid[i] on the Gram stack[j]; NaN if training failed
+    on a fold, and that (C, g) then trains no later fold. Each fold cuts its
+    blocks from the whole stack once; C ascends per (repeat, g, fold)."""
+    fold_acc = np.zeros((len(splits), len(c_grid), len(stack), len(splits[0])))
     for rep, pairs in enumerate(splits):
-        # a fold's training samples are its indices into the cell
-        train_sets = [TrainingSet(tr, labels[tr]) for tr, _ in pairs]
-        for j, k_full in enumerate(stack):
-            fold_slices = [
-                (k_full[np.ix_(tr, tr)], k_full[np.ix_(tr, val)], ts, val)
-                for (tr, val), ts in zip(pairs, train_sets)
-            ]
-            for i, c in enumerate(cfg.c_grid):
-                fold_accs = []
-                for k_tr, k_tv, ts, val in fold_slices:
-                    t0 = clock()
-                    try:
-                        model = train(ts, k_tr, c, tol=cfg.smo_tol)
-                    except ConvergenceError:
-                        break
-                    finally:
-                        train_seconds += clock() - t0
-                    pred = predict_from_gram(model, k_tv)
-                    fold_accs.append(np.mean(pred == labels[val]))
-                else:
-                    acc[rep, i, j] = np.mean(fold_accs)
+        for f, (tr, val) in enumerate(pairs):
+            # a fold's training samples are its indices into the cell
+            ts = TrainingSet(tr, labels[tr])
+            k_tr, k_tv = stack[:, tr[:, None], tr], stack[:, tr[:, None], val]
+            for i, j in np.ndindex(len(c_grid), len(stack)):
+                if math.isnan(fold_acc[rep, i, j, f]):
+                    continue
+                try:
+                    model = train(ts, k_tr[j], c_grid[i], tol=tol)
+                except ConvergenceError:
+                    fold_acc[rep, i, j] = math.nan
+                    continue
+                pred = predict_from_gram(model, k_tv[j])
+                fold_acc[rep, i, j, f] = np.mean(pred == labels[val])
+    return fold_acc.mean(axis=-1)
+
+
+def _evaluate_cell(kind, rank, noise, decomposed, labels, cfg, splits):
+    """Gram stack, `_cross_validate` search and selection of one cell."""
+    clock = time.perf_counter if cfg.measure_time else (lambda: 0.0)
+    t0 = clock()
+    try:
+        stack = gram_matrix(decomposed, KernelSpec(kind, g=cfg.g_grid))
+    except ValueError as err:
+        raise ValueError(f"{kind} kernel at rank {rank}, noise {noise}, "
+                         f"p = {cfg.p}: {err}") from err
+    t1 = clock()
+    acc = _cross_validate(stack, labels, splits, cfg.c_grid, cfg.smo_tol)
+    kernel_seconds, train_seconds = t1 - t0, clock() - t1
 
     plane = acc.reshape(len(splits), -1)
     if np.isnan(plane).all(axis=1).any():

@@ -296,7 +296,9 @@ def gram_matrix(samples, spec):
 
     Row i is evaluated for entries j >= i in list order and mirrored,
     which keeps repeated runs bitwise reproducible. For `gaussian` and
-    `subspace` the diagonal is exactly 1.
+    `subspace` the diagonal is exactly 1. Raises ValueError when an entry
+    is not finite, as when sigma**p weighted factors are too large for
+    their squared distances to fit in float64.
     """
     n = len(samples)
     if n == 0:
@@ -304,12 +306,17 @@ def gram_matrix(samples, spec):
     _check_samples(spec.kind, samples)
     _, view, row, unit_diagonal = _EVALUATORS[spec.kind]
     gs = _length_scales(spec.g)
-    views = [view(s) for s in samples]
     k = np.empty((len(gs), n, n))
-    for i in range(n):
-        k[:, i, i:] = k[:, i:, i] = row(views[i], views[i:], gs)
+    # distances float64 cannot hold are refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        views = [view(s) for s in samples]
+        for i in range(n):
+            k[:, i, i:] = k[:, i:, i] = row(views[i], views[i:], gs)
     if unit_diagonal:
         k[:, range(n), range(n)] = 1.0
+    if not np.isfinite(k).all():
+        raise ValueError(f"{spec.kind} Gram holds non-finite entries: the "
+                         "samples' distances overflow float64")
     return k if isinstance(spec.g, tuple) else k[0]
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from stmkernels import synth
 from stmkernels.cli import main, read_config
 from stmkernels.harness import (
     DEFAULT_C_GRID,
@@ -179,6 +180,26 @@ class TestCliCommands:
                    "--out", str(rendered)])
         assert rc == 0
         assert rendered.read_bytes() == (out_dir / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize("flags, expected", [
+        ([], dict(scenario="leaf", mode_size=100, r_exact=3, r_approx=3,
+                  noise_variance=0.01, samples_per_class=50, seed=0,
+                  freq_uniform=False)),
+        (["--scenario", "core", "--mode-size", "7", "--r-exact", "2",
+          "--r-approx", "1", "--noise-variance", "0.5",
+          "--samples-per-class", "4", "--seed", "3", "--freq-uniform"],
+         dict(scenario="core", mode_size=7, r_exact=2, r_approx=1,
+              noise_variance=0.5, samples_per_class=4, seed=3,
+              freq_uniform=True)),
+    ])
+    def test_synth_flags_build_their_config(self, tmp_path, monkeypatch,
+                                            flags, expected):
+        # a flag left out takes SynthConfig's default
+        built = []
+        monkeypatch.setattr(synth, "generate",
+                            lambda cfg: built.append(cfg) or [])
+        assert main(["synth", "--out", str(tmp_path)] + flags) == 0
+        assert built == [SynthConfig(**expected)]
 
     def test_failure_emits_json_error_line(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "missing.cfg")])

@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -124,6 +126,98 @@ class TestStratifiedFolds:
         b = stratified_folds(labels, 5, np.random.default_rng(9))
         for fa, fb in zip(a, b):
             assert np.array_equal(fa, fb)
+
+    @pytest.mark.parametrize("labels, bad", [
+        ([0, 1, 1, 0, 0, 1], r"\[0\]"),
+        ([-1.0, 1.0, 2.0, -1.0], r"\[2.0\]"),
+        ([-1.0, 1.0, math.nan, 1.0], r"\[nan\]"),
+    ])
+    def test_labels_other_than_plus_minus_one_rejected(self, labels, bad):
+        # 0/1 labels used to drop every 0-labelled sample from all folds
+        with pytest.raises(ValueError, match=rf"^labels must be -1 or \+1, "
+                                             rf"found {bad}$"):
+            stratified_folds(labels, 2, np.random.default_rng(0))
+
+
+def _cv_problem():
+    """A hand-made PSD Gram stack (3 g) over 12 samples, its labels and
+    the splits of 2 repeats of 3 folds."""
+    rng = np.random.default_rng(31)
+    labels = np.array([-1.0, 1.0] * 6)
+    points = rng.standard_normal((12, 4)) + 0.8 * labels[:, None]
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+    stack = np.exp(-d2[None] / np.array([0.5, 2.0, 8.0])[:, None, None])
+    everyone = np.arange(12)
+    splits = []
+    for rep in range(2):
+        folds = stratified_folds(labels, 3, np.random.default_rng(rep))
+        splits.append([(np.setdiff1d(everyone, f), f) for f in folds])
+    return stack, labels, splits, (0.25, 1.0, 4.0)
+
+
+class TestCrossValidate:
+    def test_equals_brute_force_replay(self):
+        from stmkernels.harness import _cross_validate
+        stack, labels, splits, c_grid = _cv_problem()
+        acc = _cross_validate(stack, labels, splits, c_grid, 1e-3)
+        assert acc.shape == (2, 3, 3)
+        for rep, pairs in enumerate(splits):
+            for i, c in enumerate(c_grid):
+                for j, k in enumerate(stack):
+                    accs = []
+                    for tr, val in pairs:
+                        model = train(TrainingSet(tr, labels[tr]),
+                                      k[np.ix_(tr, tr)], c)
+                        accs.append(np.mean(predict_from_gram(
+                            model, k[np.ix_(tr, val)]) == labels[val]))
+                    assert acc[rep, i, j] == np.mean(accs)
+        assert len(np.unique(acc)) > 1
+
+    def test_failed_pair_is_nan_and_trains_no_later_fold(self, monkeypatch):
+        from stmkernels import harness
+        stack, labels, splits, c_grid = _cv_problem()
+        clean = harness._cross_validate(stack, labels, splits, c_grid, 1e-3)
+        real_train = harness.train
+        fail_c, fail_fold = c_grid[1], tuple(splits[0][1][0])
+        calls = []
+
+        def recording_train(ts, gram, C, **kwargs):
+            # the g of a call is the layer its training block was cut from
+            tr = ts.samples
+            j = next(j for j, k in enumerate(stack)
+                     if np.array_equal(gram, k[np.ix_(tr, tr)]))
+            calls.append((tuple(tr), j, C))
+            if (tuple(tr), C) == (fail_fold, fail_c):
+                raise ConvergenceError("forced")
+            return real_train(ts, gram, C, **kwargs)
+
+        monkeypatch.setattr(harness, "train", recording_train)
+        acc = harness._cross_validate(stack, labels, splits, c_grid, 1e-3)
+        failed = np.zeros(acc.shape, dtype=bool)
+        failed[0, 1, :] = True
+        assert np.isnan(acc[failed]).all()
+        assert np.array_equal(acc[~failed], clean[~failed])
+
+        # every (repeat, g, C) trains its folds in order up to and
+        # including the first that fails, as a fold-by-fold search would
+        expected = Counter()
+        for pairs in splits:
+            for j in range(len(stack)):
+                for c in c_grid:
+                    for tr, _ in pairs:
+                        expected[tuple(tr), j, c] += 1
+                        if (tuple(tr), c) == (fail_fold, fail_c):
+                            break
+        assert Counter(calls) == expected
+        assert sum(expected.values()) == 2 * 3 * 3 * 3 - 3
+
+        # C ascends within every (repeat, g, fold)
+        by_problem = {}
+        for tr, j, c in calls:
+            by_problem.setdefault((tr, j), []).append(c)
+        assert len(by_problem) == 2 * 3 * 3
+        for cs in by_problem.values():
+            assert cs == sorted(set(cs))
 
 
 class TestRunExperiment:
@@ -445,6 +539,19 @@ class TestRunExperiment:
                 rf"^sample 5 at noise {noise}: weighting power p = 200.0 "
                 r"over- or underflows")):
             run_experiment(cfg)
+
+    def test_gram_float64_cannot_hold_names_the_cell(self):
+        # p = 200 passes reweight at rank 3, but the weighted factors'
+        # squared distances overflow the wsek Gram
+        cfg = tiny_experiment(
+            synth=tiny_synth(mode_size=6, r_exact=3, r_approx=3),
+            noise_grid=(1.0,), p=200.0, rank_grid=(3, 4, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    r"^wsek kernel at rank 3, noise 1.0, p = 200.0: wsek Gram "
+                    r"holds non-finite entries")):
+                run_experiment(cfg)
 
 
 def _blas_calls_or_skip():

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from stmkernels.decomp import (
     KruskalTensor,
     TuckerTensor,
+    reweight,
     tt_svd,
     tucker_to_cp,
     weighted_hosvd,
@@ -420,6 +422,20 @@ class TestGramMatrix:
         y = random_tucker(rng)
         assert kernel_value(KernelSpec("subspace", g=1.5), x, y) == \
             subspace_kernel(x, y, 1.5)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "wsek"])
+    def test_distances_float64_cannot_hold_rejected(self, kind):
+        # sigma ~ 1e200 at p = 0.8 weights the factors by ~1e160: reweight
+        # holds them, their squared norms do not fit in float64
+        rng = np.random.default_rng(29)
+        samples = [reweight(weighted_hosvd(
+            1e200 * rng.standard_normal((4, 4, 4)), (2, 2, 2), 0.0), 0.8)
+            for _ in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    rf"^{kind} Gram holds non-finite entries")):
+                gram_matrix(samples, KernelSpec(kind, g=(1.0, 2.0)))
 
 
 class TestKernelSpec:
