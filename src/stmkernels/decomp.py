@@ -9,10 +9,21 @@ Sign convention: every retained left singular vector is flipped so that
 its entry of maximum absolute value is positive (ties broken by the
 smallest row index). This makes repeated decompositions of the same input
 bitwise identical.
+
+Left singular vectors of a wide unfolding (at least int(11 M / 6) columns
+for M rows) come from its LQ factor: LAPACK's dgelqf on a private copy,
+then the SVD of the M x M triangle L. That is the first half of what
+`np.linalg.svd` runs on such a matrix (dgesdd's LQ path), so U and sigma
+are bitwise the same; only the right singular vectors, which nothing
+here reads, are never formed. Tall, square and narrower unfoldings, a
+numpy without an ILP64 dgelqf, and magnitudes that dgesdd would rescale
+take the plain `np.linalg.svd` call.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,6 +36,11 @@ from .tensor import frobenius_norm, matricize, mode_product
 # decomposition time; every weighting power then gives them weight 1 (the
 # 0**0 = 1 convention), so reweighting leaves those core slices zero.
 SIGMA_FLOOR = 1e-12
+
+# LAPACK dgesdd rescales a matrix whose largest magnitude lies outside
+# [_SMLNUM, 1 / _SMLNUM] before it factors it (dlamch('S') ** 0.5 /
+# dlamch('P'), exactly 2**-459).
+_SMLNUM = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
 
 
 @dataclass(eq=False)
@@ -204,10 +220,83 @@ def _checked_ranks(shape, ranks):
     return tuple(int(r) for r in ranks)
 
 
+@functools.lru_cache(maxsize=None)
+def _dgelqf():
+    """numpy's own ILP64 LAPACK dgelqf through ctypes, or None.
+
+    The symbol is looked up through numpy's linalg extension, so it comes
+    from the LAPACK that `np.linalg.svd` calls. Bound on first use.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_dgelqf_64_", "dgelqf_64_"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            i64 = ctypes.POINTER(ctypes.c_int64)
+            ptr = ctypes.c_void_p
+            fn.argtypes = [i64, i64, ptr, i64, ptr, ptr, i64, i64]
+            fn.restype = None
+            return fn
+    return None
+
+
+def _lq_lower(a):
+    """Factor the F-ordered `a` = L Q in place by dgelqf; L with its upper
+    triangle zeroed, or None when dgelqf reports an error."""
+    rows, cols = a.shape
+    i64 = ctypes.c_int64
+    tau = np.empty(rows)
+    work = np.empty(1)
+    info = i64(0)
+
+    def call(lwork):
+        _dgelqf()(ctypes.byref(i64(rows)), ctypes.byref(i64(cols)),
+                  a.ctypes.data, ctypes.byref(i64(rows)), tau.ctypes.data,
+                  work.ctypes.data, ctypes.byref(i64(lwork)),
+                  ctypes.byref(info))
+
+    call(-1)  # workspace query: the optimal size, as dgesdd allocates it
+    work = np.empty(max(int(work[0]), 1))
+    call(work.size)
+    return np.tril(a[:, :rows]) if info.value == 0 else None
+
+
+def _unscaled(x):
+    """True when dgesdd takes `x` as it is: its largest magnitude lies in
+    [_SMLNUM, 1 / _SMLNUM] (False for NaN). No full-size temporary."""
+    amax = np.maximum(np.max(x), -np.min(x))
+    return bool(_SMLNUM <= amax <= 1.0 / _SMLNUM)
+
+
 def _left_svd(g, m):
-    """Left singular vectors and values of the mode-(m+1) unfolding; the
-    right singular vectors are dropped at once."""
-    u, s, _ = np.linalg.svd(matricize(g, m + 1), full_matrices=False)
+    """Left singular vectors and values of the mode-(m+1) unfolding.
+
+    Bitwise equal to the U and sigma of `np.linalg.svd(X,
+    full_matrices=False)`. For a wide unfolding X (M x N with N at least
+    LAPACK's crossover int(11 M / 6)), that call's dgesdd LQ-factors X =
+    L Q by dgelqf, takes the SVD of the M x M triangle L, then forms Q
+    only to build the right singular vectors. Here dgelqf runs on a
+    private F-ordered copy of X (never the caller's tensor) and the SVD
+    of L comes from `np.linalg.svd`: the same LAPACK calls on the same
+    bits, without Q, V^T or their N-column buffers. The plain call runs
+    instead for a tall, square or narrower unfolding, without an ILP64
+    dgelqf, or when X or L would be rescaled by dgesdd (see `_unscaled`).
+    """
+    x = matricize(g, m + 1)
+    rows, cols = x.shape
+    if (rows < cols and cols >= int(rows * 11.0 / 6.0) and _unscaled(x)
+            and _dgelqf() is not None):
+        # matricize copies unless `g` is F-ordered; a view must be copied
+        if not x.flags.f_contiguous or np.may_share_memory(x, g):
+            x = x.copy(order="F")
+        low = _lq_lower(x)
+        if low is not None and _unscaled(low):
+            u, s, _ = np.linalg.svd(low, full_matrices=False)
+            return u, s
+        x = matricize(g, m + 1)  # dgelqf has overwritten the copy
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
     return u, s
 
 

@@ -240,6 +240,15 @@ def _check_samples(kind, samples):
             raise ValueError(f"weighting powers differ: {first.p} vs {s.p}")
 
 
+def _check_finite(values, what):
+    """Refuse the distances float64 cannot hold. The evaluators run under
+    np.errstate(over="ignore", invalid="ignore"), so such distances give
+    a ValueError naming `what` here, not RuntimeWarnings and NaN."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} holds non-finite entries: the samples' "
+                         "distances overflow float64")
+
+
 def _pair(kind, x, y, g):
     """The one-pair, one-g view of the row evaluator of `kind`."""
     gs = _one_length_scale(g, f"{kind} kernel")
@@ -247,9 +256,12 @@ def _pair(kind, x, y, g):
     _, view, row, unit_diagonal = _EVALUATORS[kind]
     if x is y and unit_diagonal:
         return 1.0
-    xv, yv = view(x), view(y)
-    # float addition commutes, so both argument orders give the same bits
-    return float(0.5 * (row(xv, [yv], gs)[0, 0] + row(yv, [xv], gs)[0, 0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xv, yv = view(x), view(y)
+        # float addition commutes, so both argument orders give the same bits
+        value = 0.5 * (row(xv, [yv], gs)[0, 0] + row(yv, [xv], gs)[0, 0])
+    _check_finite(value, f"{kind} kernel value")
+    return float(value)
 
 
 def gaussian_kernel(x, y, g):
@@ -282,7 +294,8 @@ def wsek_kernel(x, y, g):
 def kernel_value(spec, x, y):
     """Evaluate the kernel named by `spec` on one pair of samples.
 
-    Raises ValueError if `spec.g` is a grid."""
+    Raises ValueError if `spec.g` is a grid, and, as `gram_matrix` does,
+    when float64 cannot hold the value."""
     return _pair(spec.kind, x, y, spec.g)
 
 
@@ -307,16 +320,13 @@ def gram_matrix(samples, spec):
     _, view, row, unit_diagonal = _EVALUATORS[spec.kind]
     gs = _length_scales(spec.g)
     k = np.empty((len(gs), n, n))
-    # distances float64 cannot hold are refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         views = [view(s) for s in samples]
         for i in range(n):
             k[:, i, i:] = k[:, i:, i] = row(views[i], views[i:], gs)
     if unit_diagonal:
         k[:, range(n), range(n)] = 1.0
-    if not np.isfinite(k).all():
-        raise ValueError(f"{spec.kind} Gram holds non-finite entries: the "
-                         "samples' distances overflow float64")
+    _check_finite(k, f"{spec.kind} Gram")
     return k if isinstance(spec.g, tuple) else k[0]
 
 

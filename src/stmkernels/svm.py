@@ -36,9 +36,9 @@ class TrainingSet:
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if len(self.samples) != len(self.labels):
             raise ValueError("sample and label counts differ")
-        bad = set(np.unique(self.labels)) - {-1.0, 1.0}
+        bad = [v for v in np.unique(self.labels).tolist() if v not in (-1, 1)]
         if bad:
-            raise ValueError(f"labels must be -1 or +1, found {sorted(bad)}")
+            raise ValueError(f"labels must be -1 or +1, found {bad}")
 
 
 @dataclass(eq=False)

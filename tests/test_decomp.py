@@ -518,3 +518,106 @@ def test_no_spurious_warnings_in_normal_paths():
         warnings.simplefilter("error")
         weighted_hosvd(t, (2, 2, 2))
         tt_svd(t, (2, 2))
+
+
+def _peaked(rng, rows, cols):
+    """rows x cols with one entry of magnitude 1 and every row norm <= 1,
+    so the LQ factor L has no entry above 1 either."""
+    rest = rng.standard_normal((rows - 1, cols))
+    rest *= 0.5 / np.linalg.norm(rest, axis=1, keepdims=True)
+    return np.vstack([np.eye(1, cols), rest])
+
+
+def _unit_max(rng, rows, cols):
+    x = rng.standard_normal((rows, cols))
+    return x / np.max(np.abs(x))
+
+
+_SMLNUM = 2.0 ** -459  # dgesdd rescales outside [_SMLNUM, 1 / _SMLNUM]
+
+# name: (matrix builder, whether the LQ route serves it)
+_LEFT_SVD_CASES = {
+    "100x183 at the crossover": (
+        lambda rng: rng.standard_normal((100, 183)), True),
+    "100x182 below the crossover": (
+        lambda rng: rng.standard_normal((100, 182)), False),
+    "150x3000 blocked dgelqf": (
+        lambda rng: rng.standard_normal((150, 3000)), True),
+    "tall 300x20": (lambda rng: rng.standard_normal((300, 20)), False),
+    "max|X| = SMLNUM": (lambda rng: _unit_max(rng, 20, 60) * _SMLNUM, True),
+    "max|X| below SMLNUM": (
+        lambda rng: _unit_max(rng, 20, 60) * np.nextafter(_SMLNUM, 0), False),
+    "max|X| = 1/SMLNUM": (lambda rng: _peaked(rng, 20, 60) / _SMLNUM, True),
+    "max|X| above 1/SMLNUM": (
+        lambda rng: _peaked(rng, 20, 60) * np.nextafter(1 / _SMLNUM, np.inf),
+        False),
+    # every entry in range, but the rows' norms (so L's diagonal) are not
+    "max|L| above 1/SMLNUM": (
+        lambda rng: np.sign(rng.standard_normal((3, 400))) * (0.5 / _SMLNUM),
+        False),
+}
+
+
+class TestLeftSvd:
+    """`_left_svd` returns the U and sigma of `np.linalg.svd` bit for bit,
+    whichever route it takes."""
+
+    @staticmethod
+    def _svd_inputs(monkeypatch):
+        import stmkernels.decomp as decomp
+        shapes = []
+        real = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(decomp.np.linalg, "svd", recording)
+        return shapes
+
+    @pytest.mark.parametrize("bound", [True, False],
+                             ids=["dgelqf", "no-dgelqf"])
+    @pytest.mark.parametrize("name", list(_LEFT_SVD_CASES))
+    def test_bitwise_equals_numpy_svd(self, monkeypatch, name, bound):
+        import stmkernels.decomp as decomp
+        build, lq = _LEFT_SVD_CASES[name]
+        x = build(np.random.default_rng(40))
+        u_ref, s_ref, _ = np.linalg.svd(x, full_matrices=False)
+        if not bound:
+            monkeypatch.setattr(decomp, "_dgelqf", lambda: None)
+        shapes = self._svd_inputs(monkeypatch)
+        u, s = decomp._left_svd(x, 0)
+        assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref)
+        rows = x.shape[0]
+        assert shapes == [(rows, rows) if lq and bound else x.shape]
+
+    def test_fortran_ordered_tensor_left_unchanged(self):
+        import stmkernels.decomp as decomp
+        t = np.asfortranarray(
+            np.random.default_rng(41).standard_normal((10, 40, 30)))
+        before = t.copy()
+        u, s = decomp._left_svd(t, 0)
+        tk = weighted_hosvd(t, (3, 3, 3))
+        assert np.array_equal(t, before)
+        u_ref, s_ref = decomp._left_svd(before, 0)
+        assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref)
+        ref = weighted_hosvd(before, (3, 3, 3))
+        assert np.array_equal(tk.core, ref.core)
+        for f, f_ref in zip(tk.factors, ref.factors):
+            assert np.array_equal(f, f_ref)
+
+    def test_wide_unfolding_never_holds_its_right_vectors(self):
+        # tracemalloc sees numpy arrays (the unfolding's copy, V^T), not
+        # the buffers LAPACK's wrappers allocate
+        import tracemalloc
+
+        import stmkernels.decomp as decomp
+        t = np.random.default_rng(42).standard_normal((100, 100, 100))
+        decomp._left_svd(t[:4, :4, :4], 0)  # bind dgelqf outside the trace
+        tracemalloc.start()
+        try:
+            decomp._left_svd(t, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * t.nbytes

@@ -436,6 +436,14 @@ class TestGramMatrix:
             with pytest.raises(ValueError, match=(
                     rf"^{kind} Gram holds non-finite entries")):
                 gram_matrix(samples, KernelSpec(kind, g=(1.0, 2.0)))
+            # the single-pair views share the Gram's refusal
+            x, y = samples[:2]
+            pair = {"gaussian": gaussian_kernel, "wsek": wsek_kernel}[kind]
+            for value in (lambda: pair(x, y, 1.0),
+                          lambda: kernel_value(KernelSpec(kind, g=1.0), x, y)):
+                with pytest.raises(ValueError, match=(
+                        rf"^{kind} kernel value holds non-finite entries")):
+                    value()
 
 
 class TestKernelSpec:

@@ -169,6 +169,17 @@ class TestErrors:
         with pytest.raises(ValueError, match="labels"):
             TrainingSet([0, 1], np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("labels, bad", [
+        ([1, 0], r"\[0.0\]"),
+        ([1.0, -1.0, 2.0, 0.5], r"\[0.5, 2.0\]"),
+        ([-1.0, np.nan], r"\[nan\]"),
+    ])
+    def test_bad_labels_named_as_plain_numbers(self, labels, bad):
+        # formatted as stratified_folds formats them, not as numpy reprs
+        with pytest.raises(ValueError, match=rf"^labels must be -1 or \+1, "
+                                             rf"found {bad}$"):
+            TrainingSet(list(range(len(labels))), labels)
+
     def test_update_cap_raises(self):
         rng = np.random.default_rng(7)
         pts, y, k = random_instance(rng, 10)
