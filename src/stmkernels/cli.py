@@ -133,6 +133,9 @@ def read_config(path):
     if "data_dir" in values:
         if synth_keys:
             raise ValueError(f"{path}: data_dir excludes synthetic keys")
+        # a data directory has one dataset, of no stated noise level
+        if "noise_grid" in values:
+            raise ValueError(f"{path}: data_dir excludes noise_grid")
         return harness.ExperimentConfig(**values)
     if "scenario" not in synth_keys:
         raise ValueError(f"{path}: either scenario or data_dir is required")

@@ -17,7 +17,9 @@ then the SVD of the M x M triangle L. That is the first half of what
 are bitwise the same; only the right singular vectors, which nothing
 here reads, are never formed. Tall, square and narrower unfoldings, a
 numpy without an ILP64 dgelqf, and magnitudes that dgesdd would rescale
-take the plain `np.linalg.svd` call.
+take the plain `np.linalg.svd` call. dgelqf is bound by `_numpy_symbol`,
+the one lookup of a function in numpy's LAPACK or BLAS; the harness
+takes OpenBLAS's thread-count functions from it too.
 """
 
 from __future__ import annotations
@@ -220,26 +222,31 @@ def _checked_ranks(shape, ranks):
     return tuple(int(r) for r in ranks)
 
 
-@functools.lru_cache(maxsize=None)
-def _dgelqf():
-    """numpy's own ILP64 LAPACK dgelqf through ctypes, or None.
+def _numpy_symbol(names, argtypes, restype):
+    """The first of `names` that numpy's linalg extension resolves, as a
+    ctypes function with `argtypes` and `restype`; None if none does.
 
-    The symbol is looked up through numpy's linalg extension, so it comes
-    from the LAPACK that `np.linalg.svd` calls. Bound on first use.
+    The lookup goes through that extension's handle, so it finds the
+    LAPACK and BLAS that `np.linalg` itself calls, on any OS.
     """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
         return None
-    for name in ("scipy_dgelqf_64_", "dgelqf_64_"):
+    for name in names:
         fn = getattr(lib, name, None)
         if fn is not None:
-            i64 = ctypes.POINTER(ctypes.c_int64)
-            ptr = ctypes.c_void_p
-            fn.argtypes = [i64, i64, ptr, i64, ptr, ptr, i64, i64]
-            fn.restype = None
+            fn.argtypes, fn.restype = argtypes, restype
             return fn
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _dgelqf():
+    """numpy's own ILP64 LAPACK dgelqf, or None. Bound on first use."""
+    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    return _numpy_symbol(("scipy_dgelqf_64_", "dgelqf_64_"),
+                         [i64, i64, ptr, i64, ptr, ptr, i64, i64], None)
 
 
 def _lq_lower(a):

@@ -20,17 +20,19 @@ smaller C, then the smaller g. Reported numbers are the mean of the
 selected accuracies over repeats, the sample standard deviation, and the
 normal approximation 95% half-width 1.96 * std / sqrt(repeats).
 
-A run computes with numpy's BLAS (OpenBLAS, found through ctypes) set
-to one thread and gives the caller's thread count back when it ends. A
-multi-threaded SVD rounds differently from a single-threaded one, so
-one thread makes every report independent of the host's core count;
-at the mode sizes of the benchmark's workloads (50 to 100) the small
-per-sample SVDs are also as fast or faster on one thread.
+A run computes with numpy's own OpenBLAS (found through numpy's linalg
+extension, on any OS) set to one thread and gives the caller's thread
+count back when it ends. A multi-threaded SVD rounds differently from
+a single-threaded one, so one thread makes every report independent of
+the host's core count; at the mode sizes of the benchmark's workloads
+(50 to 100) the small per-sample SVDs are also as fast or faster on
+one thread.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
 import json
 import math
@@ -40,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import synth
+from . import decomp, synth
 from .decomp import reweight, tucker_reconstruct, tucker_to_cp, weighted_hosvd
 from .kernels import KINDS, KernelSpec, _check_length_scale, gram_matrix
 from .svm import ConvergenceError, TrainingSet, predict_from_gram, train
@@ -90,10 +92,9 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        # the config is echoed to JSON, which writes only Python ints
-        for name in ("repeats", "folds", "seed", "threads"):
-            if isinstance(getattr(self, name), np.integer):
-                object.__setattr__(self, name, int(getattr(self, name)))
+        threads = ("threads",) if self.threads is not None else ()
+        synth._check_settings(self, ("repeats", "folds", "seed") + threads,
+                              ("measure_time",))
         object.__setattr__(self, "rank_grid", tuple(
             int(r) if isinstance(r, np.integer) else r for r in self.rank_grid))
         if (self.synth is None) == (self.data_dir is None):
@@ -127,16 +128,14 @@ class ExperimentConfig:
                 raise ValueError(f"rank_grid entries must be integers, got {r}")
             if r < 1:
                 raise ValueError(f"rank_grid entries must be at least 1, got {r}")
-        for name in ("folds", "repeats"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v}")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         # selection breaks ties by grid position, which must follow value
         for name in ("c_grid", "g_grid"):
             grid = getattr(self, name)
@@ -301,6 +300,10 @@ def _decompose_by_rank(raw_samples, ranks, p, noise):
             raise ValueError(f"sample {k} at noise {noise}: {err}") from err
         for tuckers, tk in zip(out.values(), decomposed):
             tuckers.append(tk)
+        # freed before the next sample's is built, so malloc can reuse
+        # its memory: with two alive at once, peak RSS moved by one dense
+        # tensor from run to run
+        del dense
     return out
 
 
@@ -366,43 +369,22 @@ def _evaluate_cell(kind, rank, noise, decomposed, labels, cfg, splits):
                       cfg.g_grid[j], kernel_seconds, train_seconds)
 
 
-def _openblas_paths():
-    """Files of the OpenBLAS libraries mapped into this process; empty
-    where /proc/self/maps does not exist (non-Linux)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return []
-    paths = {f[5].rstrip("\n") for f in fields if len(f) == 6}
-    return sorted(p for p in paths if "openblas" in os.path.basename(p))
-
-
 def _blas_thread_calls():
-    """(get, set) thread-count functions of every mapped OpenBLAS."""
-    import ctypes
-
-    calls = []
-    for path in _openblas_paths():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
-            get = getattr(lib, get_name, None)
-            put = getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                calls.append((get, put))
-                break
-    return calls
+    """[(get, set)] thread-count functions of numpy's own OpenBLAS; empty
+    when numpy's BLAS is not an OpenBLAS."""
+    for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+        get = decomp._numpy_symbol((get_name,), [], ctypes.c_int)
+        put = decomp._numpy_symbol((set_name,), [ctypes.c_int], None)
+        if get is not None and put is not None:
+            return [(get, put)]
+    return []
 
 
 @contextlib.contextmanager
 def _blas_threads(n):
     """Run the body with numpy's BLAS on `n` threads; restore the caller's
-    thread count on return or raise. Does nothing without OpenBLAS."""
+    thread count on return or raise. Does nothing when numpy's BLAS is not
+    an OpenBLAS."""
     calls = _blas_thread_calls()
     before = [get() for get, _ in calls]
     for _, put in calls:

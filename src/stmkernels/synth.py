@@ -38,6 +38,23 @@ _ROLE_CORE_NOISE = 2
 _ROLE_FACTOR_NOISE = 3
 
 
+def _check_settings(cfg, integers, flags):
+    """Reject a whole-number setting that is not an integer (True and
+    False included) and an on/off setting that is not a bool, naming the
+    field. Numpy values are stored as Python ones: the config is echoed
+    to JSON, which writes only Python ints and bools."""
+    for name in integers:
+        v = getattr(cfg, name)
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {v}")
+        object.__setattr__(cfg, name, int(v))
+    for name in flags:
+        v = getattr(cfg, name)
+        if not isinstance(v, (bool, np.bool_)):
+            raise ValueError(f"{name} must be True or False, got {v!r}")
+        object.__setattr__(cfg, name, bool(v))
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Parameters of one synthetic dataset.
@@ -58,11 +75,8 @@ class SynthConfig:
     freq_uniform: bool = False
 
     def __post_init__(self):
-        # the config is echoed to JSON, which writes only Python ints
-        for name in ("mode_size", "r_exact", "r_approx", "samples_per_class",
-                     "seed"):
-            if isinstance(getattr(self, name), np.integer):
-                object.__setattr__(self, name, int(getattr(self, name)))
+        _check_settings(self, ("mode_size", "r_exact", "r_approx",
+                               "samples_per_class", "seed"), ("freq_uniform",))
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
         if self.r_approx < 1 or self.r_approx > self.mode_size:

@@ -135,6 +135,8 @@ class TestConfigParsing:
          "config key measure_time: expected a boolean, got 'maybe'"),
         ("data_dir = d\nmode_size = 9\n",
          "{path}: data_dir excludes synthetic keys"),
+        ("data_dir = d\nnoise_grid = 0.5, 0.7\n",
+         "{path}: data_dir excludes noise_grid"),
         ("folds = 3\n", "{path}: either scenario or data_dir is required"),
     ])
     def test_error_messages(self, tmp_path, text, message):

@@ -1,5 +1,6 @@
 """Dataset I/O, stratified CV, grid selection, and report rendering."""
 
+import ctypes
 import json
 import math
 import warnings
@@ -502,6 +503,13 @@ class TestRunExperiment:
         ("rank_grid", (2, 3.0), "rank_grid entries must be integers, got 3.0"),
         ("folds", 2.5, "folds must be an integer, got 2.5"),
         ("repeats", 1.5, "repeats must be an integer, got 1.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("threads", 1.5, "threads must be an integer, got 1.5"),
+        ("threads", -3, "threads must be at least 1, got -3"),
+        ("threads", 0, "threads must be at least 1, got 0"),
+        ("measure_time", "no", "measure_time must be True or False, got 'no'"),
+        ("measure_time", 0, "measure_time must be True or False, got 0"),
     ])
     def test_unusable_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:
@@ -596,14 +604,41 @@ class TestBlasThreads:
 
     def test_run_without_openblas_gives_the_same_report(self, tmp_path,
                                                         monkeypatch):
-        from stmkernels import harness
+        from stmkernels import decomp, harness
         cfg = tiny_experiment()
         pinned = emit_report(run_experiment(cfg), tmp_path / "pinned")
-        monkeypatch.setattr(harness, "_openblas_paths", lambda: [])
-        assert harness._blas_thread_calls() == []
-        unpinned = emit_report(run_experiment(cfg), tmp_path / "unpinned")
+        # a numpy whose linalg extension resolves no symbol: no pin, and
+        # every SVD takes the plain route
+        decomp._dgelqf.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(decomp, "_numpy_symbol", lambda *args: None)
+                assert harness._blas_thread_calls() == []
+                assert decomp._dgelqf() is None
+                unpinned = emit_report(run_experiment(cfg),
+                                       tmp_path / "unpinned")
+        finally:
+            decomp._dgelqf.cache_clear()
         for ours, theirs in zip(pinned, unpinned):
             assert open(ours, "rb").read() == open(theirs, "rb").read()
+
+    def test_pin_reaches_the_blas_numpy_linalg_calls(self):
+        _blas_calls_or_skip()
+        from stmkernels import harness
+
+        def linalg_threads():
+            # read straight through numpy's linalg extension
+            lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+            for get_name, _ in harness._OPENBLAS_THREAD_CALLS:
+                get = getattr(lib, get_name, None)
+                if get is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    return get()
+
+        before = linalg_threads()
+        with harness._blas_threads(3):
+            assert linalg_threads() == 3
+        assert linalg_threads() == before
 
     def test_report_independent_of_caller_blas_threads(self, tmp_path):
         # decomp_ranks' config at experiment seed 1000: a two-thread

@@ -87,6 +87,28 @@ class TestStructure:
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             small_cfg(seed=-1)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("mode_size", 6.5, "mode_size must be an integer, got 6.5"),
+        ("r_exact", 2.5, "r_exact must be an integer, got 2.5"),
+        ("r_approx", 2.0, "r_approx must be an integer, got 2.0"),
+        ("samples_per_class", np.float64(4.0),
+         "samples_per_class must be an integer, got 4.0"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("freq_uniform", "no", "freq_uniform must be True or False, got 'no'"),
+        ("freq_uniform", 1, "freq_uniform must be True or False, got 1"),
+    ])
+    def test_unusable_settings_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            small_cfg(**{field: value})
+        assert str(err.value) == message
+
+    def test_numpy_settings_stored_as_python_values(self):
+        cfg = small_cfg(mode_size=np.int64(30), seed=np.int32(7),
+                        freq_uniform=np.bool_(True))
+        assert cfg == small_cfg(freq_uniform=True)
+        assert type(cfg.mode_size) is int and type(cfg.seed) is int
+        assert type(cfg.freq_uniform) is bool
+
     def test_uniform_frequency_flag(self):
         gauss = small_cfg(freq_uniform=False)
         uni = small_cfg(freq_uniform=True)
