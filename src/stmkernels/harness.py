@@ -68,16 +68,18 @@ class ExperimentConfig:
     """One experiment: a data source plus the full search grid.
 
     Exactly one of `synth` / `data_dir` must be set. For synthetic
-    sources, `noise_grid` overrides the noise variance of the base
-    config, one generated dataset per value; class-defining draws are
-    shared across noise levels by the generator's stream splitting.
+    sources, `noise_grid` (default `DEFAULT_NOISE_GRID`) overrides the
+    noise variance of the base config, one generated dataset per value;
+    class-defining draws are shared across noise levels by the
+    generator's stream splitting. A data directory holds one dataset of
+    no stated noise level, so `data_dir` takes no `noise_grid`.
     `threads` is echoed in the report's config and changes nothing: a
     run always computes on one BLAS thread (see `run_experiment`).
     """
 
     synth: synth.SynthConfig | None = None
     data_dir: str | None = None
-    noise_grid: tuple = DEFAULT_NOISE_GRID
+    noise_grid: tuple | None = None
     kernels: tuple = KINDS
     rank_grid: tuple = DEFAULT_RANK_GRID
     c_grid: tuple = DEFAULT_C_GRID
@@ -94,11 +96,15 @@ class ExperimentConfig:
     def __post_init__(self):
         threads = ("threads",) if self.threads is not None else ()
         synth._check_settings(self, ("repeats", "folds", "seed") + threads,
-                              ("measure_time",))
+                              ("measure_time",), ("p", "smo_tol"))
         object.__setattr__(self, "rank_grid", tuple(
             int(r) if isinstance(r, np.integer) else r for r in self.rank_grid))
         if (self.synth is None) == (self.data_dir is None):
             raise ValueError("exactly one of synth/data_dir must be given")
+        if self.data_dir is not None and self.noise_grid is not None:
+            raise ValueError("data_dir excludes noise_grid")
+        if self.synth is not None and self.noise_grid is None:
+            object.__setattr__(self, "noise_grid", DEFAULT_NOISE_GRID)
         # noise_grid is read only for synthetic sources
         noise = ("noise_grid",) if self.synth is not None else ()
         positive = ("c_grid", "g_grid") + noise
@@ -276,7 +282,7 @@ def _fold_splits(labels, cfg):
     for rep in range(cfg.repeats):
         seq = np.random.SeedSequence(cfg.seed, spawn_key=(1000, rep))
         folds = stratified_folds(labels, cfg.folds, np.random.default_rng(seq))
-        splits.append([(np.setdiff1d(everyone, f), f) for f in folds])
+        splits.append([(np.delete(everyone, f), f) for f in folds])
     return splits
 
 
@@ -324,15 +330,21 @@ def _cross_validate(stack, labels, splits, c_grid, tol):
     """acc[repeat, i, j]: mean validation accuracy over the folds of
     splits[repeat] at c_grid[i] on the Gram stack[j]; NaN if training failed
     on a fold, and that (C, g) then trains no later fold. Each fold cuts its
-    blocks from the whole stack once; C ascends per (repeat, g, fold)."""
+    blocks from the whole stack once; C ascends per (repeat, g, fold). Once
+    a fold's model at some C never had an alpha reach C, training at every
+    larger C would repeat it bit for bit, so its accuracy is reused there."""
     fold_acc = np.zeros((len(splits), len(c_grid), len(stack), len(splits[0])))
     for rep, pairs in enumerate(splits):
         for f, (tr, val) in enumerate(pairs):
             # a fold's training samples are its indices into the cell
             ts = TrainingSet(tr, labels[tr])
             k_tr, k_tv = stack[:, tr[:, None], tr], stack[:, tr[:, None], val]
+            settled = {}  # g index -> accuracy of a model that never reached C
             for i, j in np.ndindex(len(c_grid), len(stack)):
                 if math.isnan(fold_acc[rep, i, j, f]):
+                    continue
+                if j in settled:
+                    fold_acc[rep, i, j, f] = settled[j]
                     continue
                 try:
                     model = train(ts, k_tr[j], c_grid[i], tol=tol)
@@ -341,6 +353,8 @@ def _cross_validate(stack, labels, splits, c_grid, tol):
                     continue
                 pred = predict_from_gram(model, k_tv[j])
                 fold_acc[rep, i, j, f] = np.mean(pred == labels[val])
+                if not model.reached_c:
+                    settled[j] = fold_acc[rep, i, j, f]
     return fold_acc.mean(axis=-1)
 
 

@@ -3,9 +3,18 @@
 The trainer works on a precomputed Gram matrix, which the caller builds
 once and shares across the regularization grid, so the pair updates
 here, not the kernel evaluations, take most of a grid search's time.
-Working pairs are chosen as the maximal KKT-violating pair, read from one
-class mask computed per call; the two-variable subproblem is solved
-analytically and clipped to the box.
+Working pairs are chosen as the maximal KKT-violating pair; the
+two-variable subproblem is solved analytically and clipped to the box.
+The update loop carries f = -y * gradient, which rounds exactly as the
+gradient would because y is +-1, and keeps the two sides the pair is
+drawn from entry by entry, because an update moves only its two alphas.
+
+A model records whether an alpha ever equalled C (`reached_c`). When
+none did, training at any larger C takes the same path: every
+`alpha < C` test, every step bound and the free set read the same, so
+alphas, bias, update count and predictions are bitwise equal. The
+cross-validation search therefore does not retrain a fold at larger C
+once its model never reached C.
 """
 
 from __future__ import annotations
@@ -55,6 +64,9 @@ class SvmModel:
     dual_objective: float = 0.0
     updates: int = 0
     objective_history: list | None = None
+    # whether an alpha equalled C after some update; when none did, any
+    # larger C repeats the run bit for bit (see `train`)
+    reached_c: bool = False
 
     @property
     def support_indices(self):
@@ -63,10 +75,7 @@ class SvmModel:
 
 def dual_objective(alphas, labels, gram):
     """Value of the dual objective sum(a) - 1/2 a'Qa with Q = yy' * K."""
-    return _objective(alphas, gram * np.outer(labels, labels))
-
-
-def _objective(alphas, q):
+    q = gram * np.outer(labels, labels)
     return float(alphas.sum() - 0.5 * alphas @ q @ alphas)
 
 
@@ -98,44 +107,67 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
     if pos.all() or not pos.any():
         raise ValueError("training set must contain both classes")
 
-    q = gram * np.outer(y, y)
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of 1/2 a'Qa - sum(a)
+    # f = -y * (gradient of 1/2 a'Qa - sum(a)), which is y at alpha = 0.
+    # y is +-1 and rounding is sign-symmetric, so each update of f rounds
+    # exactly as the gradient's update through Q = yy' * K would.
+    f = y.copy()
+    # the update reads Gram columns; the symmetry check lets a row differ
+    # from its column by 1e-12, so rows would not give the same bits
+    cols = gram.T.copy()
+    diag = gram.diagonal().tolist()
+    on_pos = pos.tolist()
+    alpha = [0.0] * n
+    C = float(C)
+    # the two sides the pair is drawn from, and f on each side with -inf
+    # (up) or inf (low) elsewhere; an update moves only i and j
+    up, low = pos.copy(), ~pos
+    f_up, f_low = np.full(n, -np.inf), np.full(n, np.inf)
+    reached_c = False
     history = [0.0] if record_objective else None
     updates = 0
 
     while True:
         # maximal violating pair; an empty side gives -inf and stops
-        f = -(y * grad)
-        below, above = alpha < C, alpha > 0
-        fu = np.where(np.where(pos, below, above), f, -np.inf)
-        fl = np.where(np.where(pos, above, below), f, np.inf)
-        i, j = fu.argmax(), fl.argmin()
-        violation = fu[i] - fl[j]
+        np.copyto(f_up, f, where=up)
+        np.copyto(f_low, f, where=low)
+        i, j = int(f_up.argmax()), int(f_low.argmin())
+        violation = f_up.item(i) - f_low.item(j)
         if violation <= tol:
             break
         if updates >= max_updates:
             raise ConvergenceError(
                 f"KKT violation {violation:.3e} > {tol} after {updates} updates")
 
-        curv = max(gram[i, i] + gram[j, j] - 2.0 * gram[i, j], 1e-12)
-        step = violation / curv
-        bound_i = (C - alpha[i]) if pos[i] else alpha[i]
-        bound_j = alpha[j] if pos[j] else (C - alpha[j])
-        step = min(step, bound_i, bound_j)
+        pos_i, pos_j, a_i, a_j = on_pos[i], on_pos[j], alpha[i], alpha[j]
+        curv = max(diag[i] + diag[j] - 2.0 * gram.item(i, j), 1e-12)
+        bound_i = (C - a_i) if pos_i else a_i
+        bound_j = a_j if pos_j else (C - a_j)
+        step = min(violation / curv, bound_i, bound_j)
 
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
+        a_i = a_i + step if pos_i else a_i - step
+        a_j = a_j - step if pos_j else a_j + step
         # land exactly on the box when a bound binds
         if step == bound_i:
-            alpha[i] = C if pos[i] else 0.0
+            a_i = C if pos_i else 0.0
         if step == bound_j:
-            alpha[j] = 0.0 if pos[j] else C
-        grad += (y[i] * step) * q[:, i] - (y[j] * step) * q[:, j]
+            a_j = 0.0 if pos_j else C
+        alpha[i], alpha[j] = a_i, a_j
+        for k, a, p in ((i, a_i, pos_i), (j, a_j, pos_j)):
+            below, above = a < C, a > 0
+            # at a larger C every `a < C` test reads the same until one fails
+            reached_c = reached_c or not below
+            is_up, is_low = (below, above) if p else (above, below)
+            up[k], low[k] = is_up, is_low
+            if not is_up:
+                f_up[k] = -np.inf
+            if not is_low:
+                f_low[k] = np.inf
+        f += step * cols[j] - step * cols[i]
         updates += 1
         if record_objective:
-            history.append(_objective(alpha, q))
+            history.append(dual_objective(np.array(alpha), y, gram))
 
+    alpha = np.array(alpha)
     f0 = (alpha * y) @ gram
     free = (alpha > 0) & (alpha < C)
     if free.any():
@@ -148,14 +180,15 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
     return SvmModel(
         alphas=alpha,
         bias=bias,
-        C=float(C),
+        C=C,
         labels=y.copy(),
         samples=ts.samples,
         spec=spec,
         bias_fallback=fallback,
-        dual_objective=_objective(alpha, q),
+        dual_objective=dual_objective(alpha, y, gram),
         updates=updates,
         objective_history=history,
+        reached_c=reached_c,
     )
 
 

@@ -38,11 +38,12 @@ _ROLE_CORE_NOISE = 2
 _ROLE_FACTOR_NOISE = 3
 
 
-def _check_settings(cfg, integers, flags):
+def _check_settings(cfg, integers, flags, reals):
     """Reject a whole-number setting that is not an integer (True and
-    False included) and an on/off setting that is not a bool, naming the
-    field. Numpy values are stored as Python ones: the config is echoed
-    to JSON, which writes only Python ints and bools."""
+    False included), an on/off setting that is not a bool and a real
+    setting given as True or False, naming the field. Numpy integers and
+    bools are stored as Python ones: the config is echoed to JSON, which
+    writes only Python ints and bools."""
     for name in integers:
         v = getattr(cfg, name)
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
@@ -53,6 +54,10 @@ def _check_settings(cfg, integers, flags):
         if not isinstance(v, (bool, np.bool_)):
             raise ValueError(f"{name} must be True or False, got {v!r}")
         object.__setattr__(cfg, name, bool(v))
+    for name in reals:
+        v = getattr(cfg, name)
+        if isinstance(v, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, got {v}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,8 @@ class SynthConfig:
 
     def __post_init__(self):
         _check_settings(self, ("mode_size", "r_exact", "r_approx",
-                               "samples_per_class", "seed"), ("freq_uniform",))
+                               "samples_per_class", "seed"), ("freq_uniform",),
+                        ("noise_variance",))
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
         if self.r_approx < 1 or self.r_approx > self.mode_size:

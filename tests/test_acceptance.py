@@ -3,8 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s`. The synthetic-scenario
 criteria (1-3) share two module-scoped sweeps at desk scale: the leaf
 cells use one seed with 5 repeats x 5 folds; the core cells average 5
-seeds. Expect the full module to take about seven minutes on a 2-core
-machine (414 s in one run).
+seeds. Expect the full module to take about two minutes on a 2-core
+machine (123 s in one run).
 """
 
 import time

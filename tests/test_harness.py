@@ -13,6 +13,7 @@ import pytest
 import stmkernels as sk
 from stmkernels.harness import (
     CellResult,
+    DEFAULT_NOISE_GRID,
     ExperimentConfig,
     MANIFEST_NAME,
     emit_report,
@@ -48,6 +49,8 @@ def tiny_experiment(**kw):
         seed=5,
         measure_time=False,
     )
+    if kw.get("data_dir") is not None:
+        del base["noise_grid"]  # a data directory has no noise grid
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -219,6 +222,68 @@ class TestCrossValidate:
         assert len(by_problem) == 2 * 3 * 3
         for cs in by_problem.values():
             assert cs == sorted(set(cs))
+
+    def test_fold_settled_below_c_is_not_retrained(self, monkeypatch):
+        # on this stack every (repeat, fold, g) model at C = 4 leaves every
+        # alpha below C, so C = 16 and 64 reuse it instead of training
+        from stmkernels import harness
+        stack, labels, splits, _ = _cv_problem()
+        c_grid = (0.25, 1.0, 4.0, 16.0, 64.0)
+        real_train = harness.train
+        calls = []
+
+        def counting_train(ts, gram, C, **kwargs):
+            calls.append(C)
+            return real_train(ts, gram, C, **kwargs)
+
+        monkeypatch.setattr(harness, "train", counting_train)
+        acc = harness._cross_validate(stack, labels, splits, c_grid, 1e-3)
+        # one call per (repeat, fold, g) at each C up to 4, none above
+        assert Counter(calls) == {c: 2 * 3 * 3 for c in c_grid[:3]}
+        assert np.array_equal(acc, _retrained_acc(stack, labels, splits, c_grid))
+
+    def test_settled_fold_survives_a_later_fold_failing_at_its_c(
+            self, monkeypatch):
+        # folds 0 and 1 of repeat 0 settle at C = 4; fold 2 fails there,
+        # which makes C = 4 NaN for every fold, yet at C = 16 and 64 the
+        # settled folds still count with the accuracy they had at C = 4
+        from stmkernels import harness
+        stack, labels, splits, _ = _cv_problem()
+        c_grid = (0.25, 1.0, 4.0, 16.0, 64.0)
+        fail = (tuple(splits[0][2][0]), 4.0)
+        real_train = harness.train
+
+        def failing_train(ts, gram, C, **kwargs):
+            if (tuple(ts.samples), C) == fail:
+                raise ConvergenceError("forced")
+            return real_train(ts, gram, C, **kwargs)
+
+        monkeypatch.setattr(harness, "train", failing_train)
+        acc = harness._cross_validate(stack, labels, splits, c_grid, 1e-3)
+        expected = _retrained_acc(stack, labels, splits, c_grid, fail)
+        assert np.array_equal(acc, expected, equal_nan=True)
+        assert np.isnan(acc[0, 2]).all()
+        assert not np.isnan(acc[0, 3:]).any() and not np.isnan(acc[1]).any()
+
+
+def _retrained_acc(stack, labels, splits, c_grid, fail=None):
+    """acc[repeat, i, j] with every fold trained afresh at every (C, g);
+    NaN where a fold's (training indices, C) equals `fail`."""
+    acc = np.empty((len(splits), len(c_grid), len(stack)))
+    for rep, pairs in enumerate(splits):
+        for i, c in enumerate(c_grid):
+            for j, k in enumerate(stack):
+                accs = []
+                for tr, val in pairs:
+                    if (tuple(tr), c) == fail:
+                        accs.append(math.nan)
+                        continue
+                    model = train(TrainingSet(tr, labels[tr]),
+                                  k[np.ix_(tr, tr)], c, tol=1e-3)
+                    accs.append(np.mean(predict_from_gram(
+                        model, k[np.ix_(tr, val)]) == labels[val]))
+                acc[rep, i, j] = np.mean(accs)
+    return acc
 
 
 class TestRunExperiment:
@@ -469,8 +534,12 @@ class TestRunExperiment:
             tiny_experiment(kernels=())
         with pytest.raises(ValueError, match="unknown kernel"):
             tiny_experiment(kernels=("linear",))
-        # a data directory has no noise grid to read
-        tiny_experiment(synth=None, data_dir="data", noise_grid=())
+        # a data directory has no noise grid to read, so it takes none
+        for grid in ((), (0.5, 0.7)):
+            with pytest.raises(ValueError, match="^data_dir excludes noise_grid$"):
+                tiny_experiment(synth=None, data_dir="data", noise_grid=grid)
+        assert tiny_experiment(synth=None, data_dir="data").noise_grid is None
+        assert tiny_experiment(noise_grid=None).noise_grid == DEFAULT_NOISE_GRID
 
     @pytest.mark.parametrize("field, value, message", [
         ("smo_tol", 0.0, "smo_tol must be positive, got 0.0"),
@@ -510,6 +579,9 @@ class TestRunExperiment:
         ("threads", 0, "threads must be at least 1, got 0"),
         ("measure_time", "no", "measure_time must be True or False, got 'no'"),
         ("measure_time", 0, "measure_time must be True or False, got 0"),
+        ("p", True, "p must be a number, got True"),
+        ("p", False, "p must be a number, got False"),
+        ("smo_tol", True, "smo_tol must be a number, got True"),
     ])
     def test_unusable_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:
@@ -541,7 +613,8 @@ class TestRunExperiment:
         noise = "0.1"
         if source == "data_dir":
             save_dataset(generate(synth_cfg, dense=True), tmp_path)
-            cfg = replace(cfg, synth=None, data_dir=str(tmp_path))
+            cfg = replace(cfg, synth=None, data_dir=str(tmp_path),
+                          noise_grid=None)
             noise = "nan"
         with pytest.raises(ValueError, match=(
                 rf"^sample 5 at noise {noise}: weighting power p = 200.0 "

@@ -101,6 +101,57 @@ class TestSelectionReference:
         assert model.updates == updates
 
 
+class TestReachedC:
+    """`reached_c` is set once an alpha equals C after some update; when it
+    stays unset, any larger C repeats the run bit for bit."""
+
+    def instance(self):
+        rng = np.random.default_rng(37)
+        pts, y, k = random_instance(rng, 4)
+        return TrainingSet(list(pts), y), k
+
+    def test_alpha_that_reaches_c_and_leaves_keeps_the_flag(self):
+        ts, k = self.instance()
+        model = train(ts, k, 2.0)
+        assert model.reached_c
+        assert np.all(model.alphas < 2.0)
+        # the final alphas alone would call C = 4 a repeat, which it is not
+        larger = train(ts, k, 4.0)
+        assert not np.array_equal(larger.alphas, model.alphas)
+        assert larger.updates != model.updates
+
+    def test_no_alpha_at_c_repeats_at_every_larger_c(self):
+        ts, k = self.instance()
+        model = train(ts, k, 4.0)
+        assert not model.reached_c
+        for c in (4.5, 8.0, 2.0 ** 20):
+            larger = train(ts, k, c)
+            assert not larger.reached_c
+            assert larger.alphas.tobytes() == model.alphas.tobytes()
+            assert larger.bias == model.bias
+            assert larger.updates == model.updates
+            assert larger.bias_fallback == model.bias_fallback
+            assert larger.dual_objective == model.dual_objective
+
+
+class TestGramAsymmetricWithinCheck:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitwise_equal_to_index_selection(self, seed):
+        # the symmetry check lets K[i, j] and K[j, i] differ by 1e-12 of
+        # max|K|; SMO reads K's columns, as the reference does
+        rng = np.random.default_rng(5000 + seed)
+        for log2_c in range(-6, 9, 2):
+            pts, y, k = random_instance(rng, 24, g=float(rng.uniform(0.5, 3.0)))
+            k = k + rng.uniform(-4e-13, 4e-13, k.shape)
+            assert 0 < np.max(np.abs(k - k.T)) <= 1e-12 * np.max(np.abs(k))
+            c = 2.0 ** log2_c
+            model = train(TrainingSet(list(pts), y), k, c)
+            alpha, bias, updates = smo_index_selection(k, y, c, 1e-3)
+            assert np.array_equal(model.alphas, alpha)
+            assert model.bias == bias
+            assert model.updates == updates
+
+
 class TestConstraintsAndKkt:
     def test_box_and_equality(self):
         rng = np.random.default_rng(3)

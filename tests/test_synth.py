@@ -96,6 +96,8 @@ class TestStructure:
         ("seed", True, "seed must be an integer, got True"),
         ("freq_uniform", "no", "freq_uniform must be True or False, got 'no'"),
         ("freq_uniform", 1, "freq_uniform must be True or False, got 1"),
+        ("noise_variance", True, "noise_variance must be a number, got True"),
+        ("noise_variance", np.True_, "noise_variance must be a number, got True"),
     ])
     def test_unusable_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:
