@@ -5,8 +5,12 @@ stratified k-fold cross-validation, and deterministic CSV/JSON reporting.
 Protocol per (kernel, rank, noise) cell: every sample is decomposed once
 per noise level, by one call for all feasible ranks that shares the
 mode-1 SVD, and each rank's decomposition is reused across the whole
-(C, g) grid. The cell's Grams for every g come from one `gram_matrix`
-call over the whole g grid, which computes each distance once. For each
+(C, g) grid, at the configured `p` or, when none is set, at
+`weighted_hosvd`'s default 1/order, which the run resolves once so that
+its errors name it. The cell's Grams for every g come from one
+`gram_matrix` call over the whole g grid, which computes each distance
+once. A run has one label vector (`generate` lists class -1 then +1 at
+every noise level, and a data directory is one dataset), and for each
 repeat a stratified fold split is drawn (shared by all cells of the
 run). One function, `_cross_validate`, runs the whole (C, g) search: it
 cuts each fold's training and validation blocks from the Gram stack once
@@ -42,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import decomp, synth
+from . import decomp, svm, synth
 from .decomp import reweight, tucker_reconstruct, tucker_to_cp, weighted_hosvd
 from .kernels import KINDS, KernelSpec, _check_length_scale, gram_matrix
 from .svm import ConvergenceError, TrainingSet, predict_from_gram, train
@@ -94,11 +98,11 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        threads = ("threads",) if self.threads is not None else ()
-        synth._check_settings(self, ("repeats", "folds", "seed") + threads,
-                              ("measure_time",), ("p", "smo_tol"))
-        object.__setattr__(self, "rank_grid", tuple(
-            int(r) if isinstance(r, np.integer) else r for r in self.rank_grid))
+        synth._check_settings(
+            self, ("repeats", "folds", "seed", "threads", "rank_grid"),
+            ("measure_time",), ("p", "smo_tol", "c_grid", "g_grid", "noise_grid"))
+        object.__setattr__(self, "kernels",
+                           synth._sequence("kernels", self.kernels))
         if (self.synth is None) == (self.data_dir is None):
             raise ValueError("exactly one of synth/data_dir must be given")
         if self.data_dir is not None and self.noise_grid is not None:
@@ -130,8 +134,6 @@ class ExperimentConfig:
         for v in self.g_grid:
             _check_length_scale(v, "g_grid entries")
         for r in self.rank_grid:
-            if not isinstance(r, (int, np.integer)):
-                raise ValueError(f"rank_grid entries must be integers, got {r}")
             if r < 1:
                 raise ValueError(f"rank_grid entries must be at least 1, got {r}")
         if self.folds < 2:
@@ -262,9 +264,7 @@ def stratified_folds(labels, n_folds, rng):
     Raises ValueError for labels other than -1 and +1, which no fold
     would hold."""
     labels = np.asarray(labels)
-    bad = [v for v in np.unique(labels).tolist() if v not in (-1, 1)]
-    if bad:
-        raise ValueError(f"labels must be -1 or +1, found {bad}")
+    svm._check_labels(labels)
     folds = [[] for _ in range(n_folds)]
     for cls in (-1, 1):
         idx = np.where(labels == cls)[0]
@@ -358,15 +358,16 @@ def _cross_validate(stack, labels, splits, c_grid, tol):
     return fold_acc.mean(axis=-1)
 
 
-def _evaluate_cell(kind, rank, noise, decomposed, labels, cfg, splits):
-    """Gram stack, `_cross_validate` search and selection of one cell."""
+def _evaluate_cell(kind, rank, noise, decomposed, labels, cfg, splits, p):
+    """Gram stack, `_cross_validate` search and selection of one cell;
+    `p` is the weighting power the run decomposed with."""
     clock = time.perf_counter if cfg.measure_time else (lambda: 0.0)
     t0 = clock()
     try:
         stack = gram_matrix(decomposed, KernelSpec(kind, g=cfg.g_grid))
     except ValueError as err:
         raise ValueError(f"{kind} kernel at rank {rank}, noise {noise}, "
-                         f"p = {cfg.p}: {err}") from err
+                         f"p = {p}: {err}") from err
     t1 = clock()
     acc = _cross_validate(stack, labels, splits, cfg.c_grid, cfg.smo_tol)
     kernel_seconds, train_seconds = t1 - t0, clock() - t1
@@ -411,18 +412,16 @@ def _blas_threads(n):
 
 
 def _load_source(cfg):
-    """List of (noise_value, raw_samples, labels) datasets for the run."""
+    """(labels, [(noise_value, raw_samples), ...]) of the run."""
     if cfg.data_dir is not None:
         ts = load_dataset(cfg.data_dir)
-        return [(math.nan, ts.samples, ts.labels)]
+        return ts.labels, [(math.nan, ts.samples)]
     datasets = []
-    for theta2 in cfg.noise_grid:
-        scfg = replace(cfg.synth, noise_variance=float(theta2))
-        generated = synth.generate(scfg)
-        samples = [s.tensor for s in generated]
-        labels = np.array([s.label for s in generated], dtype=np.float64)
-        datasets.append((float(theta2), samples, labels))
-    return datasets
+    for theta2 in map(float, cfg.noise_grid):
+        generated = synth.generate(replace(cfg.synth, noise_variance=theta2))
+        datasets.append((theta2, [s.tensor for s in generated]))
+    labels = np.array([s.label for s in generated], dtype=np.float64)
+    return labels, datasets
 
 
 @_blas_threads(1)
@@ -443,26 +442,24 @@ def run_experiment(cfg):
     hold for some sample raises ValueError naming the sample and its
     noise level.
     """
-    datasets = _load_source(cfg)
-    labels0 = datasets[0][2]
-    for _, _, lab in datasets[1:]:
-        if not np.array_equal(lab, labels0):
-            raise ValueError("datasets disagree on labels")
-    counts = (int(np.sum(labels0 < 0)), int(np.sum(labels0 > 0)))
+    labels, datasets = _load_source(cfg)
+    counts = (int(np.sum(labels < 0)), int(np.sum(labels > 0)))
     sizes = f"class counts (-1: {counts[0]}, +1: {counts[1]})"
     if max(counts) < cfg.folds:
         raise ValueError(f"{sizes} leave a fold empty with folds = {cfg.folds}")
     if min(counts) < 2:
         raise ValueError(f"{sizes} leave a training fold without one class "
                          f"with folds = {cfg.folds}")
-    splits = _fold_splits(labels0, cfg)
+    splits = _fold_splits(labels, cfg)
+    # weighted_hosvd's default, resolved here so that errors name it
+    order = len(datasets[0][1][0].shape)
+    p = cfg.p if cfg.p is not None else 1.0 / order
 
     rows = []
-    for noise, raw_samples, labels in datasets:
+    for noise, raw_samples in datasets:
         max_rank = min(raw_samples[0].shape)
         by_rank = _decompose_by_rank(
-            raw_samples, [r for r in cfg.rank_grid if r <= max_rank], cfg.p,
-            noise)
+            raw_samples, [r for r in cfg.rank_grid if r <= max_rank], p, noise)
         for rank in cfg.rank_grid:
             for kind in cfg.kernels:
                 if rank not in by_rank:
@@ -470,7 +467,7 @@ def run_experiment(cfg):
                     continue
                 decomposed = derive_kernel_inputs(by_rank[rank], kind)
                 rows.append(_evaluate_cell(
-                    kind, rank, noise, decomposed, labels, cfg, splits))
+                    kind, rank, noise, decomposed, labels, cfg, splits, p))
     rows.sort(key=_row_key)
     return CVReport(rows=rows, config=dataclasses.asdict(cfg))
 

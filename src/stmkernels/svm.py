@@ -32,6 +32,13 @@ class ConvergenceError(RuntimeError):
     """Raised when SMO hits the pair-update cap before meeting tolerance."""
 
 
+def _check_labels(labels):
+    """Refuse labels other than -1 and +1, naming them as plain numbers."""
+    bad = [v for v in np.unique(labels).tolist() if v not in (-1, 1)]
+    if bad:
+        raise ValueError(f"labels must be -1 or +1, found {bad}")
+
+
 @dataclass(eq=False)
 class TrainingSet:
     """Samples with labels in {-1, +1}. Samples are dense or decomposed
@@ -45,9 +52,7 @@ class TrainingSet:
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if len(self.samples) != len(self.labels):
             raise ValueError("sample and label counts differ")
-        bad = [v for v in np.unique(self.labels).tolist() if v not in (-1, 1)]
-        if bad:
-            raise ValueError(f"labels must be -1 or +1, found {bad}")
+        _check_labels(self.labels)
 
 
 @dataclass(eq=False)

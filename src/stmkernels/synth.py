@@ -22,7 +22,7 @@ class-defining draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,26 +38,42 @@ _ROLE_CORE_NOISE = 2
 _ROLE_FACTOR_NOISE = 3
 
 
+def _plain(v):
+    """A numpy scalar as its Python value; anything else as it is."""
+    return v.item() if isinstance(v, np.generic) else v
+
+
+def _sequence(name, v):
+    """The entries of setting `name` as a tuple of plain values; one value
+    or a string is refused."""
+    if (not isinstance(v, (tuple, list, range, np.ndarray))
+            or getattr(v, "ndim", 1) != 1):
+        raise ValueError(f"{name} must be a sequence, got {_plain(v)!r}")
+    return tuple(_plain(e) for e in v)
+
+
 def _check_settings(cfg, integers, flags, reals):
-    """Reject a whole-number setting that is not an integer (True and
-    False included), an on/off setting that is not a bool and a real
-    setting given as True or False, naming the field. Numpy integers and
-    bools are stored as Python ones: the config is echoed to JSON, which
-    writes only Python ints and bools."""
-    for name in integers:
-        v = getattr(cfg, name)
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {v}")
-        object.__setattr__(cfg, name, int(v))
-    for name in flags:
-        v = getattr(cfg, name)
-        if not isinstance(v, (bool, np.bool_)):
-            raise ValueError(f"{name} must be True or False, got {v!r}")
-        object.__setattr__(cfg, name, bool(v))
-    for name in reals:
-        v = getattr(cfg, name)
-        if isinstance(v, (bool, np.bool_)):
-            raise ValueError(f"{name} must be a number, got {v}")
+    """Refuse, naming the field, `integers` that are not integers, `flags`
+    not bools and `reals` not numbers (bools are neither); a `_grid` name is
+    a sequence whose entries are so held, and None passes where it is the
+    default. Numpy values are stored as Python ones, which JSON can write."""
+    optional = {f.name for f in fields(cfg) if f.default is None}
+    rules = [(n, int, "an integer", "integers") for n in integers]
+    rules += [(n, bool, "True or False", None) for n in flags]
+    rules += [(n, (int, float), "a number", "numbers") for n in reals]
+    for name, kind, one, many in rules:
+        v = _plain(getattr(cfg, name))
+        if v is None and name in optional:
+            continue
+        if name.endswith("_grid"):
+            v = _sequence(name, v)
+            for e in v:
+                if isinstance(e, bool) or not isinstance(e, kind):
+                    raise ValueError(f"{name} entries must be {many}, got {e}")
+        elif isinstance(v, bool) != (kind is bool) or not isinstance(v, kind):
+            got = repr(v) if kind is bool else v
+            raise ValueError(f"{name} must be {one}, got {got}")
+        object.__setattr__(cfg, name, v)
 
 
 @dataclass(frozen=True)

@@ -395,7 +395,7 @@ class TestRunExperiment:
         cfg = tiny_experiment(kernels=("wsek",))
         smallest = cfg.c_grid[0]
         assert run_experiment(cfg).rows[0].C == smallest
-        labels = harness._load_source(cfg)[0][2]
+        labels = harness._load_source(cfg)[0]
         last = {tuple(pairs[-1][0]) for pairs in harness._fold_splits(labels, cfg)}
         real_train = harness.train
         failed = []
@@ -582,6 +582,18 @@ class TestRunExperiment:
         ("p", True, "p must be a number, got True"),
         ("p", False, "p must be a number, got False"),
         ("smo_tol", True, "smo_tol must be a number, got True"),
+        ("rank_grid", (True, 2), "rank_grid entries must be integers, got True"),
+        ("rank_grid", (2, np.True_), "rank_grid entries must be integers, got True"),
+        ("c_grid", (True, 2.0), "c_grid entries must be numbers, got True"),
+        ("g_grid", (False, 1.0), "g_grid entries must be numbers, got False"),
+        ("noise_grid", (0.01, np.True_), "noise_grid entries must be numbers, got True"),
+        ("c_grid", 1.0, "c_grid must be a sequence, got 1.0"),
+        ("g_grid", np.float32(2.0), "g_grid must be a sequence, got 2.0"),
+        ("rank_grid", 3, "rank_grid must be a sequence, got 3"),
+        ("noise_grid", 0.1, "noise_grid must be a sequence, got 0.1"),
+        ("kernels", "wsek", "kernels must be a sequence, got 'wsek'"),
+        ("c_grid", {1.0}, "c_grid must be a sequence, got {1.0}"),
+        ("rank_grid", ((1, 2), 3), "rank_grid entries must be integers, got (1, 2)"),
     ])
     def test_unusable_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:
@@ -603,6 +615,53 @@ class TestRunExperiment:
                             tmp_path / "plain")
         for ours, theirs in zip((csv_path, json_path), plain):
             assert open(ours, "rb").read() == open(theirs, "rb").read()
+
+    def test_numpy_float_settings_stored_as_python_values(self, tmp_path):
+        synth_cfg = tiny_synth(mode_size=np.int64(12),
+                               noise_variance=np.float32(0.05),
+                               seed=np.int64(5), freq_uniform=np.bool_(False))
+        cfg = tiny_experiment(
+            synth=synth_cfg, noise_grid=(np.float32(0.01), np.float64(0.1)),
+            rank_grid=np.array([2, 3]), c_grid=(np.float64(0.5), 2.0, 8.0),
+            g_grid=np.array([0.5, 2.0, 8.0], dtype=np.float32),
+            repeats=np.int64(2), p=np.float32(0.5), threads=np.int64(2),
+            smo_tol=np.float64(1e-3), measure_time=np.bool_(False))
+        assert type(synth_cfg.noise_variance) is float
+        assert synth_cfg.noise_variance == float(np.float32(0.05))
+        assert (type(synth_cfg.mode_size), type(synth_cfg.freq_uniform)) == (
+            int, bool)
+        assert cfg.noise_grid == (float(np.float32(0.01)), 0.1)
+        assert cfg.rank_grid == (2, 3) and cfg.g_grid == (0.5, 2.0, 8.0)
+        for name in ("p", "smo_tol", "repeats", "threads", "measure_time"):
+            assert not isinstance(getattr(cfg, name), np.generic), name
+        for name in ("noise_grid", "rank_grid", "c_grid", "g_grid"):
+            entries = getattr(cfg, name)
+            assert type(entries) is tuple, name
+            assert not any(isinstance(v, np.generic) for v in entries), name
+        # the config echo and rows reach summary.json and re-render alike
+        csv_path, json_path = emit_report(run_experiment(cfg), tmp_path)
+        render_csv(load_report(json_path).rows, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == open(csv_path, "rb").read()
+        echo = json.loads(open(json_path).read())["config"]
+        assert echo["p"] == 0.5 and echo["rank_grid"] == [2, 3]
+        assert echo["synth"]["noise_variance"] == synth_cfg.noise_variance
+
+    def test_default_p_named_in_errors(self, tmp_path):
+        # entries near 1e160 overflow the gaussian kernel's squared
+        # distances; the message names the p the run decomposed with
+        samples = generate(tiny_synth(), dense=True)
+        for s in samples:
+            s.tensor = 1e160 * s.tensor / np.abs(s.tensor).max()
+        save_dataset(samples, tmp_path)
+        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path),
+                              kernels=("gaussian",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    r"^gaussian kernel at rank 2, noise nan, "
+                    r"p = 0.3333333333333333: gaussian Gram holds non-finite")):
+                run_experiment(cfg)
+        assert cfg.p is None
 
     @pytest.mark.parametrize("source", ["synth", "data_dir"])
     def test_refused_weighting_names_the_sample(self, tmp_path, source):

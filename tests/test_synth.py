@@ -98,6 +98,8 @@ class TestStructure:
         ("freq_uniform", 1, "freq_uniform must be True or False, got 1"),
         ("noise_variance", True, "noise_variance must be a number, got True"),
         ("noise_variance", np.True_, "noise_variance must be a number, got True"),
+        ("noise_variance", (0.1,), "noise_variance must be a number, got (0.1,)"),
+        ("seed", np.float32(3.0), "seed must be an integer, got 3.0"),
     ])
     def test_unusable_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:
