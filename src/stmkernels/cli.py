@@ -5,7 +5,9 @@ Three subcommands:
 * ``synth``  - generate a synthetic dataset and export it as tensor
   containers plus a manifest.
 * ``run``    - execute an experiment described by a key = value config
-  file and write report.csv / summary.json.
+  file and write report.csv / summary.json. Each key is a field of
+  ExperimentConfig or SynthConfig, parsed by the type its annotation
+  states.
 * ``report`` - re-render the CSV from a previously written summary.json.
 
 On failure a single machine-readable JSON error line goes to stderr and
@@ -64,37 +66,28 @@ def _parse_pow2_grid(text):
     return powers
 
 
-# config key -> parser of its value; the field it sets has the same name,
-# except for the aliases below
-_PARSERS = {
-    "scenario": str,
-    "mode_size": int,
-    "r_exact": int,
-    "r_approx": int,
-    "samples_per_class": int,
-    "freq_uniform": _parse_bool,
-    "data_dir": str,
-    "noise_grid": _parse_float_list,
-    "kernels": _parse_str_list,
-    "rank_grid": _parse_int_list,
-    "c_grid": _parse_float_list,
-    "g_grid": _parse_float_list,
-    "c_grid_log2": _parse_pow2_grid,
-    "g_grid_log2": _parse_pow2_grid,
-    "repeats": int,
-    "folds": int,
-    "seed": int,
-    "p": float,
-    "threads": int,
-    "measure_time": _parse_bool,
-    "smo_tol": float,
-    "output": str,
-}
-_ALIASES = {"c_grid_log2": "c_grid", "g_grid_log2": "g_grid"}
+# parser of a config value, by the (type, grid) of the field it sets
+_PARSE = {(int, False): int, (float, False): float, (bool, False): _parse_bool,
+          (str, False): str, (int, True): _parse_int_list,
+          (float, True): _parse_float_list, (str, True): _parse_str_list}
 
-# keys that configure the synthetic generator (SynthConfig)
-_SYNTH_KEYS = ("scenario", "mode_size", "r_exact", "r_approx",
-               "samples_per_class", "freq_uniform")
+
+def _parsers(cls):
+    """{field of `cls`: parser of its config value}; a field of a type no
+    config value spells (the generator config itself) is no key."""
+    return {name: _PARSE[kind, grid] for name, (kind, grid, _)
+            in synth._settings(cls).items() if (kind, grid) in _PARSE}
+
+
+# config key -> parser of its value; the field it sets has the same name,
+# except for the aliases below. The generator's own keys leave out its seed,
+# which is the run's, and its noise_variance, which noise_grid sets.
+_RUN_PARSERS = _parsers(harness.ExperimentConfig)
+_SYNTH_PARSERS = {k: v for k, v in _parsers(synth.SynthConfig).items()
+                  if k not in _RUN_PARSERS and k != "noise_variance"}
+_ALIASES = {"c_grid_log2": "c_grid", "g_grid_log2": "g_grid"}
+_PARSERS = {**_SYNTH_PARSERS, **_RUN_PARSERS,
+            **dict.fromkeys(_ALIASES, _parse_pow2_grid)}
 
 
 def read_config(path):
@@ -129,7 +122,7 @@ def read_config(path):
         except ValueError as exc:
             raise ValueError(f"config key {key}: {exc}") from None
 
-    synth_keys = {k: values.pop(k) for k in _SYNTH_KEYS if k in values}
+    synth_keys = {k: values.pop(k) for k in _SYNTH_PARSERS if k in values}
     if "data_dir" in values:
         if synth_keys:
             raise ValueError(f"{path}: data_dir excludes synthetic keys")

@@ -6,8 +6,8 @@ Protocol per (kernel, rank, noise) cell: every sample is decomposed once
 per noise level, by one call for all feasible ranks that shares the
 mode-1 SVD, and each rank's decomposition is reused across the whole
 (C, g) grid, at the configured `p` or, when none is set, at
-`weighted_hosvd`'s default 1/order, which the run resolves once so that
-its errors name it. The cell's Grams for every g come from one
+`weighted_hosvd`'s default 1/order; a cell's errors name the `p` its
+decompositions carry. The cell's Grams for every g come from one
 `gram_matrix` call over the whole g grid, which computes each distance
 once. A run has one label vector (`generate` lists class -1 then +1 at
 every noise level, and a data directory is one dataset), and for each
@@ -83,11 +83,11 @@ class ExperimentConfig:
 
     synth: synth.SynthConfig | None = None
     data_dir: str | None = None
-    noise_grid: tuple | None = None
-    kernels: tuple = KINDS
-    rank_grid: tuple = DEFAULT_RANK_GRID
-    c_grid: tuple = DEFAULT_C_GRID
-    g_grid: tuple = DEFAULT_G_GRID
+    noise_grid: tuple[float, ...] | None = None
+    kernels: tuple[str, ...] = KINDS
+    rank_grid: tuple[int, ...] = DEFAULT_RANK_GRID
+    c_grid: tuple[float, ...] = DEFAULT_C_GRID
+    g_grid: tuple[float, ...] = DEFAULT_G_GRID
     repeats: int = 20
     folds: int = 5
     seed: int = 0
@@ -98,11 +98,7 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        synth._check_settings(
-            self, ("repeats", "folds", "seed", "threads", "rank_grid"),
-            ("measure_time",), ("p", "smo_tol", "c_grid", "g_grid", "noise_grid"))
-        object.__setattr__(self, "kernels",
-                           synth._sequence("kernels", self.kernels))
+        synth._check_settings(self)
         if (self.synth is None) == (self.data_dir is None):
             raise ValueError("exactly one of synth/data_dir must be given")
         if self.data_dir is not None and self.noise_grid is not None:
@@ -360,7 +356,7 @@ def _cross_validate(stack, labels, splits, c_grid, tol):
 
 def _evaluate_cell(kind, rank, noise, decomposed, labels, cfg, splits, p):
     """Gram stack, `_cross_validate` search and selection of one cell;
-    `p` is the weighting power the run decomposed with."""
+    `p` is the weighting power of the decompositions, named in errors."""
     clock = time.perf_counter if cfg.measure_time else (lambda: 0.0)
     t0 = clock()
     try:
@@ -451,15 +447,10 @@ def run_experiment(cfg):
         raise ValueError(f"{sizes} leave a training fold without one class "
                          f"with folds = {cfg.folds}")
     splits = _fold_splits(labels, cfg)
-    # weighted_hosvd's default, resolved here so that errors name it
-    order = len(datasets[0][1][0].shape)
-    p = cfg.p if cfg.p is not None else 1.0 / order
-
     rows = []
     for noise, raw_samples in datasets:
-        max_rank = min(raw_samples[0].shape)
-        by_rank = _decompose_by_rank(
-            raw_samples, [r for r in cfg.rank_grid if r <= max_rank], p, noise)
+        feasible = [r for r in cfg.rank_grid if r <= min(raw_samples[0].shape)]
+        by_rank = _decompose_by_rank(raw_samples, feasible, cfg.p, noise)
         for rank in cfg.rank_grid:
             for kind in cfg.kernels:
                 if rank not in by_rank:
@@ -467,7 +458,8 @@ def run_experiment(cfg):
                     continue
                 decomposed = derive_kernel_inputs(by_rank[rank], kind)
                 rows.append(_evaluate_cell(
-                    kind, rank, noise, decomposed, labels, cfg, splits, p))
+                    kind, rank, noise, decomposed, labels, cfg, splits,
+                    by_rank[rank][0].p))
     rows.sort(key=_row_key)
     return CVReport(rows=rows, config=dataclasses.asdict(cfg))
 

@@ -21,8 +21,11 @@ class-defining draws.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields
+import os
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,40 +42,53 @@ _ROLE_FACTOR_NOISE = 3
 
 
 def _plain(v):
-    """A numpy scalar as its Python value; anything else as it is."""
-    return v.item() if isinstance(v, np.generic) else v
+    """A numpy scalar as its Python value, a path as its string; anything
+    else as it is."""
+    if isinstance(v, np.generic):
+        return v.item()
+    return os.fspath(v) if isinstance(v, os.PathLike) else v
 
 
-def _sequence(name, v):
-    """The entries of setting `name` as a tuple of plain values; one value
-    or a string is refused."""
-    if (not isinstance(v, (tuple, list, range, np.ndarray))
-            or getattr(v, "ndim", 1) != 1):
-        raise ValueError(f"{name} must be a sequence, got {_plain(v)!r}")
-    return tuple(_plain(e) for e in v)
+@functools.cache
+def _settings(cls):
+    """{field: (type, grid, optional)} of dataclass `cls`, read from its
+    annotations: `X | None` is an optional X, `tuple[X, ...]` a grid of X."""
+    out = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        optional = type(None) in args
+        if optional:
+            hint, = (a for a in args if a is not type(None))
+        grid = typing.get_origin(hint) is tuple
+        out[name] = (typing.get_args(hint)[0] if grid else hint, grid, optional)
+    return out
 
 
-def _check_settings(cfg, integers, flags, reals):
-    """Refuse, naming the field, `integers` that are not integers, `flags`
-    not bools and `reals` not numbers (bools are neither); a `_grid` name is
-    a sequence whose entries are so held, and None passes where it is the
-    default. Numpy values are stored as Python ones, which JSON can write."""
-    optional = {f.name for f in fields(cfg) if f.default is None}
-    rules = [(n, int, "an integer", "integers") for n in integers]
-    rules += [(n, bool, "True or False", None) for n in flags]
-    rules += [(n, (int, float), "a number", "numbers") for n in reals]
-    for name, kind, one, many in rules:
+_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+          bool: ("True or False", None), str: ("a string", "strings")}
+
+
+def _check_settings(cfg):
+    """Hold every field of `cfg` to its annotation, naming the field it
+    refuses: a float may be any number, bools are neither integers nor
+    numbers, a grid is a sequence (not one value or a string) of entries so
+    held, and an optional field may be None. Numpy values are stored as
+    Python ones and paths as strings, which JSON can write."""
+    for name, (kind, grid, optional) in _settings(type(cfg)).items():
         v = _plain(getattr(cfg, name))
-        if v is None and name in optional:
+        if v is None and optional:
             continue
-        if name.endswith("_grid"):
-            v = _sequence(name, v)
-            for e in v:
-                if isinstance(e, bool) or not isinstance(e, kind):
-                    raise ValueError(f"{name} entries must be {many}, got {e}")
-        elif isinstance(v, bool) != (kind is bool) or not isinstance(v, kind):
-            got = repr(v) if kind is bool else v
-            raise ValueError(f"{name} must be {one}, got {got}")
+        one, many = _NAMES.get(kind, (f"a {kind.__name__}", None))
+        accepted = (int, float) if kind is float else kind
+        if grid:
+            if (not isinstance(v, (tuple, list, range, np.ndarray))
+                    or getattr(v, "ndim", 1) != 1):
+                raise ValueError(f"{name} must be a sequence, got {v!r}")
+            v = tuple(map(_plain, v))
+        for e in v if grid else (v,):
+            if isinstance(e, bool) != (kind is bool) or not isinstance(e, accepted):
+                raise ValueError(f"{name} entries must be {many}, got {e!r}"
+                                 if grid else f"{name} must be {one}, got {e!r}")
         object.__setattr__(cfg, name, v)
 
 
@@ -96,9 +112,7 @@ class SynthConfig:
     freq_uniform: bool = False
 
     def __post_init__(self):
-        _check_settings(self, ("mode_size", "r_exact", "r_approx",
-                               "samples_per_class", "seed"), ("freq_uniform",),
-                        ("noise_variance",))
+        _check_settings(self)
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
         if self.r_approx < 1 or self.r_approx > self.mode_size:

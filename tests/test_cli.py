@@ -1,6 +1,7 @@
 """Command-line surface: synth/run/report subcommands and config parsing."""
 
 import json
+import operator
 
 import pytest
 
@@ -99,6 +100,54 @@ class TestConfigParsing:
             repeats=4, folds=6, seed=17, p=0.75, threads=3,
             measure_time=False, smo_tol=1e-5, output="results")
 
+    def test_each_key_parses_to_its_type(self, tmp_path):
+        # (key, text, field it sets, parsed value) for all 22 keys; c_grid
+        # and g_grid are each set by one of two keys, so two files
+        synthetic = [
+            ("scenario", "core", "synth.scenario", "core"),
+            ("mode_size", "9", "synth.mode_size", 9),
+            ("r_exact", "2", "synth.r_exact", 2),
+            ("r_approx", "4", "synth.r_approx", 4),
+            ("samples_per_class", "7", "synth.samples_per_class", 7),
+            ("freq_uniform", "yes", "synth.freq_uniform", True),
+            ("noise_grid", "0.1, 1", "noise_grid", (0.1, 1.0)),
+            ("kernels", "dusk, wsek", "kernels", ("dusk", "wsek")),
+            ("rank_grid", "1:3", "rank_grid", (1, 2, 3)),
+            ("c_grid", "0.5, 2", "c_grid", (0.5, 2.0)),
+            ("g_grid", "4", "g_grid", (4.0,)),
+            ("repeats", "4", "repeats", 4),
+            ("folds", "6", "folds", 6),
+            ("seed", "17", "synth.seed", 17),
+            ("p", "1", "p", 1.0),
+            ("threads", "3", "threads", 3),
+            ("measure_time", "off", "measure_time", False),
+            ("smo_tol", "1e-5", "smo_tol", 1e-5),
+            ("output", "results", "output", "results"),
+        ]
+        from_dir = [
+            ("data_dir", "some/dir", "data_dir", "some/dir"),
+            ("c_grid_log2", "-1, 3", "c_grid", (0.5, 8.0)),
+            ("g_grid_log2", "2:4", "g_grid", (4.0, 8.0, 16.0)),
+        ]
+        assert len({key for key, *_ in synthetic + from_dir}) == 22
+        path = tmp_path / "exp.cfg"
+        for cases in (synthetic, from_dir):
+            path.write_text("".join(f"{k} = {text}\n" for k, text, *_ in cases))
+            cfg = read_config(path)
+            for key, _, field, expected in cases:
+                value = operator.attrgetter(field)(cfg)
+                assert value == expected, key
+                assert type(value) is type(expected), key
+                if isinstance(expected, tuple):
+                    assert list(map(type, value)) == list(map(type, expected)), key
+        assert cfg.seed == 0 and cfg.synth is None
+        # fields of either config that no key sets, and near misses
+        for key in ("synth", "noise_variance", "c_grid_log10", "Seed"):
+            path.write_text(f"scenario = leaf\n{key} = 1\n")
+            with pytest.raises(ValueError) as err:
+                read_config(path)
+            assert str(err.value) == f"{path}: unknown config key {key!r}"
+
     def test_parse_error_names_the_key(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("scenario = leaf\nfolds = 2.5\n")
@@ -138,6 +187,7 @@ class TestConfigParsing:
         ("data_dir = d\nnoise_grid = 0.5, 0.7\n",
          "{path}: data_dir excludes noise_grid"),
         ("folds = 3\n", "{path}: either scenario or data_dir is required"),
+        ("scenario = leaf\nfolds 3\n", "{path}:2: expected 'key = value'"),
     ])
     def test_error_messages(self, tmp_path, text, message):
         path = tmp_path / "exp.cfg"

@@ -86,6 +86,37 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="unknown label"):
             load_dataset(tmp_path)
 
+    def test_missing_manifest_rejected(self, tmp_path):
+        with pytest.raises(ValueError) as err:
+            load_dataset(tmp_path)
+        assert str(err.value) == f"{tmp_path}: no {MANIFEST_NAME} found"
+
+    @pytest.mark.parametrize("text, message", [
+        ("sample_0000.tnsr,-1\nsample_0001.tnsr\n",
+         "{manifest}:2: expected '<path>,<label>'"),
+        ("", "{manifest}: empty manifest"),
+        ("# no samples\n\n", "{manifest}: empty manifest"),
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, text, message):
+        save_dataset(generate(tiny_synth(samples_per_class=1)), tmp_path)
+        manifest = tmp_path / MANIFEST_NAME
+        manifest.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_dataset(tmp_path)
+        assert str(err.value) == message.format(manifest=manifest)
+
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        data = generate(tiny_synth(samples_per_class=1), dense=True)
+        save_dataset(data, tmp_path)
+        manifest = tmp_path / MANIFEST_NAME
+        lines = manifest.read_text().splitlines()
+        manifest.write_text(f"# two samples\n\n{lines[0]}\n   \n"
+                            f"# the +1 sample\n{lines[1]}\n")
+        ts = load_dataset(tmp_path)
+        assert list(ts.labels) == [-1.0, 1.0]
+        for orig, loaded in zip(data, ts.samples):
+            assert np.array_equal(orig.tensor, loaded)
+
     def test_truncated_tensor_names_file(self, tmp_path):
         data = generate(tiny_synth(samples_per_class=1), dense=True)
         save_dataset(data, tmp_path)
@@ -436,6 +467,14 @@ class TestRunExperiment:
         assert bad and all(math.isnan(r.mean_acc) for r in bad)
         assert good and all(not math.isnan(r.mean_acc) for r in good)
 
+    def test_every_rank_infeasible_decomposes_nothing(self, monkeypatch):
+        from stmkernels import harness
+        monkeypatch.setattr(harness, "weighted_hosvd", _no_decomposition)
+        rows = run_experiment(tiny_experiment(rank_grid=(13, 20))).rows
+        assert [(r.kernel, r.rank) for r in rows] == [
+            (k, r) for k in ("subspace", "wsek") for r in (13, 20)]
+        assert all(math.isnan(r.mean_acc) and math.isnan(r.C) for r in rows)
+
     def test_rank_grid_rows_equal_separate_runs(self):
         # decomposing all ranks together changes no bit of any row
         together = run_experiment(tiny_experiment(rank_grid=(1, 2, 13))).rows
@@ -594,6 +633,13 @@ class TestRunExperiment:
         ("kernels", "wsek", "kernels must be a sequence, got 'wsek'"),
         ("c_grid", {1.0}, "c_grid must be a sequence, got {1.0}"),
         ("rank_grid", ((1, 2), 3), "rank_grid entries must be integers, got (1, 2)"),
+        ("synth", {"scenario": "leaf"},
+         "synth must be a SynthConfig, got {'scenario': 'leaf'}"),
+        ("data_dir", 3, "data_dir must be a string, got 3"),
+        ("output", 3, "output must be a string, got 3"),
+        ("kernels", (1,), "kernels entries must be strings, got 1"),
+        ("seed", "3", "seed must be an integer, got '3'"),
+        ("p", "0.5", "p must be a number, got '0.5'"),
     ])
     def test_unusable_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:
@@ -645,6 +691,16 @@ class TestRunExperiment:
         echo = json.loads(open(json_path).read())["config"]
         assert echo["p"] == 0.5 and echo["rank_grid"] == [2, 3]
         assert echo["synth"]["noise_variance"] == synth_cfg.noise_variance
+
+    def test_path_settings_stored_as_strings(self, tmp_path):
+        data = tmp_path / "data"
+        save_dataset(generate(tiny_synth()), data)
+        cfg = tiny_experiment(synth=None, data_dir=data, noise_grid=None,
+                              output=tmp_path / "out")
+        assert (cfg.data_dir, cfg.output) == (str(data), str(tmp_path / "out"))
+        _, json_path = emit_report(run_experiment(cfg), cfg.output)
+        echo = json.loads(open(json_path).read())["config"]
+        assert (echo["data_dir"], echo["output"]) == (cfg.data_dir, cfg.output)
 
     def test_default_p_named_in_errors(self, tmp_path):
         # entries near 1e160 overflow the gaussian kernel's squared
