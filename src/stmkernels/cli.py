@@ -95,7 +95,8 @@ def read_config(path):
 
     Every field defaults to the reference protocol values; unknown keys
     are rejected, and so is a field set twice (an alias and its target
-    count as one field). Lines starting with # are comments.
+    count as one field). A # starts a comment anywhere on a line, so a
+    value cannot contain #.
     """
     entries = {}  # field -> (line, key, value)
     with open(path) as fh:

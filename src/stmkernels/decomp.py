@@ -17,13 +17,17 @@ then the SVD of the M x M triangle L. That is the first half of what
 are bitwise the same; only the right singular vectors, which nothing
 here reads, are never formed. Tall, square and narrower unfoldings, a
 numpy without an ILP64 dgelqf, and magnitudes that dgesdd would rescale
-take the plain `np.linalg.svd` call. dgelqf is bound by `_numpy_symbol`,
-the one lookup of a function in numpy's LAPACK or BLAS; the harness
-takes OpenBLAS's thread-count functions from it too.
+take the plain `np.linalg.svd` call.
+
+This is the one module that reaches numpy's native libraries, all
+through `_numpy_symbol`, a lookup in numpy's linalg extension that finds
+the LAPACK and BLAS `np.linalg` calls, on any OS: it binds dgelqf, and
+`_blas_threads` sets numpy's OpenBLAS thread count for a call's length.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import warnings
@@ -241,6 +245,35 @@ def _numpy_symbol(names, argtypes, restype):
     return None
 
 
+# (get, set) thread-count functions, by the names OpenBLAS builds export
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@contextlib.contextmanager
+def _blas_threads(n):
+    """Run the body with numpy's BLAS on `n` threads; restore the caller's
+    thread count on return or raise. Does nothing when numpy's BLAS is not
+    an OpenBLAS."""
+    for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+        get = _numpy_symbol((get_name,), [], ctypes.c_int)
+        put = _numpy_symbol((set_name,), [ctypes.c_int], None)
+        if get is not None and put is not None:
+            break
+    else:  # numpy's BLAS is not an OpenBLAS
+        yield
+        return
+    before = get()
+    put(n)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 @functools.lru_cache(maxsize=None)
 def _dgelqf():
     """numpy's own ILP64 LAPACK dgelqf, or None. Bound on first use."""
@@ -330,7 +363,11 @@ def weighted_hosvd(t, ranks, p=None):
     to a separate call with that tuple.
 
     Requested ranks are additionally capped by the column count of each
-    unfolding (directions beyond it carry zero singular values).
+    unfolding (directions beyond it carry zero singular values). The SVDs
+    run on the caller's BLAS threads, and a multi-threaded SVD rounds
+    differently, so the bits can follow the host's core count (they did
+    at mode 100, not at 64) unless the caller pins one thread, as
+    `run_experiment` does with `_blas_threads(1)`.
     """
     t = np.asarray(t, dtype=np.float64)
     ranks = list(ranks)

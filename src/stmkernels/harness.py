@@ -24,19 +24,14 @@ smaller C, then the smaller g. Reported numbers are the mean of the
 selected accuracies over repeats, the sample standard deviation, and the
 normal approximation 95% half-width 1.96 * std / sqrt(repeats).
 
-A run computes with numpy's own OpenBLAS (found through numpy's linalg
-extension, on any OS) set to one thread and gives the caller's thread
-count back when it ends. A multi-threaded SVD rounds differently from
-a single-threaded one, so one thread makes every report independent of
-the host's core count; at the mode sizes of the benchmark's workloads
-(50 to 100) the small per-sample SVDs are also as fast or faster on
-one thread.
+A run computes on one BLAS thread (`decomp._blas_threads`), so that every
+report is independent of the host's core count; at the mode sizes of the
+benchmark's workloads (50 to 100) the small per-sample SVDs are also as
+fast or faster on one thread.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import dataclasses
 import json
 import math
@@ -53,13 +48,6 @@ from .svm import ConvergenceError, TrainingSet, predict_from_gram, train
 from .tensor import load_tensor, save_tensor
 
 MANIFEST_NAME = "manifest.txt"
-
-# (get, set) thread-count functions, by the names OpenBLAS builds export
-_OPENBLAS_THREAD_CALLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
 
 DEFAULT_C_GRID = tuple(2.0 ** k for k in range(-8, 9))
 DEFAULT_G_GRID = tuple(2.0 ** k for k in range(-4, 13))
@@ -380,33 +368,6 @@ def _evaluate_cell(kind, rank, noise, decomposed, labels, cfg, splits, p):
                       cfg.g_grid[j], kernel_seconds, train_seconds)
 
 
-def _blas_thread_calls():
-    """[(get, set)] thread-count functions of numpy's own OpenBLAS; empty
-    when numpy's BLAS is not an OpenBLAS."""
-    for get_name, set_name in _OPENBLAS_THREAD_CALLS:
-        get = decomp._numpy_symbol((get_name,), [], ctypes.c_int)
-        put = decomp._numpy_symbol((set_name,), [ctypes.c_int], None)
-        if get is not None and put is not None:
-            return [(get, put)]
-    return []
-
-
-@contextlib.contextmanager
-def _blas_threads(n):
-    """Run the body with numpy's BLAS on `n` threads; restore the caller's
-    thread count on return or raise. Does nothing when numpy's BLAS is not
-    an OpenBLAS."""
-    calls = _blas_thread_calls()
-    before = [get() for get, _ in calls]
-    for _, put in calls:
-        put(n)
-    try:
-        yield
-    finally:
-        for (_, put), k in zip(calls, before):
-            put(k)
-
-
 def _load_source(cfg):
     """(labels, [(noise_value, raw_samples), ...]) of the run."""
     if cfg.data_dir is not None:
@@ -420,7 +381,7 @@ def _load_source(cfg):
     return labels, datasets
 
 
-@_blas_threads(1)
+@decomp._blas_threads(1)
 def run_experiment(cfg):
     """Execute the full grid and return a CVReport.
 
@@ -429,14 +390,13 @@ def run_experiment(cfg):
     The (noise, rank) groups run serially in a deterministic order, and
     the whole run computes with numpy's BLAS on one thread: a multi-
     threaded SVD rounds differently, so the report would follow the
-    host's core count. The caller's thread count is restored on return
-    or raise. `threads` is echoed in the config but changes nothing. Raises
-    ValueError before any decomposition when a class is too small for
-    `folds`: fewer than `folds` samples in the largest class leaves a
-    fold empty, and a class of fewer than 2 samples leaves a training
-    fold without it. A weighting power `p` whose sigma**p float64 cannot
-    hold for some sample raises ValueError naming the sample and its
-    noise level.
+    host's core count. `threads` is echoed in the config but changes
+    nothing. Raises ValueError before any decomposition when a class is
+    too small for `folds`: fewer than `folds` samples in the largest
+    class leaves a fold empty, and a class of fewer than 2 samples leaves
+    a training fold without it. A weighting power `p` whose sigma**p
+    float64 cannot hold for some sample raises ValueError naming the
+    sample and its noise level.
     """
     labels, datasets = _load_source(cfg)
     counts = (int(np.sum(labels < 0)), int(np.sum(labels > 0)))

@@ -1,13 +1,17 @@
 """Weighted HOSVD, CP-ALS, TT-SVD, and the conversions to CP."""
 
+import ctypes
 import warnings
 
 import numpy as np
 import pytest
 
+from stmkernels import decomp
 from stmkernels.decomp import (
     SIGMA_FLOOR,
     KruskalTensor,
+    TTTensor,
+    TuckerTensor,
     cp_als,
     equilibrate,
     fix_signs,
@@ -354,6 +358,23 @@ class TestCpAls:
         with pytest.raises(ValueError, match="positive"):
             cp_als(np.ones((2, 2, 2)), 0)
 
+    def test_rank_above_the_unfoldings_is_padded(self):
+        # each unfolding gives 2 singular vectors; the third column is drawn
+        rng = np.random.default_rng(13)
+        kt, _ = cp_als(rng.standard_normal((2, 2, 2)), 3)
+        assert kt.rank == 3
+        assert [f.shape for f in kt.factors] == [(2, 3)] * 3
+
+    def test_rank_deficient_sweep_returns_the_initial_iterate(self):
+        rng = np.random.default_rng(14)
+        t = rank_one_sum([rng.standard_normal((i, 1)) for i in (6, 5, 4)])
+        with pytest.warns(UserWarning,
+                          match="rank-deficient least-squares system"):
+            kt, info = cp_als(t, 3)
+        assert info["degenerate"] is True
+        assert info["iterations"] == 0
+        assert kt.rank == 3
+
     def test_tiny_scale_runs_the_unit_scale_sweeps(self):
         # at 2**-600 the factor Grams of an unscaled sweep underflow and
         # the first solve is flagged rank-deficient
@@ -509,6 +530,50 @@ class TestKruskalValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             KruskalTensor([np.zeros((3, 2)), np.zeros((3, 2))],
                           weights=np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TuckerTensor(np.zeros((2, 2)), [np.eye(2)]),
+     "one factor matrix per core mode is required"),
+    (lambda: TuckerTensor(np.zeros((2, 2)), [np.eye(2), np.eye(3)]),
+     "factor 2 has (3, 3) but core mode 2 has size 2"),
+    (lambda: TuckerTensor(np.zeros((2, 2)), [np.eye(2)] * 2,
+                          sigmas=[[2.0, 1.0], [1.0]]),
+     "sigma vector 2 length mismatch"),
+    (lambda: TuckerTensor(np.zeros((2, 2)), [np.eye(2)] * 2,
+                          sigmas=[[1.0, 2.0], [2.0, 1.0]]),
+     "sigmas of mode 1 are not nonincreasing"),
+    (lambda: TuckerTensor(np.zeros((2, 2)), [np.eye(2)] * 2, p=0.5),
+     "nonzero weighting power requires sigma vectors"),
+    (lambda: KruskalTensor([np.zeros((3, 2))] * 2, weights=np.ones(3)),
+     "weights length must equal the rank"),
+    (lambda: TTTensor([]), "at least one core is required"),
+    (lambda: TTTensor([np.zeros((2, 3, 1))]), "boundary ranks must equal 1"),
+    (lambda: TTTensor([np.zeros((1, 3, 2)), np.zeros((3, 3, 1))]),
+     "rank mismatch between cores 1 and 2"),
+    (lambda: reweight(TuckerTensor(np.ones((1, 1)), [np.ones((2, 1))] * 2),
+                      0.5),
+     "cannot reweight without sigma vectors"),
+    (lambda: tt_svd(np.ones((3, 3, 3)), (2,)),
+     "expected 2 interior ranks, got 1"),
+])
+def test_malformed_representations_rejected(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+class TestNumpySymbol:
+    def test_none_when_the_extension_cannot_be_opened(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        assert decomp._numpy_symbol(("dgelqf_64_",), [], None) is None
+
+    def test_none_when_no_name_resolves(self):
+        assert decomp._numpy_symbol(("no_such_function_", "nor_this_"),
+                                    [], None) is None
 
 
 def test_no_spurious_warnings_in_normal_paths():

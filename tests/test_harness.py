@@ -640,6 +640,7 @@ class TestRunExperiment:
         ("kernels", (1,), "kernels entries must be strings, got 1"),
         ("seed", "3", "seed must be an integer, got '3'"),
         ("p", "0.5", "p must be a number, got '0.5'"),
+        ("repeats", 0, "repeats must be at least 1"),
     ])
     def test_unusable_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:
@@ -750,58 +751,66 @@ class TestRunExperiment:
                 run_experiment(cfg)
 
 
-def _blas_calls_or_skip():
-    from stmkernels import harness
-    calls = harness._blas_thread_calls()
-    if not calls:
+def _linalg_blas_threads():
+    """Thread count of numpy's OpenBLAS, read straight through numpy's
+    linalg extension; None when it exports no thread-count function."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("scipy_openblas_get_num_threads64_",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get()
+    return None
+
+
+def _openblas_or_skip():
+    if _linalg_blas_threads() is None:
         pytest.skip("numpy's BLAS is not a mapped OpenBLAS")
-    return calls
-
-
-def _blas_counts(calls):
-    return [get() for get, _ in calls]
 
 
 class TestBlasThreads:
     def test_run_computes_on_one_blas_thread(self, monkeypatch):
-        calls = _blas_calls_or_skip()
-        from stmkernels import harness
+        _openblas_or_skip()
+        from stmkernels import decomp, harness
         seen = []
         real = harness.weighted_hosvd
 
         def recording(*args, **kwargs):
-            seen.append(_blas_counts(calls))
+            seen.append(_linalg_blas_threads())
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "weighted_hosvd", recording)
-        with harness._blas_threads(2):
+        with decomp._blas_threads(2):
             run_experiment(tiny_experiment())
-            assert _blas_counts(calls) == [2] * len(calls)
+            assert _linalg_blas_threads() == 2
         assert len(seen) == 12
-        assert all(threads == [1] * len(calls) for threads in seen)
+        assert all(threads == 1 for threads in seen)
 
     def test_caller_threads_restored_after_raise(self, monkeypatch):
-        calls = _blas_calls_or_skip()
-        from stmkernels import harness
+        _openblas_or_skip()
+        from stmkernels import decomp, harness
         monkeypatch.setattr(harness, "weighted_hosvd", _no_decomposition)
         cfg = tiny_experiment(synth=tiny_synth(samples_per_class=2), folds=3)
-        with harness._blas_threads(2):
+        with decomp._blas_threads(2):
             with pytest.raises(ValueError, match="leave a fold empty"):
                 run_experiment(cfg)
-            assert _blas_counts(calls) == [2] * len(calls)
+            assert _linalg_blas_threads() == 2
 
     def test_run_without_openblas_gives_the_same_report(self, tmp_path,
                                                         monkeypatch):
-        from stmkernels import decomp, harness
+        from stmkernels import decomp
         cfg = tiny_experiment()
         pinned = emit_report(run_experiment(cfg), tmp_path / "pinned")
         # a numpy whose linalg extension resolves no symbol: no pin, and
         # every SVD takes the plain route
         decomp._dgelqf.cache_clear()
         try:
-            with monkeypatch.context() as m:
+            with decomp._blas_threads(2), monkeypatch.context() as m:
                 m.setattr(decomp, "_numpy_symbol", lambda *args: None)
-                assert harness._blas_thread_calls() == []
+                before = _linalg_blas_threads()  # 2, or None without OpenBLAS
+                with decomp._blas_threads(3):
+                    assert _linalg_blas_threads() == before
                 assert decomp._dgelqf() is None
                 unpinned = emit_report(run_experiment(cfg),
                                        tmp_path / "unpinned")
@@ -811,28 +820,18 @@ class TestBlasThreads:
             assert open(ours, "rb").read() == open(theirs, "rb").read()
 
     def test_pin_reaches_the_blas_numpy_linalg_calls(self):
-        _blas_calls_or_skip()
-        from stmkernels import harness
-
-        def linalg_threads():
-            # read straight through numpy's linalg extension
-            lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-            for get_name, _ in harness._OPENBLAS_THREAD_CALLS:
-                get = getattr(lib, get_name, None)
-                if get is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    return get()
-
-        before = linalg_threads()
-        with harness._blas_threads(3):
-            assert linalg_threads() == 3
-        assert linalg_threads() == before
+        _openblas_or_skip()
+        from stmkernels import decomp
+        before = _linalg_blas_threads()
+        with decomp._blas_threads(3):
+            assert _linalg_blas_threads() == 3
+        assert _linalg_blas_threads() == before
 
     def test_report_independent_of_caller_blas_threads(self, tmp_path):
         # decomp_ranks' config at experiment seed 1000: a two-thread
         # mode-100 SVD moves the rank-4 cell from 0.7 to 0.9
-        _blas_calls_or_skip()
-        from stmkernels import harness
+        _openblas_or_skip()
+        from stmkernels import decomp
         cfg = ExperimentConfig(
             synth=SynthConfig("leaf", mode_size=100, r_approx=3,
                               samples_per_class=5, seed=1000),
@@ -841,7 +840,7 @@ class TestBlasThreads:
             g_grid=tuple(2.0 ** k for k in (-4, 0, 4, 8, 12)),
             repeats=1, folds=5, seed=1000, measure_time=False)
         for n in (1, 2):
-            with harness._blas_threads(n):
+            with decomp._blas_threads(n):
                 emit_report(run_experiment(cfg), tmp_path / str(n))
         one, two = ((tmp_path / str(n) / "report.csv").read_bytes()
                     for n in (1, 2))

@@ -409,6 +409,18 @@ class TestGramMatrix:
             k = gram_matrix(samples, KernelSpec(kind, g=2.0))
             assert np.all(np.diag(k) == 1.0)
 
+    @pytest.mark.parametrize("samples, kind, error, message", [
+        ([], "gaussian", ValueError, "empty sample list"),
+        ([np.ones((2, 2))], "dusk", TypeError,
+         "dusk kernel requires KruskalTensor inputs"),
+        ([np.float64(1.0)], "gaussian", TypeError,
+         "unsupported tensor representation float64"),
+    ])
+    def test_unusable_samples_rejected(self, samples, kind, error, message):
+        with pytest.raises(error) as err:
+            gram_matrix(samples, KernelSpec(kind, g=1.0))
+        assert str(err.value) == message
+
     def test_heterogeneous_rejected(self):
         rng = np.random.default_rng(27)
         x = random_tucker(rng)

@@ -206,6 +206,15 @@ class TestErrors:
         with pytest.raises(ValueError, match="both classes"):
             train(TrainingSet([0, 1], np.array([1.0, 1.0])), np.eye(2), 1.0)
 
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^sample and label counts differ$"):
+            TrainingSet([0, 1, 2], np.array([1.0, -1.0]))
+
+    def test_gram_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=(
+                r"^gram shape \(3, 3\) does not match 2 samples$")):
+            train(TrainingSet([0, 1], np.array([1.0, -1.0])), np.eye(3), 1.0)
+
     def test_nonsymmetric_gram_rejected(self):
         k = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError, match="not symmetric"):
@@ -300,6 +309,14 @@ class TestKernelBackedPrediction:
         model = train(TrainingSet(samples, y), k, C=10.0, tol=1e-10, spec=grid)
         with pytest.raises(ValueError, match="not a grid"):
             decision_value(model, samples[0])
+
+    def test_model_without_spec_rejected_by_decision_value(self):
+        rng = np.random.default_rng(11)
+        pts, y, k = random_instance(rng, 6)
+        model = train(TrainingSet(list(pts), y), k, C=1.0)
+        with pytest.raises(ValueError, match=(
+                "^model carries no kernel spec; use decision_from_gram$")):
+            decision_value(model, pts[0])
 
     def test_objective_helper(self):
         rng = np.random.default_rng(9)

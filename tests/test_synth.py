@@ -100,6 +100,8 @@ class TestStructure:
         ("noise_variance", np.True_, "noise_variance must be a number, got True"),
         ("noise_variance", (0.1,), "noise_variance must be a number, got (0.1,)"),
         ("seed", np.float32(3.0), "seed must be an integer, got 3.0"),
+        ("r_exact", 0, "r_exact must be positive"),
+        ("samples_per_class", 0, "samples_per_class must be positive"),
     ])
     def test_unusable_settings_rejected(self, field, value, message):
         with pytest.raises(ValueError) as err:

@@ -1,6 +1,8 @@
 """Dense tensor primitives: unfolding, folding, mode products, norms,
 and the binary container."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,10 @@ class TestFold:
         mat = np.array([[1.0, 3.0, 5.0, 7.0], [2.0, 4.0, 6.0, 8.0]])
         t = fold(mat, 1, (2, 2, 2))
         assert np.array_equal(t.ravel(order="F"), np.arange(1.0, 9.0))
+
+    def test_mode_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^mode 3 out of range 1\.\.2$"):
+            fold(np.zeros((2, 2)), 3, (2, 2))
 
     def test_wrong_element_count(self):
         with pytest.raises(ValueError, match="cannot fold"):
@@ -182,11 +188,31 @@ class TestContainer:
 
     def test_rejects_high_order(self, tmp_path):
         path = tmp_path / "t.tnsr"
-        import struct
         payload = b"TNSR" + struct.pack("<I", 9) + struct.pack("<Q", 1) * 9 + b"\x00" * 8
         path.write_bytes(payload)
         with pytest.raises(ValueError, match="order 9"):
             load_tensor(path)
+
+    def test_high_order_not_written(self, tmp_path):
+        path = tmp_path / "t.tnsr"
+        with pytest.raises(ValueError) as err:
+            save_tensor(path, np.zeros((1,) * 9))
+        assert str(err.value) == "tensor order 9 exceeds maximum 8"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("payload, message", [
+        (b"TNSR\x02", "truncated header, expected at least 8 bytes"),
+        (b"TNSR" + struct.pack("<IQ", 2, 3),
+         "truncated dims, expected at least 24 bytes"),
+        (b"TNSR" + struct.pack("<IQQ", 2, 3, 0),
+         "nonpositive mode size in (3, 0)"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, payload, message):
+        path = tmp_path / "t.tnsr"
+        path.write_bytes(payload)
+        with pytest.raises(ValueError) as err:
+            load_tensor(path)
+        assert str(err.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 4)])
     def test_zero_size_mode_not_written(self, tmp_path, shape):
