@@ -670,9 +670,8 @@ def tt_to_cp(tt):
     factors = [tt.cores[0][0][:, idx[0]] if interior else tt.cores[0][0]]
     for m in range(1, tt.order - 1):
         factors.append(tt.cores[m][idx[m - 1], :, idx[m]].T)
-    if tt.order > 1:
-        factors.append(tt.cores[-1][idx[-1], :, 0].T if interior
-                       else tt.cores[-1][:, :, 0].T)
+    if tt.order > 1:  # then `interior` is nonempty
+        factors.append(tt.cores[-1][idx[-1], :, 0].T)
     return equilibrate(KruskalTensor(factors, np.ones(rank)))
 
 

@@ -2,6 +2,11 @@
 noise level for all ranks, grid search over (C, g) with repeated
 stratified k-fold cross-validation, and deterministic CSV/JSON reporting.
 
+A run holds one dense sample at a time: a data directory's manifest is
+read first (labels and their checks), and each tensor is then read,
+checked, decomposed and dropped in turn; a generated sample is made
+dense from its Tucker form just before its decomposition.
+
 Protocol per (kernel, rank, noise) cell: every sample is decomposed once
 per noise level, by one call for all feasible ranks that shares the
 mode-1 SVD, and each rank's decomposition is reused across the whole
@@ -200,12 +205,27 @@ def load_dataset(data_dir):
 
     Labels 0/-1 map to -1 and 1/+1 to +1; anything else is rejected, as
     are missing files, malformed containers, NaN or inf entries, and mixed
-    shapes.
+    shapes. The whole manifest is checked before any tensor is read; the
+    tensors are then read, and refused, in manifest order. This is the
+    list of the reader that a `data_dir` run streams (`_open_dataset`).
+    """
+    labels, samples = _open_dataset(data_dir)
+    return TrainingSet(list(samples), labels)
+
+
+def _open_dataset(data_dir):
+    """(labels, samples) of a manifest directory.
+
+    The manifest is read and checked now: a missing or empty manifest, a
+    malformed line and an unknown label are refused before any tensor is
+    read. `samples` is an iterator that reads one dense tensor per
+    manifest entry when asked for it, refusing a malformed container, NaN
+    or inf entries, and a shape other than the first sample's.
     """
     manifest = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise ValueError(f"{data_dir}: no {MANIFEST_NAME} found")
-    samples = []
+    paths = []
     labels = []
     with open(manifest) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -221,20 +241,27 @@ def load_dataset(data_dir):
             if label_txt not in _LABEL_MAP:
                 raise ValueError(
                     f"{manifest}:{lineno}: unknown label {label_txt!r}")
-            path = os.path.join(data_dir, rel.strip())
-            t = load_tensor(path)
-            if not np.isfinite(t).all():
-                raise ValueError(f"{path}: tensor holds NaN or inf values")
-            samples.append(t)
+            paths.append(os.path.join(data_dir, rel.strip()))
             labels.append(_LABEL_MAP[label_txt])
-    if not samples:
+    if not paths:
         raise ValueError(f"{manifest}: empty manifest")
-    shape = samples[0].shape
-    for k, s in enumerate(samples):
-        if s.shape != shape:
+    return np.array(labels, dtype=np.float64), _read_tensors(manifest, paths)
+
+
+def _read_tensors(manifest, paths):
+    """Yield the checked dense tensor at each of `paths` in turn, holding
+    none of them between yields."""
+    for k, path in enumerate(paths):
+        t = load_tensor(path)
+        if not np.isfinite(t).all():
+            raise ValueError(f"{path}: tensor holds NaN or inf values")
+        if k == 0:
+            shape = t.shape
+        if t.shape != shape:
             raise ValueError(
-                f"{manifest}: sample {k} has shape {s.shape}, expected {shape}")
-    return TrainingSet(samples, np.array(labels, dtype=np.float64))
+                f"{manifest}: sample {k} has shape {t.shape}, expected {shape}")
+        yield t
+        del t
 
 
 # ---------------------------------------------------------------------------
@@ -271,29 +298,40 @@ def _fold_splits(labels, cfg):
 
 
 def _decompose_by_rank(raw_samples, ranks, p, noise):
-    """{rank: one TuckerTensor per sample} for every rank in `ranks`.
+    """{rank: one TuckerTensor per sample} for every rank in `ranks` that
+    no mode size of the first sample is below (all samples share its
+    shape).
 
-    Each sample is made dense once and decomposed by one weighted_hosvd
-    call for all ranks, which computes its mode-1 SVD once. A refused
-    decomposition is re-raised naming the sample (its index in
-    generation or manifest order) and the noise level.
+    `raw_samples` is iterated once and may be a data directory's lazy
+    reader. Each sample is made dense, decomposed by one weighted_hosvd
+    call for all ranks (which computes its mode-1 SVD once) and dropped
+    before the next is read or built. A refused decomposition is
+    re-raised naming the sample (its index in generation or manifest
+    order) and the noise level; a sample the reader refuses is reported
+    when it is read, after the samples before it were decomposed. With no
+    rank feasible every sample is still read, so a bad one is still
+    refused.
     """
-    out = {rank: [] for rank in ranks}
-    if not out:
-        return out
-    for k, s in enumerate(raw_samples):
-        dense = s if isinstance(s, np.ndarray) else tucker_reconstruct(s)
-        grid = [(rank,) * dense.ndim for rank in out]
-        try:
-            decomposed = weighted_hosvd(dense, grid, p)
-        except ValueError as err:
-            raise ValueError(f"sample {k} at noise {noise}: {err}") from err
-        for tuckers, tk in zip(out.values(), decomposed):
-            tuckers.append(tk)
-        # freed before the next sample's is built, so malloc can reuse
-        # its memory: with two alive at once, peak RSS moved by one dense
-        # tensor from run to run
-        del dense
+    out = {}
+    k = 0  # not enumerate: its reused tuple would hold the last sample
+    for s in raw_samples:
+        if k == 0:
+            out = {rank: [] for rank in ranks if rank <= min(s.shape)}
+        if out:
+            dense = s if isinstance(s, np.ndarray) else tucker_reconstruct(s)
+            grid = [(rank,) * dense.ndim for rank in out]
+            try:
+                decomposed = weighted_hosvd(dense, grid, p)
+            except ValueError as err:
+                raise ValueError(f"sample {k} at noise {noise}: {err}") from err
+            for tuckers, tk in zip(out.values(), decomposed):
+                tuckers.append(tk)
+            # freed before the next sample's is built, so malloc can reuse
+            # its memory: with two alive at once, peak RSS moved by one
+            # dense tensor from run to run
+            del dense
+        del s
+        k += 1
     return out
 
 
@@ -369,10 +407,14 @@ def _evaluate_cell(kind, rank, noise, decomposed, labels, cfg, splits, p):
 
 
 def _load_source(cfg):
-    """(labels, [(noise_value, raw_samples), ...]) of the run."""
+    """(labels, [(noise_value, raw_samples), ...]) of the run. A data
+    directory's manifest is read and checked here; its raw samples are
+    `_open_dataset`'s reader, which reads each tensor when asked for it.
+    Generated raw samples are Tucker tensors, made dense one at a time
+    by `_decompose_by_rank`."""
     if cfg.data_dir is not None:
-        ts = load_dataset(cfg.data_dir)
-        return ts.labels, [(math.nan, ts.samples)]
+        labels, samples = _open_dataset(cfg.data_dir)
+        return labels, [(math.nan, samples)]
     datasets = []
     for theta2 in map(float, cfg.noise_grid):
         generated = synth.generate(replace(cfg.synth, noise_variance=theta2))
@@ -391,12 +433,15 @@ def run_experiment(cfg):
     the whole run computes with numpy's BLAS on one thread: a multi-
     threaded SVD rounds differently, so the report would follow the
     host's core count. `threads` is echoed in the config but changes
-    nothing. Raises ValueError before any decomposition when a class is
-    too small for `folds`: fewer than `folds` samples in the largest
-    class leaves a fold empty, and a class of fewer than 2 samples leaves
-    a training fold without it. A weighting power `p` whose sigma**p
-    float64 cannot hold for some sample raises ValueError naming the
-    sample and its noise level.
+    nothing. Raises ValueError before any tensor is read or decomposed
+    when a class is too small for `folds`: fewer than `folds` samples in
+    the largest class leaves a fold empty, and a class of fewer than 2
+    samples leaves a training fold without it. A weighting power `p`
+    whose sigma**p float64 cannot hold for some sample raises ValueError
+    naming the sample and its noise level. A `data_dir` sample is read
+    only when its turn to be decomposed comes, so a bad one is refused,
+    with `load_dataset`'s message, after the samples before it have been
+    decomposed.
     """
     labels, datasets = _load_source(cfg)
     counts = (int(np.sum(labels < 0)), int(np.sum(labels > 0)))
@@ -409,8 +454,7 @@ def run_experiment(cfg):
     splits = _fold_splits(labels, cfg)
     rows = []
     for noise, raw_samples in datasets:
-        feasible = [r for r in cfg.rank_grid if r <= min(raw_samples[0].shape)]
-        by_rank = _decompose_by_rank(raw_samples, feasible, cfg.p, noise)
+        by_rank = _decompose_by_rank(raw_samples, cfg.rank_grid, cfg.p, noise)
         for rank in cfg.rank_grid:
             for kind in cfg.kernels:
                 if rank not in by_rank:

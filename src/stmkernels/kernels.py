@@ -16,13 +16,15 @@ Every kernel value comes from one row evaluator per kind, giving
 K(x, y_j) for each y_j of a list and each length scale g of a grid. The
 g-independent part of a row (squared distances, chordal exponents) is
 computed once and exp(-d2 / 2g^2) is applied per g, so a Gram over a
-whole g grid costs about one distance pass. For ``dusk`` the per-pair
-terms of every g are summed in one plain array reduction; each term is a
-positive exp, so nothing cancels. `gram_matrix` fills rows from
-the diagonal onward and mirrors them; the single-pair functions are the
-one-g view and average both argument orders, so swapping the inputs
-gives bitwise identical values. Expanded squared distances are clamped
-at 0 against cancellation.
+whole g grid costs about one distance pass. For ``dusk`` a pair's
+R_x x R_y exponent grid is built from exact column differences in
+blocks of its rows, and its exp terms are summed in blocks of g; no
+block holds more than `_DUSK_BLOCK` floats unless one row of the grid,
+or one g's terms, alone does. Each term is a positive exp, so nothing
+cancels. `gram_matrix` fills rows from the diagonal onward and mirrors
+them; the single-pair functions are the one-g view and average both
+argument orders, so swapping the inputs gives bitwise identical values.
+Expanded squared distances are clamped at 0 against cancellation.
 """
 
 from __future__ import annotations
@@ -175,14 +177,28 @@ def _dusk_view(x):
     return np.ascontiguousarray(np.vstack(factors).T)
 
 
+# float64 entries (8 MB) a dusk pair's difference or exp block may hold
+_DUSK_BLOCK = 2 ** 20
+
+
 def _dusk_row(xv, yvs, g):
-    # Exact column differences, one pair at a time: no cancellation, and the
-    # temporary stays one R_x x R_y x (I_1 + ... + I_M) block per pair.
+    # Exact column differences, one pair at a time: no cancellation. The
+    # blocks leave every bit as one block gives it: each exponent comes
+    # from the same einsum over the same difference row, and each g's
+    # terms are summed as one contiguous row.
     out = np.empty((len(g), len(yvs)))
     for j, yv in enumerate(yvs):
-        diff = xv[:, None, :] - yv[None, :, :]
-        expo = np.einsum("ijk,ijk->ij", diff, diff)
-        out[:, j] = _exp_per_g(expo, g).reshape(len(g), -1).sum(axis=1)
+        expo = np.empty((len(xv), len(yv)))
+        rows = max(1, _DUSK_BLOCK // yv.size)
+        for lo in range(0, len(xv), rows):
+            diff = xv[lo:lo + rows, None, :] - yv[None, :, :]
+            expo[lo:lo + rows] = np.einsum("ijk,ijk->ij", diff, diff)
+            del diff  # before the next block is built
+        per_block = max(1, _DUSK_BLOCK // expo.size)
+        for lo in range(0, len(g), per_block):
+            gs = g[lo:lo + per_block]
+            out[lo:lo + per_block, j] = _exp_per_g(expo, gs).reshape(
+                len(gs), -1).sum(axis=1)
     return out
 
 

@@ -12,6 +12,7 @@ modes. All functions are pure; inputs are never mutated.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -126,32 +127,39 @@ def load_tensor(path):
     """Read a tensor from the binary container at `path`.
 
     Raises ValueError naming the file and the expected byte count when the
-    container is malformed or truncated.
+    container is malformed or truncated. The file's size is checked before
+    the values are read, straight into the returned array's memory, so a
+    load holds one copy of the values.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a tensor container (bad magic bytes)")
-    if len(raw) < 8:
-        raise ValueError(f"{path}: truncated header, expected at least 8 bytes")
-    (order,) = _HEADER.unpack_from(raw, 4)
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"{path}: tensor order {order} outside 1..{MAX_ORDER}")
-    head = 8 + 8 * order
-    if len(raw) < head:
-        raise ValueError(f"{path}: truncated dims, expected at least {head} bytes")
-    shape = tuple(_DIM.unpack_from(raw, 8 + 8 * k)[0] for k in range(order))
-    if any(d < 1 for d in shape):
-        raise ValueError(f"{path}: nonpositive mode size in {shape}")
-    count = 1
-    for d in shape:
-        count *= d
-    expected = head + 8 * count
-    if len(raw) != expected:
+        size = os.fstat(fh.fileno()).st_size
+        raw = fh.read(8 + 8 * MAX_ORDER)  # the longest header
+        if raw[:4] != _MAGIC:
+            raise ValueError(f"{path}: not a tensor container (bad magic bytes)")
+        if len(raw) < 8:
+            raise ValueError(f"{path}: truncated header, expected at least 8 bytes")
+        (order,) = _HEADER.unpack_from(raw, 4)
+        if not 1 <= order <= MAX_ORDER:
+            raise ValueError(f"{path}: tensor order {order} outside 1..{MAX_ORDER}")
+        head = 8 + 8 * order
+        if len(raw) < head:
+            raise ValueError(f"{path}: truncated dims, expected at least {head} bytes")
+        shape = tuple(_DIM.unpack_from(raw, 8 + 8 * k)[0] for k in range(order))
+        if any(d < 1 for d in shape):
+            raise ValueError(f"{path}: nonpositive mode size in {shape}")
+        count = 1
+        for d in shape:
+            count *= d
+        expected = head + 8 * count
+        if size == expected:
+            values = np.empty(count, dtype="<f8")
+            fh.seek(head)
+            # a file cut short after its size was read ends the read early
+            size = head + fh.readinto(values)
+    if size != expected:
         raise ValueError(
-            f"{path}: expected {expected} bytes for shape {shape}, got {len(raw)}")
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=head)
-    return values.astype(np.float64).reshape(shape, order="F")
+            f"{path}: expected {expected} bytes for shape {shape}, got {size}")
+    return values.astype(np.float64, copy=False).reshape(shape, order="F")
 
 
 __all__ = [

@@ -4,6 +4,7 @@ import ctypes
 import json
 import math
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -563,6 +564,80 @@ class TestRunExperiment:
                 r"class counts \(-1: 1, \+1: 4\) leave a training fold "
                 r"without one class with folds = 2")):
             run_experiment(cfg)
+
+    def test_data_dir_holds_one_dense_sample_at_a_time(self, tmp_path,
+                                                       monkeypatch):
+        # every earlier sample is gone when the next one is read
+        from stmkernels import harness
+        data = generate(tiny_synth(), dense=True)
+        save_dataset(data, tmp_path)
+        real_load = harness.load_tensor
+        loaded, alive_at_load = [], []
+
+        def tracking_load(path):
+            alive_at_load.append(sum(ref() is not None for ref in loaded))
+            t = real_load(path)
+            loaded.append(weakref.ref(t))
+            return t
+
+        monkeypatch.setattr(harness, "load_tensor", tracking_load)
+        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path))
+        rows = run_experiment(cfg).rows
+        assert alive_at_load == [0] * len(data)
+        monkeypatch.setattr(harness, "load_tensor", real_load)
+        assert rows == run_experiment(cfg).rows
+
+    @pytest.mark.parametrize("labels, folds, message", [
+        ((-1, 1, 1, 1, 1), 2, "leave a training fold without one class"),
+        ((-1, -1, 1, 1), 3, "leave a fold empty"),
+    ])
+    def test_data_dir_class_refusal_reads_no_tensor(self, tmp_path, monkeypatch,
+                                                    labels, folds, message):
+        from stmkernels import harness
+        rng = np.random.default_rng(3)
+        save_dataset([sk.LabeledSample(rng.standard_normal((4, 4, 4)), label)
+                      for label in labels], tmp_path)
+
+        def no_read(path):
+            raise AssertionError("read a tensor before the class counts")
+
+        monkeypatch.setattr(harness, "load_tensor", no_read)
+        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path), folds=folds)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("fault", ["truncated", "nan", "shape"])
+    def test_bad_data_dir_sample_refused_as_load_dataset_does(
+            self, tmp_path, monkeypatch, fault):
+        # sample 3 of 12 is refused with load_dataset's message, after
+        # samples 0-2 were decomposed
+        from stmkernels import harness
+        data = generate(tiny_synth(), dense=True)
+        save_dataset(data, tmp_path)
+        victim = tmp_path / "sample_0003.tnsr"
+        if fault == "truncated":
+            victim.write_bytes(victim.read_bytes()[:-16])
+        elif fault == "nan":
+            t = data[3].tensor.copy()
+            t[1, 0, 2] = np.nan
+            sk.save_tensor(victim, t)
+        else:
+            sk.save_tensor(victim, np.zeros((12, 12, 11)))
+        with pytest.raises(ValueError) as expected:
+            load_dataset(tmp_path)
+        decomposed = []
+        real_hosvd = harness.weighted_hosvd
+
+        def counting_hosvd(*args, **kwargs):
+            decomposed.append(1)
+            return real_hosvd(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "weighted_hosvd", counting_hosvd)
+        with pytest.raises(ValueError) as err:
+            run_experiment(tiny_experiment(synth=None, data_dir=str(tmp_path)))
+        assert str(err.value) == str(expected.value)
+        assert "sample_0003.tnsr" in str(err.value) or "sample 3" in str(err.value)
+        assert len(decomposed) == 3
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="exactly one"):

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -499,3 +500,51 @@ class TestKernelSpec:
                 kernel_value(KernelSpec(kind, g=g), x, y)
             with pytest.raises(ValueError, match="not a grid"):
                 by_kind[kind](x, y, g)
+
+
+G_GRID_17 = tuple(2.0 ** k for k in range(-4, 13))
+
+
+def dusk_samples(rank, mode, n, seed=0):
+    """`n` Tucker -> CP samples of `rank`**3 terms, the harness's dusk view."""
+    rng = np.random.default_rng(seed)
+    return [tucker_to_cp(weighted_hosvd(rng.standard_normal((mode,) * 3),
+                                        (rank,) * 3, p=0.0))
+            for _ in range(n)]
+
+
+class TestDuskBlocks:
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_capped_blocks_bitwise_equal_one_block(self, monkeypatch, rank):
+        from stmkernels import kernels
+        samples = dusk_samples(rank, mode=6, n=4)
+        spec = KernelSpec("dusk", g=G_GRID_17)
+        whole = gram_matrix(samples, spec)  # one block at the default cap
+        terms, width = rank ** 3, 3 * 6
+        cap = (terms // 2 + 1) * terms * width
+        rows, per_block = cap // (terms * width), cap // terms ** 2
+        # the last row block and the last g block are short ones
+        assert 0 < terms % rows and 0 < len(G_GRID_17) % per_block
+        monkeypatch.setattr(kernels, "_DUSK_BLOCK", cap)
+        assert gram_matrix(samples, spec).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("cap", [None, 2 ** 16])
+    def test_rank5_pair_memory_bounded_by_cap(self, monkeypatch, cap):
+        # mode 100, rank 5: 125 x 125 terms over 300 rows of factors, whose
+        # difference block alone would be 37.5 MB
+        from stmkernels import kernels
+        if cap is not None:
+            monkeypatch.setattr(kernels, "_DUSK_BLOCK", cap)
+        cap = kernels._DUSK_BLOCK
+        pair = dusk_samples(5, mode=100, n=2)
+        terms, width = 125, 300
+        tracemalloc.start()
+        try:
+            gram_matrix(pair, KernelSpec("dusk", g=G_GRID_17))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # alive at once: two blocks of at most `cap` floats (a difference
+        # block and its einsum, or an exp block and its quotient), the
+        # exponent grid, its negation and the output, and both views
+        assert peak < 8 * (2 * cap + 3 * terms ** 2 + 2 * terms * width)

@@ -2,6 +2,7 @@
 and the binary container."""
 
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -179,6 +180,21 @@ class TestContainer:
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match=r"expected \d+ bytes"):
             load_tensor(path)
+
+    def test_file_cut_short_during_the_read_is_refused(self, tmp_path,
+                                                        monkeypatch):
+        # the size taken first promises all 8 values; the read finds 7
+        from stmkernels import tensor
+        path = tmp_path / "t.tnsr"
+        save_tensor(path, np.ones((2, 2, 2)))
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(tensor, "os", types.SimpleNamespace(
+            fstat=lambda fd: types.SimpleNamespace(st_size=full)))
+        with pytest.raises(ValueError) as err:
+            load_tensor(path)
+        assert str(err.value) == (
+            f"{path}: expected 96 bytes for shape (2, 2, 2), got 88")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.tnsr"
