@@ -3,7 +3,7 @@
 Three subcommands:
 
 * ``synth``  - generate a synthetic dataset and export it as tensor
-  containers plus a manifest.
+  containers plus a manifest, with one flag per SynthConfig field.
 * ``run``    - execute an experiment described by a key = value config
   file and write report.csv / summary.json. Each key is a field of
   ExperimentConfig or SynthConfig, parsed by the type its annotation
@@ -139,9 +139,8 @@ def read_config(path):
 
 
 def _cmd_synth(args):
-    fields = {f.name for f in dataclasses.fields(synth.SynthConfig)}
     cfg = synth.SynthConfig(**{k: v for k, v in vars(args).items()
-                               if k in fields})
+                               if k in synth._settings(synth.SynthConfig)})
     manifest = harness.save_dataset(synth.generate(cfg), args.out)
     print(manifest)
     return 0
@@ -172,18 +171,15 @@ def build_parser():
         description="Tensor-kernel SVM benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # a generator flag left out takes SynthConfig's default
+    # a flag per other SynthConfig field; one left out takes its default
     p_synth = sub.add_parser("synth", help="generate and export synthetic data",
                              argument_default=argparse.SUPPRESS)
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.add_argument("--scenario", choices=synth.SCENARIOS, default="leaf")
-    p_synth.add_argument("--mode-size", type=int)
-    p_synth.add_argument("--r-exact", type=int)
-    p_synth.add_argument("--r-approx", type=int)
-    p_synth.add_argument("--noise-variance", type=float)
-    p_synth.add_argument("--samples-per-class", type=int)
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--freq-uniform", action="store_true")
+    for name, (kind, _, _) in synth._settings(synth.SynthConfig).items():
+        if name != "scenario":
+            p_synth.add_argument("--" + name.replace("_", "-"), **(
+                {"action": "store_true"} if kind is bool else {"type": kind}))
     p_synth.set_defaults(func=_cmd_synth)
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")

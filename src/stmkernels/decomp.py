@@ -17,7 +17,10 @@ then the SVD of the M x M triangle L. That is the first half of what
 are bitwise the same; only the right singular vectors, which nothing
 here reads, are never formed. Tall, square and narrower unfoldings, a
 numpy without an ILP64 dgelqf, and magnitudes that dgesdd would rescale
-take the plain `np.linalg.svd` call.
+take the plain `np.linalg.svd` call. A decomposition holds its input
+plus one working copy at a time: first the F-ordered unfolding dgelqf
+overwrites, then the C-ordered tensor (the input itself when C-ordered)
+that every rank's mode-1 projection reads.
 
 This is the one module that reaches numpy's native libraries, all
 through `_numpy_symbol`, a lookup in numpy's linalg extension that finds
@@ -379,13 +382,15 @@ def weighted_hosvd(t, ranks, p=None):
         raise ValueError("cannot decompose an all-zero tensor")
 
     mode1 = _left_svd(t, 0)
+    t = np.ascontiguousarray(t)  # one copy for every rank; none if C-ordered
     out = [_truncate(t, mode1, r, p) for r in grid]
     return out[0] if single else out
 
 
 def _truncate(t, mode1, ranks, p):
     """ST-HOSVD of `t` at `ranks`, given the SVD of its mode-1 unfolding,
-    reweighted from p = 0 to `p`."""
+    reweighted from p = 0 to `p`. `t` is C-ordered: the mode-1 projection
+    reads it in place, where another order is copied once per rank."""
     g = t
     basis = []
     sigmas = []

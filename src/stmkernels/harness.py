@@ -69,7 +69,10 @@ class ExperimentConfig:
     noise variance of the base config, one generated dataset per value;
     class-defining draws are shared across noise levels by the
     generator's stream splitting. A data directory holds one dataset of
-    no stated noise level, so `data_dir` takes no `noise_grid`.
+    no stated noise level, so `data_dir` takes no `noise_grid`. A
+    synthetic config stores the resolved grid, so `dataclasses.replace(cfg,
+    synth=None, data_dir=d)` needs `noise_grid=None` too; the field is not
+    left None, as synthetic summaries would then echo `null` and change.
     `threads` is echoed in the report's config and changes nothing: a
     run always computes on one BLAS thread (see `run_experiment`).
     """

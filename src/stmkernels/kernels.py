@@ -111,12 +111,14 @@ def scalar_kernel(a, b, g):
 # ---------------------------------------------------------------------------
 
 def _exp_per_g(expo, g):
-    """exp(-expo / 2g^2) for every g, stacked along a new leading axis.
+    """exp(-expo / 2g^2) for every g, stacked along a new leading axis,
+    taken in place on the quotient: one stack is alive, not two.
 
     Each element goes through the same IEEE operations as the one-g
     expression, so every layer of the stack is bitwise equal to it.
     """
-    return np.exp(-expo / (2.0 * g * g).reshape((-1,) + (1,) * np.ndim(expo)))
+    q = -expo / (2.0 * g * g).reshape((-1,) + (1,) * np.ndim(expo))
+    return np.exp(q, out=q)
 
 
 def _stack(blocks):

@@ -109,7 +109,8 @@ def frobenius_norm(t):
 
 
 def save_tensor(path, t):
-    """Write `t` to the binary tensor container at `path`."""
+    """Write `t` to the binary tensor container at `path`, its values from
+    `t`'s own memory when F-ordered, else from the one copy ravel makes."""
     t = _as_tensor(t)
     if t.ndim > MAX_ORDER:
         raise ValueError(f"tensor order {t.ndim} exceeds maximum {MAX_ORDER}")
@@ -120,7 +121,7 @@ def save_tensor(path, t):
         fh.write(_HEADER.pack(t.ndim))
         for dim in t.shape:
             fh.write(_DIM.pack(dim))
-        fh.write(np.ascontiguousarray(t.ravel(order="F"), dtype="<f8").tobytes())
+        fh.write(np.asarray(t.ravel(order="F"), dtype="<f8").data)
 
 
 def load_tensor(path):

@@ -283,6 +283,34 @@ class TestWeightedHosvd:
         assert modes.count(0) == 1
         assert len(modes) == 1 + 2 * 3
 
+    def test_rank_grid_projects_one_c_ordered_copy(self, monkeypatch):
+        # every rank's mode-1 projection reads the same C-ordered array:
+        # a Tucker reconstruction or an F-ordered tensor is copied once per
+        # grid, not once per rank, and a C-ordered one not at all
+        rng = np.random.default_rng(17)
+        tucker = tucker_reconstruct(
+            weighted_hosvd(rng.standard_normal((8, 7, 6)), (3, 3, 3)))
+        f_ordered = np.asfortranarray(rng.standard_normal((8, 7, 6)))
+        c_ordered = rng.standard_normal((8, 7, 6))
+        real = decomp.mode_product
+        seen = []
+
+        def recording(t, a, m):
+            if m == 1:
+                seen.append(t)
+            return real(t, a, m)
+
+        monkeypatch.setattr(decomp, "mode_product", recording)
+        for t in (tucker, f_ordered, c_ordered):
+            seen.clear()
+            weighted_hosvd(t, [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
+            assert len(seen) == 3
+            assert all(s is seen[0] for s in seen)
+            assert seen[0].flags.c_contiguous
+            assert np.array_equal(seen[0], t)
+        assert not tucker.flags.c_contiguous
+        assert seen[0] is c_ordered
+
     def test_rank_tuple_forms(self):
         t = np.random.default_rng(12).standard_normal((4, 4, 4))
         one = weighted_hosvd(t, (2, 2, 2))

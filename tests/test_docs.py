@@ -1,11 +1,13 @@
-"""README examples: the config example parses and the quick start runs."""
+"""README examples: the config example and the command lines parse, and
+the quick start runs."""
 
 import contextlib
 import io
 import os
 import re
+import shlex
 
-from stmkernels.cli import read_config
+from stmkernels.cli import build_parser, read_config
 from stmkernels.harness import DEFAULT_C_GRID, DEFAULT_G_GRID
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -44,3 +46,16 @@ def test_library_quick_start_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(example, README, "exec"), {})
     assert out.getvalue().strip() in ("-1", "1")
+
+
+def test_command_line_examples_parse():
+    # the synth flags come from SynthConfig's fields, so a renamed field
+    # fails here until README follows
+    block = _blocks("sh", after="## Command line")[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines
+                if line.startswith("stmkernels ")]
+    assert [argv[1] for argv in commands] == ["synth", "run", "report"]
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).command == argv[1]

@@ -513,6 +513,24 @@ def dusk_samples(rank, mode, n, seed=0):
             for _ in range(n)]
 
 
+class TestExpPerG:
+    def test_one_block_alive_and_bitwise_equal_per_g(self):
+        # a mode-100 rank-6 dusk pair's exponent grid, 216 x 216 terms
+        from stmkernels.kernels import _exp_per_g
+        expo = np.random.default_rng(40).uniform(0.0, 60.0, (216, 216))
+        g = np.array(G_GRID_17)
+        block = 8 * len(g) * expo.size
+        tracemalloc.start()
+        try:
+            out = _exp_per_g(expo, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * block
+        expected = np.stack([np.exp(-expo / (2.0 * v * v)) for v in g])
+        assert out.tobytes() == expected.tobytes()
+
+
 class TestDuskBlocks:
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_capped_blocks_bitwise_equal_one_block(self, monkeypatch, rank):

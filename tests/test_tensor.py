@@ -2,6 +2,7 @@
 and the binary container."""
 
 import struct
+import tracemalloc
 import types
 
 import numpy as np
@@ -171,6 +172,24 @@ class TestContainer:
         path = tmp_path / "t.tnsr"
         save_tensor(path, t)
         assert np.array_equal(load_tensor(path), t)
+
+    @pytest.mark.parametrize("order, copies", [("C", 1), ("F", 0)])
+    def test_write_holds_at_most_one_copy(self, tmp_path, order, copies):
+        # a C-ordered tensor is written from the one copy its column-major
+        # ravel makes, an F-ordered one from its own memory
+        t = np.asarray(np.random.default_rng(32).standard_normal((64,) * 3),
+                       order=order)
+        path = tmp_path / "t.tnsr"
+        tracemalloc.start()
+        try:
+            save_tensor(path, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (copies + 0.25) * t.nbytes
+        header = b"TNSR" + struct.pack("<I3Q", 3, 64, 64, 64)
+        values = np.ascontiguousarray(t.ravel(order="F"), dtype="<f8")
+        assert path.read_bytes() == header + values.tobytes()
 
     def test_truncated_file_reports_expected_bytes(self, tmp_path):
         t = np.ones((2, 2, 2))
