@@ -20,7 +20,8 @@ numpy without an ILP64 dgelqf, and magnitudes that dgesdd would rescale
 take the plain `np.linalg.svd` call. A decomposition holds its input
 plus one working copy at a time: first the F-ordered unfolding dgelqf
 overwrites, then the C-ordered tensor (the input itself when C-ordered)
-that every rank's mode-1 projection reads.
+that every rank's mode-1 projection reads. That copy is dropped before
+any rank's modes 2...M run.
 
 This is the one module that reaches numpy's native libraries, all
 through `_numpy_symbol`, a lookup in numpy's linalg extension that finds
@@ -362,8 +363,10 @@ def weighted_hosvd(t, ranks, p=None):
     TuckerTensor, or a sequence of such tuples, which returns a list with
     one TuckerTensor per entry. All entries are validated before any SVD.
     The mode-1 unfolding is the full `t` whatever the ranks, so its SVD is
-    computed once and shared by every entry; each entry is bitwise equal
-    to a separate call with that tuple.
+    computed once and shared by every entry. Every entry's mode-1
+    projection is taken first, from one C-ordered copy of `t` (none when
+    `t` is C-ordered), and the copy is dropped before modes 2...M run;
+    each entry is bitwise equal to a separate call with that tuple.
 
     Requested ranks are additionally capped by the column count of each
     unfolding (directions beyond it carry zero singular values). The SVDs
@@ -381,28 +384,32 @@ def weighted_hosvd(t, ranks, p=None):
     if not t.any():
         raise ValueError("cannot decompose an all-zero tensor")
 
-    mode1 = _left_svd(t, 0)
+    u, s = _left_svd(t, 0)
     t = np.ascontiguousarray(t)  # one copy for every rank; none if C-ordered
-    out = [_truncate(t, mode1, r, p) for r in grid]
+    heads = [_project(t, u, s, r[0], 0) for r in grid]
+    del t  # only the mode-1 projections read the copy
+    out = [_truncate(*head, r, p) for head, r in zip(heads, grid)]
     return out[0] if single else out
 
 
-def _truncate(t, mode1, ranks, p):
-    """ST-HOSVD of `t` at `ranks`, given the SVD of its mode-1 unfolding,
-    reweighted from p = 0 to `p`. `t` is C-ordered: the mode-1 projection
-    reads it in place, where another order is copied once per rank."""
-    g = t
-    basis = []
-    sigmas = []
-    for m in range(t.ndim):
-        u, s = mode1 if m == 0 else _left_svd(g, m)
-        r = min(ranks[m], u.shape[1])
-        u = fix_signs(u[:, :r])
+def _project(g, u, s, r, m):
+    """One ST-HOSVD step: the leading `r` (capped) sign-fixed columns of
+    the mode-(m+1) SVD (u, s), their sigmas, and `g` projected onto them."""
+    u = fix_signs(u[:, :min(r, u.shape[1])])
+    return u, s[:u.shape[1]], mode_product(g, u.T, m + 1)
+
+
+def _truncate(u, s, g, ranks, p):
+    """ST-HOSVD at `ranks` from its mode-1 step (u, s, g), modes 2...M,
+    reweighted from p = 0 to `p`."""
+    basis = [u]
+    sigmas = [s]
+    for m in range(1, g.ndim):
+        u, s, g = _project(g, *_left_svd(g, m), ranks[m], m)
         basis.append(u)
-        sigmas.append(s[:r])
-        g = mode_product(g, u.T, m + 1)
+        sigmas.append(s)
     for m, s in enumerate(sigmas):
-        bshape = [1] * t.ndim
+        bshape = [1] * g.ndim
         bshape[m] = len(s)
         g = g * ~_tiny_mask(s).reshape(bshape)
     return reweight(TuckerTensor(core=g, factors=basis, sigmas=sigmas), p)
@@ -498,8 +505,7 @@ def cp_als(t, rank, max_iters=200, tol=1e-8):
     iterations = 0
 
     for _ in range(max_iters):
-        snapshot = [f.copy() for f in factors]
-        inner_tb = None
+        snapshot = list(factors)
         for m in range(order):
             others = [k for k in range(order) if k != m]
             v = np.ones((rank, rank))
@@ -512,13 +518,13 @@ def cp_als(t, rank, max_iters=200, tol=1e-8):
                 break
             factors[m] = np.linalg.solve(v, b.T).T
             grams[m] = factors[m].T @ factors[m]
-            inner_tb = float(np.sum(factors[m] * b))
         if degenerate:
             factors = snapshot
             warnings.warn("rank-deficient least-squares system in CP sweep; "
                           "returning the last healthy iterate")
             break
         iterations += 1
+        inner_tb = float(np.sum(factors[-1] * b))
         norm_m2 = float(np.sum(np.prod([g for g in grams], axis=0)))
         resid2 = max(norm_t ** 2 + norm_m2 - 2.0 * inner_tb, 0.0)
         err = np.sqrt(resid2) / norm_t if norm_t > 0 else np.sqrt(resid2)
@@ -567,7 +573,8 @@ def equilibrate(kt, fix_column_signs=False):
     ones. Applying the operation twice is a fixed point.
     """
     order = kt.order
-    factors = [f.copy() for f in kt.factors]
+    # C order fixes the summation order, hence the bits, of the column norms
+    factors = [np.ascontiguousarray(f) for f in kt.factors]
     signs_total = np.ones(kt.rank)
     if fix_column_signs:
         for m in range(order):

@@ -191,9 +191,8 @@ def _build_sample(cfg, class_idx, sample_idx, grid):
                          ).standard_normal((ORDER, cfg.mode_size, r))
     factors = []
     for m in range(ORDER):
-        f = noise[m].copy()
-        f[:, :k] += np.cos(np.pi * freqs[m][None, :] * grid[:, None])
-        q, _ = np.linalg.qr(f)
+        noise[m][:, :k] += np.cos(np.pi * freqs[m][None, :] * grid[:, None])
+        q, _ = np.linalg.qr(noise[m])
         factors.append(q)
     return TuckerTensor(core=core, factors=factors, sigmas=None, p=0.0)
 

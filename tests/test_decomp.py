@@ -15,6 +15,7 @@ from stmkernels.decomp import (
     cp_als,
     equilibrate,
     fix_signs,
+    khatri_rao,
     kruskal_reconstruct,
     reweight,
     tt_reconstruct,
@@ -311,6 +312,30 @@ class TestWeightedHosvd:
         assert not tucker.flags.c_contiguous
         assert seen[0] is c_ordered
 
+    def test_working_copy_dropped_before_the_later_modes(self, monkeypatch):
+        # only the mode-1 projections read the C-ordered copy of an
+        # F-ordered tensor, so no mode >= 2 of any rank runs beside it
+        import tracemalloc
+
+        t = np.asfortranarray(np.random.default_rng(18).standard_normal((64, 64, 64)))
+        decomp._left_svd(t[:4, :4, :4], 0)  # bind dgelqf outside the trace
+        real = decomp._left_svd
+        seen = []
+
+        def recording(g, m):
+            if m >= 1 and not seen:
+                seen.append(tracemalloc.get_traced_memory()[0])
+            return real(g, m)
+
+        monkeypatch.setattr(decomp, "_left_svd", recording)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            weighted_hosvd(t, [(2, 2, 2), (4, 4, 4)])
+        finally:
+            tracemalloc.stop()
+        assert seen[0] - before < 0.5 * t.nbytes
+
     def test_rank_tuple_forms(self):
         t = np.random.default_rng(12).standard_normal((4, 4, 4))
         one = weighted_hosvd(t, (2, 2, 2))
@@ -361,6 +386,41 @@ class TestFixSigns:
         u = np.array([[-0.5], [0.5]])
         # both rows tie in magnitude; row 0 wins, so the column flips
         assert np.array_equal(fix_signs(u), np.array([[0.5], [-0.5]]))
+
+
+    def test_empty_matrix_returns_a_new_empty_array(self):
+        u = np.zeros((3, 0))
+        out = fix_signs(u)
+        assert out.shape == (3, 0) and out is not u
+
+
+class TestKhatriRao:
+    def test_first_listed_matrix_varies_fastest(self):
+        rng = np.random.default_rng(30)
+        a, b, c = (rng.standard_normal((n, 4)) for n in (2, 3, 5))
+        out = khatri_rao([a, b, c])
+        assert out.shape == (30, 4)
+        for r in range(4):
+            expect = np.kron(c[:, r], np.kron(b[:, r], a[:, r]))
+            assert np.array_equal(out[:, r], expect)
+
+    def test_one_matrix_is_itself(self):
+        a = np.random.default_rng(31).standard_normal((4, 3))
+        assert np.array_equal(khatri_rao([a]), a)
+
+
+class TestEquilibrate:
+    def test_bits_do_not_follow_the_factor_layout(self):
+        # cp_als and tt_to_cp pass F-ordered factors; the column norms are
+        # summed in the order of a C-ordered copy whatever the layout
+        rng = np.random.default_rng(32)
+        factors = [rng.standard_normal((n, 6)) for n in (50, 40, 30)]
+        weights = rng.random(6)
+        c = equilibrate(KruskalTensor(factors, weights), fix_column_signs=True)
+        f = equilibrate(KruskalTensor([np.asfortranarray(a) for a in factors],
+                                      weights), fix_column_signs=True)
+        for x, y in zip(c.factors, f.factors):
+            assert np.array_equal(x, y)
 
 
 class TestCpAls:
