@@ -185,7 +185,8 @@ def build_parser():
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--threads", type=int, default=None,
-                       help="accepted and ignored")
+                       help="samples decomposed at once (default 1); the "
+                            "cross-validation runs serially")
     p_run.add_argument("--output", default=None)
     p_run.set_defaults(func=_cmd_run)
 

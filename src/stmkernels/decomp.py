@@ -17,11 +17,16 @@ then the SVD of the M x M triangle L. That is the first half of what
 are bitwise the same; only the right singular vectors, which nothing
 here reads, are never formed. Tall, square and narrower unfoldings, a
 numpy without an ILP64 dgelqf, and magnitudes that dgesdd would rescale
-take the plain `np.linalg.svd` call. A decomposition holds its input
-plus one working copy at a time: first the F-ordered unfolding dgelqf
-overwrites, then the C-ordered tensor (the input itself when C-ordered)
-that every rank's mode-1 projection reads. That copy is dropped before
-any rank's modes 2...M run.
+take the plain `np.linalg.svd` call.
+
+A decomposition holds one dense tensor beside its input at a time, and
+none beside it when its input is a source (a function that builds the
+tensor in a requested layout, such as a Tucker sample's
+`tucker_reconstruct`): first the F-ordered tensor whose mode-1
+unfolding dgelqf overwrites, then the C-ordered tensor (the input itself
+when C-ordered) that every rank's mode-1 projection reads. That one is
+dropped before any rank's modes 2...M run. `tucker_reconstruct` builds
+either layout directly, so a generated sample is never copied.
 
 This is the one module that reaches numpy's native libraries, all
 through `_numpy_symbol`, a lookup in numpy's linalg extension that finds
@@ -314,7 +319,7 @@ def _unscaled(x):
     return bool(_SMLNUM <= amax <= 1.0 / _SMLNUM)
 
 
-def _left_svd(g, m):
+def _left_svd(g, m, build=None):
     """Left singular vectors and values of the mode-(m+1) unfolding.
 
     Bitwise equal to the U and sigma of `np.linalg.svd(X,
@@ -324,7 +329,10 @@ def _left_svd(g, m):
     only to build the right singular vectors. Here dgelqf runs on a
     private F-ordered copy of X (never the caller's tensor) and the SVD
     of L comes from `np.linalg.svd`: the same LAPACK calls on the same
-    bits, without Q, V^T or their N-column buffers. The plain call runs
+    bits, without Q, V^T or their N-column buffers. Given `build`, the
+    source `g` was built by (see `weighted_hosvd`), dgelqf runs on `g`
+    itself when its unfolding is F-contiguous, and the plain call, should
+    it be needed afterwards, reads a new `build("F")`. The plain call runs
     instead for a tall, square or narrower unfolding, without an ILP64
     dgelqf, or when X or L would be rescaled by dgesdd (see `_unscaled`).
     """
@@ -332,16 +340,27 @@ def _left_svd(g, m):
     rows, cols = x.shape
     if (rows < cols and cols >= int(rows * 11.0 / 6.0) and _unscaled(x)
             and _dgelqf() is not None):
-        # matricize copies unless `g` is F-ordered; a view must be copied
-        if not x.flags.f_contiguous or np.may_share_memory(x, g):
+        # matricize copies unless `g` is F-ordered; a view of `g` must be
+        # copied unless `g` is the caller's to overwrite
+        if not x.flags.f_contiguous or (
+                build is None and np.may_share_memory(x, g)):
             x = x.copy(order="F")
         low = _lq_lower(x)
         if low is not None and _unscaled(low):
             u, s, _ = np.linalg.svd(low, full_matrices=False)
             return u, s
-        x = matricize(g, m + 1)  # dgelqf has overwritten the copy
+        # dgelqf has overwritten x
+        x = matricize(g if build is None else build("F"), m + 1)
     u, s, _ = np.linalg.svd(x, full_matrices=False)
     return u, s
+
+
+def _copies(t):
+    """The source (see `weighted_hosvd`) of the array `t`: a new F-ordered
+    copy, and `t` itself when C-ordered, else a C-ordered copy."""
+    t = np.asarray(t, dtype=np.float64)
+    return lambda order: (np.array(t, order="F") if order == "F"
+                          else np.ascontiguousarray(t))
 
 
 def weighted_hosvd(t, ranks, p=None):
@@ -359,14 +378,22 @@ def weighted_hosvd(t, ranks, p=None):
     not depend on p, and `reweight(weighted_hosvd(t, r, 0.0), p)` is
     bitwise equal to `weighted_hosvd(t, r, p)`. Default p is 1/M.
 
+    `t` is a tensor or a source: a function `t(order)` that returns the
+    tensor as an array laid out in `order`, "F" or "C", and must return a
+    new array for "F", as dgelqf overwrites it. The F-ordered build gives
+    the mode-1 SVD and is dropped before the C-ordered one is made, so a
+    source is held dense once at a time. A tensor is its own source
+    (`_copies`): an F-ordered copy, then itself or a C-ordered copy, so
+    it is held beside one copy of itself at a time.
+
     `ranks` is either one per-mode rank tuple, which returns one
     TuckerTensor, or a sequence of such tuples, which returns a list with
     one TuckerTensor per entry. All entries are validated before any SVD.
     The mode-1 unfolding is the full `t` whatever the ranks, so its SVD is
     computed once and shared by every entry. Every entry's mode-1
-    projection is taken first, from one C-ordered copy of `t` (none when
-    `t` is C-ordered), and the copy is dropped before modes 2...M run;
-    each entry is bitwise equal to a separate call with that tuple.
+    projection is taken first, from the one C-ordered build, which is
+    dropped before modes 2...M run; each entry is bitwise equal to a
+    separate call with that tuple.
 
     Requested ranks are additionally capped by the column count of each
     unfolding (directions beyond it carry zero singular values). The SVDs
@@ -375,19 +402,21 @@ def weighted_hosvd(t, ranks, p=None):
     at mode 100, not at 64) unless the caller pins one thread, as
     `run_experiment` does with `_blas_threads(1)`.
     """
-    t = np.asarray(t, dtype=np.float64)
+    build = t if callable(t) else _copies(t)
+    g = build("F")
     ranks = list(ranks)
     single = len(ranks) == 0 or np.ndim(ranks[0]) == 0
-    grid = [_checked_ranks(t.shape, r) for r in ([ranks] if single else ranks)]
+    grid = [_checked_ranks(g.shape, r) for r in ([ranks] if single else ranks)]
     if p is None:
-        p = 1.0 / t.ndim
-    if not t.any():
+        p = 1.0 / g.ndim
+    if not g.any():
         raise ValueError("cannot decompose an all-zero tensor")
 
-    u, s = _left_svd(t, 0)
-    t = np.ascontiguousarray(t)  # one copy for every rank; none if C-ordered
-    heads = [_project(t, u, s, r[0], 0) for r in grid]
-    del t  # only the mode-1 projections read the copy
+    u, s = _left_svd(g, 0, build)
+    del g  # dgelqf may have overwritten it
+    g = build("C")
+    heads = [_project(g, u, s, r[0], 0) for r in grid]
+    del g  # only the mode-1 projections read it
     out = [_truncate(*head, r, p) for head, r in zip(heads, grid)]
     return out[0] if single else out
 
@@ -415,12 +444,33 @@ def _truncate(u, s, g, ranks, p):
     return reweight(TuckerTensor(core=g, factors=basis, sigmas=sigmas), p)
 
 
-def tucker_reconstruct(tt):
-    """Contract core and factors back into a dense tensor."""
+def tucker_reconstruct(tt, order="C"):
+    """Contract core and factors back into a dense tensor laid out in
+    `order`, "C" (the default) or "F".
+
+    Modes 1...M-1 are multiplied in by `mode_product`. The last mode's
+    product is one matrix product that BLAS writes straight in the
+    requested layout, so neither layout is a copy of the other. Each
+    entry is the same length-R_M dot product as in a plain
+    `mode_product` chain, and with numpy's OpenBLAS both layouts equal
+    that chain bit for bit at the benchmark's sizes (modes 50, 64 and
+    100, rank 3) and at every shape checked with modes up to 12. The
+    kernel's edge tiles fall on other entries in the other layout, and
+    at some larger shapes those round differently in the last bit: at
+    cubic modes 70, 74, 78, ... (2 mod 4) for rank 3, for one.
+    """
+    if order not in ("C", "F"):
+        raise ValueError(f"order must be 'C' or 'F', got {order!r}")
     out = tt.core
-    for m, f in enumerate(tt.factors):
+    for m, f in enumerate(tt.factors[:-1]):
         out = mode_product(out, f, m + 1)
-    return out
+    f = tt.factors[-1]
+    if order == "C":
+        # rows: the earlier modes' indices, C-flattened
+        return (out.reshape(-1, f.shape[1]) @ f.T).reshape(tt.shape)
+    # columns: the earlier modes' indices, F-flattened
+    cols = np.ascontiguousarray(out.reshape(-1, f.shape[1], order="F").T)
+    return (f @ cols).T.reshape(tt.shape, order="F")
 
 
 def reweight(tt, p):

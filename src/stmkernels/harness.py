@@ -2,10 +2,12 @@
 noise level for all ranks, grid search over (C, g) with repeated
 stratified k-fold cross-validation, and deterministic CSV/JSON reporting.
 
-A run holds one dense sample at a time: a data directory's manifest is
-read first (labels and their checks), and each tensor is then read,
-checked, decomposed and dropped in turn; a generated sample is made
-dense from its Tucker form just before its decomposition.
+A run holds one dense sample per decomposition in flight, at most
+`threads` of them (one by default): a data directory's manifest is read
+first (labels and their checks), and each tensor is then read, checked,
+decomposed and dropped in turn; a generated sample is built dense from
+its Tucker form by its decomposition, F-ordered for the mode-1 SVD and
+then C-ordered for the projections, one build alive at a time.
 
 Protocol per (kernel, rank, noise) cell: every sample is decomposed once
 per noise level, by one call for all feasible ranks that shares the
@@ -32,12 +34,17 @@ normal approximation 95% half-width 1.96 * std / sqrt(repeats).
 A run computes on one BLAS thread (`decomp._blas_threads`), so that every
 report is independent of the host's core count; at the mode sizes of the
 benchmark's workloads (50 to 100) the small per-sample SVDs are also as
-fast or faster on one thread.
+fast or faster on one thread. `threads` above 1 puts more cores to work
+by decomposing that many samples at once on worker threads (LAPACK and
+BLAS release the GIL), each on one BLAS thread, so the report does not
+depend on `threads`; the cross-validation runs serially.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -73,8 +80,10 @@ class ExperimentConfig:
     synthetic config stores the resolved grid, so `dataclasses.replace(cfg,
     synth=None, data_dir=d)` needs `noise_grid=None` too; the field is not
     left None, as synthetic summaries would then echo `null` and change.
-    `threads` is echoed in the report's config and changes nothing: a
-    run always computes on one BLAS thread (see `run_experiment`).
+    `threads` is how many samples are decomposed at once, on worker
+    threads, each on one BLAS thread (see `run_experiment`); it changes
+    no byte of the report but the config's echo of it. The cross-
+    validation runs serially.
     """
 
     synth: synth.SynthConfig | None = None
@@ -186,7 +195,8 @@ def save_dataset(samples, out_dir):
     """Export labeled samples as tensor containers plus a manifest.
 
     `samples` is a list of LabeledSample; Tucker samples are materialized
-    to dense tensors. The manifest has one `relative-path,label` line per
+    to dense tensors, F-ordered, so that `save_tensor` writes them from
+    their own memory. The manifest has one `relative-path,label` line per
     sample.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -194,7 +204,7 @@ def save_dataset(samples, out_dir):
     for k, sample in enumerate(samples):
         t = sample.tensor
         if not isinstance(t, np.ndarray):
-            t = tucker_reconstruct(t)
+            t = tucker_reconstruct(t, order="F")
         name = f"sample_{k:04d}.tnsr"
         save_tensor(os.path.join(out_dir, name), t)
         lines.append(f"{name},{int(sample.label)}\n")
@@ -300,42 +310,134 @@ def _fold_splits(labels, cfg):
     return splits
 
 
-def _decompose_by_rank(raw_samples, ranks, p, noise):
+def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
     """{rank: one TuckerTensor per sample} for every rank in `ranks` that
     no mode size of the first sample is below (all samples share its
     shape).
 
     `raw_samples` is iterated once and may be a data directory's lazy
-    reader. Each sample is made dense, decomposed by one weighted_hosvd
-    call for all ranks (which computes its mode-1 SVD once) and dropped
-    before the next is read or built. A refused decomposition is
-    re-raised naming the sample (its index in generation or manifest
-    order) and the noise level; a sample the reader refuses is reported
-    when it is read, after the samples before it were decomposed. With no
-    rank feasible every sample is still read, so a bad one is still
-    refused.
+    reader. Each sample is decomposed by one weighted_hosvd call for all
+    ranks (which computes its mode-1 SVD once); a generated sample is
+    passed as the source of its dense builds (`_source`). With `threads`
+    above 1, that many worker threads take the samples in turn, so up to
+    `threads` are decomposed at once; the reader is advanced only when a
+    slot frees, and results and errors are taken in sample order, so the
+    output does not depend on `threads`. With `threads` None or 1 each
+    sample is decomposed in the calling thread before the next is read.
+    A refused decomposition is re-raised naming the sample (its index in
+    generation or manifest order) and the noise level; a sample the
+    reader refuses is reported once the samples before it were
+    decomposed, and an error leaves no worker running. With no rank
+    feasible every sample is still read, so a bad one is still refused.
     """
     out = {}
+    width = threads or 1
+    workers = []
+    flight = collections.deque()  # (index, outcome) per sample, oldest first
+
+    def collect():
+        k, outcome = flight.popleft()
+        try:
+            decomposed = outcome()
+        except ValueError as err:
+            raise ValueError(f"sample {k} at noise {noise}: {err}") from err
+        for tuckers, tk in zip(out.values(), decomposed):
+            tuckers.append(tk)
+
+    samples = iter(raw_samples)
     k = 0  # not enumerate: its reused tuple would hold the last sample
-    for s in raw_samples:
-        if k == 0:
-            out = {rank: [] for rank in ranks if rank <= min(s.shape)}
-        if out:
-            dense = s if isinstance(s, np.ndarray) else tucker_reconstruct(s)
-            grid = [(rank,) * dense.ndim for rank in out]
+    try:
+        for _ in range(width if width > 1 else 0):
+            workers.append(_Worker())
+        while True:
+            if len(flight) == width:
+                collect()
             try:
-                decomposed = weighted_hosvd(dense, grid, p)
-            except ValueError as err:
-                raise ValueError(f"sample {k} at noise {noise}: {err}") from err
-            for tuckers, tk in zip(out.values(), decomposed):
-                tuckers.append(tk)
-            # freed before the next sample's is built, so malloc can reuse
-            # its memory: with two alive at once, peak RSS moved by one
-            # dense tensor from run to run
-            del dense
-        del s
-        k += 1
+                s = next(samples)
+            except StopIteration:
+                break
+            except Exception:
+                while flight:  # an earlier sample's refusal comes first
+                    collect()
+                raise
+            if k == 0:
+                out = {rank: [] for rank in ranks if rank <= min(s.shape)}
+            if out:
+                grid = [(rank,) * len(s.shape) for rank in out]
+                job = functools.partial(weighted_hosvd, _source(s), grid, p)
+                if workers:
+                    job = workers[k % width].start(job)
+                flight.append((k, job))
+            # only its job holds the sample now, so a decomposed one is
+            # freed before the next is read and malloc can reuse its
+            # memory: with one more alive, peak RSS moved by one dense
+            # tensor from run to run
+            s = job = None
+            k += 1
+        while flight:
+            collect()
+    finally:
+        for worker in workers:
+            worker.close()
     return out
+
+
+def _source(s):
+    """What weighted_hosvd decomposes for the raw sample `s`: a dense
+    sample as it is, a Tucker sample as the source of its dense builds,
+    each made by `tucker_reconstruct` straight in the requested layout."""
+    if isinstance(s, np.ndarray):
+        return s
+    return lambda order: tucker_reconstruct(s, order=order)
+
+
+class _Worker:
+    """A thread that runs the jobs it is given in turn.
+
+    `start(job)` queues a job and returns a function that waits for the
+    job's outcome and returns what it returned or raises what it raised;
+    outcomes are waited for in the order the jobs were given. The thread
+    lives until `close`, so one malloc arena serves every job it runs:
+    with a thread per job, a new thread could get a fresh arena while a
+    finished one's was not yet released, and peak RSS then moved by a
+    dense tensor from run to run.
+    """
+
+    def __init__(self):
+        import queue
+        import threading
+
+        self._jobs, self._outcomes = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve)
+        self._thread.start()
+
+    def _serve(self):
+        for job in iter(self._jobs.get, None):
+            self._outcomes.put(_outcome(job))
+            job = None  # its sample is freed before the next job comes
+
+    def start(self, job):
+        self._jobs.put(job)
+        return self._result
+
+    def _result(self):
+        value, err = self._outcomes.get()
+        if err is not None:
+            raise err
+        return value
+
+    def close(self):
+        """End the thread once the jobs given to it have run."""
+        self._jobs.put(None)
+        self._thread.join()
+
+
+def _outcome(job):
+    """(value, None) of `job()`, or (None, the exception it raised)."""
+    try:
+        return job(), None
+    except BaseException as err:  # raised again by the waiting thread
+        return None, err
 
 
 def derive_kernel_inputs(tuckers, kind):
@@ -413,8 +515,8 @@ def _load_source(cfg):
     """(labels, [(noise_value, raw_samples), ...]) of the run. A data
     directory's manifest is read and checked here; its raw samples are
     `_open_dataset`'s reader, which reads each tensor when asked for it.
-    Generated raw samples are Tucker tensors, made dense one at a time
-    by `_decompose_by_rank`."""
+    Generated raw samples are Tucker tensors, made dense only inside
+    their decompositions (`_decompose_by_rank`)."""
     if cfg.data_dir is not None:
         labels, samples = _open_dataset(cfg.data_dir)
         return labels, [(math.nan, samples)]
@@ -435,8 +537,10 @@ def run_experiment(cfg):
     The (noise, rank) groups run serially in a deterministic order, and
     the whole run computes with numpy's BLAS on one thread: a multi-
     threaded SVD rounds differently, so the report would follow the
-    host's core count. `threads` is echoed in the config but changes
-    nothing. Raises ValueError before any tensor is read or decomposed
+    host's core count. Up to `threads` samples are decomposed at once
+    (`_decompose_by_rank`), each on one BLAS thread, and the results are
+    taken in sample order, so the report is the same for any `threads`.
+    Raises ValueError before any tensor is read or decomposed
     when a class is too small for `folds`: fewer than `folds` samples in
     the largest class leaves a fold empty, and a class of fewer than 2
     samples leaves a training fold without it. A weighting power `p`
@@ -457,7 +561,8 @@ def run_experiment(cfg):
     splits = _fold_splits(labels, cfg)
     rows = []
     for noise, raw_samples in datasets:
-        by_rank = _decompose_by_rank(raw_samples, cfg.rank_grid, cfg.p, noise)
+        by_rank = _decompose_by_rank(raw_samples, cfg.rank_grid, cfg.p,
+                                     noise, cfg.threads)
         for rank in cfg.rank_grid:
             for kind in cfg.kernels:
                 if rank not in by_rank:

@@ -274,9 +274,9 @@ class TestWeightedHosvd:
         modes = []
         real = decomp._left_svd
 
-        def counting(g, m):
+        def counting(g, m, *build):
             modes.append(m)
-            return real(g, m)
+            return real(g, m, *build)
 
         monkeypatch.setattr(decomp, "_left_svd", counting)
         t = np.random.default_rng(11).standard_normal((5, 4, 3))
@@ -286,8 +286,9 @@ class TestWeightedHosvd:
 
     def test_rank_grid_projects_one_c_ordered_copy(self, monkeypatch):
         # every rank's mode-1 projection reads the same C-ordered array:
-        # a Tucker reconstruction or an F-ordered tensor is copied once per
-        # grid, not once per rank, and a C-ordered one not at all
+        # an F-ordered tensor is copied once per grid, not once per rank,
+        # and a C-ordered one, a Tucker reconstruction among them, not at
+        # all
         rng = np.random.default_rng(17)
         tucker = tucker_reconstruct(
             weighted_hosvd(rng.standard_normal((8, 7, 6)), (3, 3, 3)))
@@ -309,8 +310,7 @@ class TestWeightedHosvd:
             assert all(s is seen[0] for s in seen)
             assert seen[0].flags.c_contiguous
             assert np.array_equal(seen[0], t)
-        assert not tucker.flags.c_contiguous
-        assert seen[0] is c_ordered
+            assert (seen[0] is t) == (t is not f_ordered)
 
     def test_working_copy_dropped_before_the_later_modes(self, monkeypatch):
         # only the mode-1 projections read the C-ordered copy of an
@@ -322,10 +322,10 @@ class TestWeightedHosvd:
         real = decomp._left_svd
         seen = []
 
-        def recording(g, m):
+        def recording(g, m, *build):
             if m >= 1 and not seen:
                 seen.append(tracemalloc.get_traced_memory()[0])
-            return real(g, m)
+            return real(g, m, *build)
 
         monkeypatch.setattr(decomp, "_left_svd", recording)
         tracemalloc.start()
@@ -373,6 +373,158 @@ class TestWeightedHosvd:
                            rtol=1e-12, atol=1e-12)
         for u in b.factors:
             assert np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-10)
+
+
+def _plain_contraction(tt):
+    """Core and factors contracted by one `mode_product` per mode."""
+    out = tt.core
+    for m, f in enumerate(tt.factors):
+        out = mode_product(out, f, m + 1)
+    return out
+
+
+def _tucker_source(tt, log=None):
+    """A source of `tt`'s dense builds for weighted_hosvd, recording the
+    layouts asked for in `log`."""
+    def build(order):
+        if log is not None:
+            log.append(order)
+        return tucker_reconstruct(tt, order=order)
+    return build
+
+
+class TestTuckerReconstruct:
+    @pytest.mark.parametrize("shape, ranks", [
+        ((7, 5), (1, 1)), ((7, 5), (7, 5)), ((7, 5), (3, 2)),
+        ((6, 4, 5), (1, 1, 1)), ((6, 4, 5), (6, 4, 5)), ((9, 7, 8), (2, 3, 4)),
+        ((3, 5, 2, 4), (1, 1, 1, 1)), ((3, 5, 2, 4), (3, 5, 2, 4)),
+        ((4, 3, 6, 5), (2, 3, 1, 4)),
+    ])
+    def test_layouts_equal_the_mode_product_chain(self, shape, ranks):
+        rng = np.random.default_rng(60)
+        tt = TuckerTensor(core=rng.standard_normal(ranks),
+                          factors=[rng.standard_normal((i, r))
+                                   for i, r in zip(shape, ranks)])
+        ref = _plain_contraction(tt)
+        c, f = tucker_reconstruct(tt), tucker_reconstruct(tt, order="F")
+        assert c.shape == f.shape == shape
+        assert c.flags.c_contiguous and f.flags.f_contiguous
+        assert np.array_equal(c, ref) and np.array_equal(f, ref)
+        assert np.array_equal(tucker_reconstruct(tt, order="C"), c)
+
+    @pytest.mark.parametrize("scenario", ["leaf", "core"])
+    def test_generated_samples_at_the_benchmark_modes(self, scenario):
+        from stmkernels import synth
+        with decomp._blas_threads(1):
+            for mode in (50, 64, 100):
+                cfg = synth.SynthConfig(scenario, mode_size=mode, r_approx=3,
+                                        samples_per_class=1, seed=mode)
+                for sample in synth.generate(cfg):
+                    tt = sample.tensor
+                    ref = _plain_contraction(tt)
+                    for order in ("C", "F"):
+                        assert np.array_equal(tucker_reconstruct(tt, order), ref)
+
+    def test_layouts_agree_to_rounding_where_blas_tiles_differ(self):
+        # at mode 70 (rank 3) numpy's OpenBLAS rounds some entries of one
+        # layout's matrix product differently, in the last bit; the values
+        # are the same dot products either way
+        from stmkernels import synth
+        cfg = synth.SynthConfig("leaf", mode_size=70, r_approx=3,
+                                samples_per_class=1, seed=70)
+        tt = synth.generate(cfg)[0].tensor
+        ref = _plain_contraction(tt)
+        tol = 4 * np.finfo(np.float64).eps * np.abs(ref).max()
+        for order in ("C", "F"):
+            assert np.abs(tucker_reconstruct(tt, order) - ref).max() <= tol
+
+    def test_unknown_order_rejected(self):
+        tt = TuckerTensor(core=np.ones((1, 1)), factors=[np.ones((2, 1))] * 2)
+        with pytest.raises(ValueError, match="order must be 'C' or 'F', got 'A'"):
+            tucker_reconstruct(tt, order="A")
+
+
+class TestSource:
+    """weighted_hosvd of a source: one dense build at a time, the bits of
+    the array path."""
+
+    @staticmethod
+    def _assert_same(a_list, b_list):
+        for a, b in zip(a_list, b_list, strict=True):
+            assert a.p == b.p and np.array_equal(a.core, b.core)
+            for x, y in zip(a.factors + a.sigmas, b.factors + b.sigmas):
+                assert np.array_equal(x, y)
+
+    GRID = [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 2, 3)]
+
+    def test_bitwise_equals_the_array_path(self):
+        rng = np.random.default_rng(61)
+        for shape, ranks in (((10, 12, 9), (3, 4, 2)), ((6, 30, 20), (3, 3, 3)),
+                             ((40, 5, 6), (4, 3, 3))):
+            tt = TuckerTensor(core=rng.standard_normal(ranks),
+                              factors=[rng.standard_normal((i, r))
+                                       for i, r in zip(shape, ranks)])
+            log = []
+            for p in (None, 0.0, 0.7):
+                many = weighted_hosvd(_tucker_source(tt, log), self.GRID, p)
+                self._assert_same(
+                    many, weighted_hosvd(tucker_reconstruct(tt), self.GRID, p))
+                one = weighted_hosvd(_tucker_source(tt), self.GRID[2], p)
+                self._assert_same([one], [many[2]])
+            assert log == ["F", "C"] * 3
+
+    @pytest.mark.parametrize("fallback", ["x-scaled", "l-scaled", "no-dgelqf"])
+    def test_fallbacks_rebuild_what_dgelqf_consumed(self, monkeypatch, fallback):
+        # the plain SVD after a refusal reads the tensor dgelqf did not
+        # overwrite: the source is built F-ordered again once it did
+        rng = np.random.default_rng(62)
+        tt = TuckerTensor(core=rng.standard_normal((3, 3, 3)),
+                          factors=[rng.standard_normal((i, 3))
+                                   for i in (5, 20, 20)])
+        scale = {"x-scaled": 2.0 ** -600, "l-scaled": 0.5 / _SMLNUM,
+                 "no-dgelqf": 1.0}[fallback]
+        if fallback == "l-scaled":
+            # every entry in range, the rows' norms (L's diagonal) not
+            base = np.sign(rng.standard_normal((5, 20, 20)))
+        else:
+            base = tucker_reconstruct(tt)
+        if fallback == "no-dgelqf":
+            monkeypatch.setattr(decomp, "_dgelqf", lambda: None)
+        log = []
+
+        def build(order):
+            log.append(order)
+            return np.array(base * scale, order=order)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = weighted_hosvd(build, self.GRID)
+            self._assert_same(got, weighted_hosvd(base * scale, self.GRID))
+        rebuilt = fallback == "l-scaled"
+        assert log == (["F", "F", "C"] if rebuilt else ["F", "C"])
+
+    def test_source_holds_one_dense_tensor(self):
+        # a mode-64 Tucker source peaks about one dense tensor above its
+        # start; its reconstruction passed as an array, about two
+        import tracemalloc
+
+        from stmkernels import synth
+        tt = synth.generate(synth.SynthConfig(
+            "leaf", mode_size=64, r_approx=3, samples_per_class=1,
+            seed=63))[0].tensor
+        nbytes = 64 ** 3 * 8
+        weighted_hosvd(_tucker_source(tt), (2, 2, 2))  # bind dgelqf first
+        peaks = []
+        for arg in (lambda: _tucker_source(tt), lambda: tucker_reconstruct(tt)):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                weighted_hosvd(arg(), [(2, 2, 2), (4, 4, 4)])
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.25 * nbytes
+        assert peaks[1] >= 1.75 * nbytes
 
 
 class TestFixSigns:

@@ -28,7 +28,9 @@ def test_filters_are_read():
 def test_demo_runs(demo, tmp_path):
     # run in tmp_path: demo 05 writes its reports into the working directory
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    flags = [f"-W{f}" for f in _filterwarnings()]
+    # pytest's own warning categories exist only under pytest: a plain
+    # interpreter cannot resolve them and ignores the flag with a notice
+    flags = [f"-W{f}" for f in _filterwarnings() if "::pytest." not in f]
     out = subprocess.run([sys.executable, *flags, str(demo)], cwd=tmp_path,
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

@@ -145,6 +145,34 @@ class TestDatasetIO:
             load_dataset(tmp_path)
 
 
+    def test_tucker_sample_written_from_one_dense_copy(self, tmp_path):
+        # a Tucker sample is built F-ordered, so the container is written
+        # from its own memory: one dense tensor, the same bytes as the
+        # plain contraction's column-major values
+        import struct
+        import tracemalloc
+
+        from stmkernels.tensor import mode_product
+        sample = generate(tiny_synth(mode_size=64, r_approx=3,
+                                     samples_per_class=1))[0]
+        tt = sample.tensor
+        dense = tt.core
+        for m, f in enumerate(tt.factors):
+            dense = mode_product(dense, f, m + 1)
+        save_dataset([sample], tmp_path / "warm")  # first-call allocations
+        tracemalloc.start()
+        try:
+            save_dataset([sample], tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * dense.nbytes
+        header = b"TNSR" + struct.pack("<I3Q", 3, 64, 64, 64)
+        values = np.ascontiguousarray(dense.ravel(order="F"), dtype="<f8")
+        written = (tmp_path / "out" / "sample_0000.tnsr").read_bytes()
+        assert written == header + values.tobytes()
+
+
 class TestStratifiedFolds:
     def test_class_counts_within_one(self):
         rng = np.random.default_rng(0)
@@ -488,16 +516,17 @@ class TestRunExperiment:
         assert len(bad) == 2 and all(math.isnan(r.mean_acc) for r in bad)
 
     def test_one_decomposition_per_sample_and_noise(self, monkeypatch):
-        # every rank of the grid comes out of one weighted_hosvd call on
-        # one dense reconstruction per sample and noise level
+        # every rank of the grid comes out of one weighted_hosvd call per
+        # sample and noise level, which builds the dense sample twice: F-
+        # ordered for the mode-1 SVD, then C-ordered for the projections
         from stmkernels import harness
-        calls = {"weighted_hosvd": 0, "tucker_reconstruct": 0}
+        calls = {"weighted_hosvd": [], "tucker_reconstruct": []}
 
         def counting(name):
             real = getattr(harness, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name].append(kwargs.get("order"))
                 return real(*args, **kwargs)
             return wrapper
 
@@ -506,8 +535,8 @@ class TestRunExperiment:
         cfg = tiny_experiment(noise_grid=(0.01, 0.1), rank_grid=(1, 2, 13))
         run_experiment(cfg)
         samples = 2 * cfg.synth.samples_per_class
-        assert calls == {"weighted_hosvd": 2 * samples,
-                         "tucker_reconstruct": 2 * samples}
+        assert len(calls["weighted_hosvd"]) == 2 * samples
+        assert calls["tucker_reconstruct"] == ["F", "C"] * (2 * samples)
 
     def test_threads_match_serial(self):
         cfg1 = tiny_experiment(rank_grid=(1, 2), threads=1)
@@ -920,6 +949,144 @@ class TestBlasThreads:
         one, two = ((tmp_path / str(n) / "report.csv").read_bytes()
                     for n in (1, 2))
         assert one == two
+
+
+class TestThreads:
+    """`threads` samples are decomposed at once; the reports, and every
+    refusal, are those of a serial run."""
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_threads_samples_decomposed_at_once(self, monkeypatch, threads):
+        # each call waits at a barrier for `threads` calls in all, which a
+        # serial run never reaches; a counter sees no more in flight
+        import threading
+
+        from stmkernels import harness
+        barrier = threading.Barrier(threads, timeout=30)
+        lock = threading.Lock()
+        busy = [0, 0]  # now, most
+        real = harness.weighted_hosvd
+
+        def meeting(*args, **kwargs):
+            with lock:
+                busy[0] += 1
+                busy[1] = max(busy)
+            barrier.wait()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                with lock:
+                    busy[0] -= 1
+
+        monkeypatch.setattr(harness, "weighted_hosvd", meeting)
+        before = threading.enumerate()
+        # 12 samples per noise level, a multiple of 2 and of 3
+        run_experiment(tiny_experiment(threads=threads))
+        assert busy == [0, threads]
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("source", ["synth", "data_dir"])
+    def test_reports_byte_identical_at_any_threads(self, tmp_path, source):
+        cfg = tiny_experiment(noise_grid=(0.01, 0.1), rank_grid=(1, 2))
+        if source == "data_dir":
+            save_dataset(generate(tiny_synth(), dense=True), tmp_path / "d")
+            cfg = replace(cfg, synth=None, data_dir=str(tmp_path / "d"),
+                          noise_grid=None)
+        texts = {}
+        for n in (1, 2, 4):
+            out = tmp_path / f"t{n}"
+            emit_report(run_experiment(replace(cfg, threads=n)), out)
+            summary = (out / "summary.json").read_text()
+            # the config echo names `threads`, and nothing else differs
+            assert summary.count(f'"threads": {n}') == 1
+            texts[n] = ((out / "report.csv").read_bytes(),
+                        summary.replace(f'"threads": {n}', '"threads": 1'))
+        assert texts[1] == texts[2] == texts[4]
+
+    @pytest.mark.parametrize("fault", ["weighting", "nan", "both"])
+    def test_refusals_as_in_a_serial_run(self, tmp_path, monkeypatch, fault):
+        # p = 200 refuses sample 5; a NaN container refuses sample 3 (or
+        # 6, after sample 5's refusal) when it is read. The message is
+        # the serial one, the samples before the refused one were
+        # decomposed, and no worker is left running.
+        import threading
+
+        from stmkernels import harness
+        synth_cfg = tiny_synth(mode_size=6, r_exact=3, r_approx=3,
+                               noise_variance=0.1)
+        data = generate(synth_cfg, dense=True)
+        bad = {"weighting": None, "nan": 3, "both": 6}[fault]
+        if bad is not None:
+            data[bad].tensor[1, 0, 2] = np.nan
+        save_dataset(data, tmp_path)
+        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path),
+                              p=200.0 if fault != "nan" else None)
+        real = harness.weighted_hosvd
+        messages, counts = [], []
+        before = threading.enumerate()
+        for n in (1, 2):
+            calls = []
+
+            def counting(*args, **kwargs):
+                calls.append(1)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, "weighted_hosvd", counting)
+            with pytest.raises(ValueError) as err:
+                run_experiment(replace(cfg, threads=n))
+            messages.append(str(err.value))
+            counts.append(len(calls))
+            assert threading.enumerate() == before
+        assert messages[0] == messages[1]
+        if fault == "nan":
+            assert "sample_0003.tnsr" in messages[0]
+            assert counts == [3, 3]
+        else:
+            assert messages[0].startswith("sample 5 at noise nan: weighting "
+                                          "power p = 200.0")
+
+    def test_more_workers_than_cores_under_fast_switching(self):
+        # 5 workers hand 40 samples back and forth while the interpreter
+        # switches threads every microsecond: every decomposition lands at
+        # its sample's index, bit for bit the serial one
+        import sys
+
+        from stmkernels.harness import _decompose_by_rank
+        rng = np.random.default_rng(70)
+        samples = [rng.standard_normal((6, 7, 5)) for _ in range(40)]
+        serial = _decompose_by_rank(samples, (1, 2), None, 0.5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = _decompose_by_rank(iter(samples), (1, 2), None, 0.5, 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(pooled) == [1, 2]
+        for rank in (1, 2):
+            assert len(pooled[rank]) == 40
+            for a, b in zip(pooled[rank], serial[rank]):
+                assert np.array_equal(a.core, b.core)
+                for x, y in zip(a.factors, b.factors):
+                    assert np.array_equal(x, y)
+
+    def test_pool_jobs_compute_on_one_blas_thread(self, monkeypatch):
+        _openblas_or_skip()
+        import threading
+
+        from stmkernels import decomp, harness
+        seen = []
+        real = harness.weighted_hosvd
+
+        def recording(*args, **kwargs):
+            seen.append((_linalg_blas_threads(),
+                         threading.current_thread() is threading.main_thread()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "weighted_hosvd", recording)
+        with decomp._blas_threads(2):
+            run_experiment(tiny_experiment(threads=2))
+            assert _linalg_blas_threads() == 2
+        assert seen == [(1, False)] * 12
 
 
 class TestReports:
