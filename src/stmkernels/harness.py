@@ -35,9 +35,10 @@ A run computes on one BLAS thread (`decomp._blas_threads`), so that every
 report is independent of the host's core count; at the mode sizes of the
 benchmark's workloads (50 to 100) the small per-sample SVDs are also as
 fast or faster on one thread. `threads` above 1 puts more cores to work
-by decomposing that many samples at once on worker threads (LAPACK and
-BLAS release the GIL), each on one BLAS thread, so the report does not
-depend on `threads`; the cross-validation runs serially.
+by decomposing up to that many samples at once on a standard thread pool
+(LAPACK and BLAS release the GIL), which starts threads only as jobs need
+them, at most `threads`; each job computes on one BLAS thread, so the
+report does not depend on `threads`. The cross-validation runs serially.
 """
 
 from __future__ import annotations
@@ -80,9 +81,10 @@ class ExperimentConfig:
     synthetic config stores the resolved grid, so `dataclasses.replace(cfg,
     synth=None, data_dir=d)` needs `noise_grid=None` too; the field is not
     left None, as synthetic summaries would then echo `null` and change.
-    `threads` is how many samples are decomposed at once, on worker
-    threads, each on one BLAS thread (see `run_experiment`); it changes
-    no byte of the report but the config's echo of it. The cross-
+    `threads` is how many samples are decomposed at once, on a standard
+    thread pool that starts threads only as jobs need them, at most
+    `threads`, each job on one BLAS thread (see `run_experiment`); it
+    changes no byte of the report but the config's echo of it. The cross-
     validation runs serially.
     """
 
@@ -319,20 +321,22 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
     reader. Each sample is decomposed by one weighted_hosvd call for all
     ranks (which computes its mode-1 SVD once); a generated sample is
     passed as the source of its dense builds (`_source`). With `threads`
-    above 1, that many worker threads take the samples in turn, so up to
+    above 1, the samples go to one `ThreadPoolExecutor` per call, which
+    starts threads only as jobs need them, at most `threads`, so up to
     `threads` are decomposed at once; the reader is advanced only when a
     slot frees, and results and errors are taken in sample order, so the
     output does not depend on `threads`. With `threads` None or 1 each
-    sample is decomposed in the calling thread before the next is read.
+    sample is decomposed in the calling thread before the next is read,
+    and no pool is made.
     A refused decomposition is re-raised naming the sample (its index in
     generation or manifest order) and the noise level; a sample the
     reader refuses is reported once the samples before it were
-    decomposed, and an error leaves no worker running. With no rank
+    decomposed, and an error leaves no pool thread running. With no rank
     feasible every sample is still read, so a bad one is still refused.
     """
     out = {}
     width = threads or 1
-    workers = []
+    pool = None
     flight = collections.deque()  # (index, outcome) per sample, oldest first
 
     def collect():
@@ -347,8 +351,14 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
     samples = iter(raw_samples)
     k = 0  # not enumerate: its reused tuple would hold the last sample
     try:
-        for _ in range(width if width > 1 else 0):
-            workers.append(_Worker())
+        if width > 1:
+            import concurrent.futures
+
+            # its threads live until shutdown, so one malloc arena serves
+            # every job a thread runs: with a thread per job, a new thread
+            # could get a fresh arena while a finished one's was not yet
+            # released, and peak RSS then moved by a dense tensor
+            pool = concurrent.futures.ThreadPoolExecutor(width)
         while True:
             if len(flight) == width:
                 collect()
@@ -365,9 +375,7 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
             if out:
                 grid = [(rank,) * len(s.shape) for rank in out]
                 job = functools.partial(weighted_hosvd, _source(s), grid, p)
-                if workers:
-                    job = workers[k % width].start(job)
-                flight.append((k, job))
+                flight.append((k, pool.submit(job).result if pool else job))
             # only its job holds the sample now, so a decomposed one is
             # freed before the next is read and malloc can reuse its
             # memory: with one more alive, peak RSS moved by one dense
@@ -377,8 +385,8 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
         while flight:
             collect()
     finally:
-        for worker in workers:
-            worker.close()
+        if pool:
+            pool.shutdown(cancel_futures=True)
     return out
 
 
@@ -389,55 +397,6 @@ def _source(s):
     if isinstance(s, np.ndarray):
         return s
     return lambda order: tucker_reconstruct(s, order=order)
-
-
-class _Worker:
-    """A thread that runs the jobs it is given in turn.
-
-    `start(job)` queues a job and returns a function that waits for the
-    job's outcome and returns what it returned or raises what it raised;
-    outcomes are waited for in the order the jobs were given. The thread
-    lives until `close`, so one malloc arena serves every job it runs:
-    with a thread per job, a new thread could get a fresh arena while a
-    finished one's was not yet released, and peak RSS then moved by a
-    dense tensor from run to run.
-    """
-
-    def __init__(self):
-        import queue
-        import threading
-
-        self._jobs, self._outcomes = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._serve)
-        self._thread.start()
-
-    def _serve(self):
-        for job in iter(self._jobs.get, None):
-            self._outcomes.put(_outcome(job))
-            job = None  # its sample is freed before the next job comes
-
-    def start(self, job):
-        self._jobs.put(job)
-        return self._result
-
-    def _result(self):
-        value, err = self._outcomes.get()
-        if err is not None:
-            raise err
-        return value
-
-    def close(self):
-        """End the thread once the jobs given to it have run."""
-        self._jobs.put(None)
-        self._thread.join()
-
-
-def _outcome(job):
-    """(value, None) of `job()`, or (None, the exception it raised)."""
-    try:
-        return job(), None
-    except BaseException as err:  # raised again by the waiting thread
-        return None, err
 
 
 def derive_kernel_inputs(tuckers, kind):

@@ -1088,6 +1088,44 @@ class TestThreads:
             assert _linalg_blas_threads() == 2
         assert seen == [(1, False)] * 12
 
+    @pytest.mark.parametrize("source", ["synth", "data_dir"])
+    def test_threads_above_the_sample_count(self, tmp_path, monkeypatch,
+                                            source):
+        # 8 threads for 6 samples per noise level: the report is the
+        # serial one, the pool starts no thread that no job needs, and it
+        # leaves none behind
+        import threading
+
+        from stmkernels import harness
+        synth_cfg = tiny_synth(samples_per_class=3)
+        cfg = tiny_experiment(synth=synth_cfg, noise_grid=(0.01, 0.1))
+        if source == "data_dir":
+            save_dataset(generate(synth_cfg, dense=True), tmp_path / "d")
+            cfg = replace(cfg, synth=None, data_dir=str(tmp_path / "d"),
+                          noise_grid=None)
+        real = harness.weighted_hosvd
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(threading.active_count())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "weighted_hosvd", counting)
+        before = threading.enumerate()
+        texts = {}
+        for n in (1, 8):
+            out = tmp_path / f"t{n}"
+            emit_report(run_experiment(replace(cfg, threads=n)), out)
+            summary = (out / "summary.json").read_text()
+            assert summary.count(f'"threads": {n}') == 1
+            texts[n] = ((out / "report.csv").read_bytes(),
+                        summary.replace(f'"threads": {n}', '"threads": 1'))
+            assert threading.enumerate() == before
+        assert texts[1] == texts[8]
+        samples = 6 * (2 if source == "synth" else 1)
+        assert len(seen) == 2 * samples
+        assert max(seen) <= len(before) + 6
+
 
 class TestReports:
     def test_empty_report_header_only(self, tmp_path):
@@ -1110,6 +1148,35 @@ class TestReports:
         lines = a.read_text().strip().splitlines()[1:]
         assert lines[0].startswith("dusk,1,0.01")
         assert lines[-1].startswith("wsek,2,0.1")
+
+    def test_a_run_never_imports_numpy_ma(self, tmp_path):
+        # np.unique's first call imports numpy.ma, which no run reads; in a
+        # fresh interpreter a whole run and its report leave it unimported
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(sk.__file__))
+        script = f"""
+import sys
+from stmkernels.harness import ExperimentConfig, emit_report, run_experiment
+from stmkernels.synth import SynthConfig
+synth = SynthConfig(scenario="leaf", mode_size=12, r_exact=2, r_approx=2,
+                    noise_variance=0.01, samples_per_class=6, seed=5)
+cfg = ExperimentConfig(synth=synth, noise_grid=(0.01,), rank_grid=(2,),
+                       c_grid=(0.5, 2.0), g_grid=(0.5, 2.0), repeats=2,
+                       folds=3, measure_time=False)
+emit_report(run_experiment(cfg), {str(tmp_path)!r})
+print("numpy.ma" in sys.modules)
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert (tmp_path / "report.csv").exists()
+        assert out.stdout == "False\n"
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = tiny_experiment()

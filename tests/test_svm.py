@@ -233,6 +233,7 @@ class TestErrors:
         ([1, 0], r"\[0.0\]"),
         ([1.0, -1.0, 2.0, 0.5], r"\[0.5, 2.0\]"),
         ([-1.0, np.nan], r"\[nan\]"),
+        ([np.nan, np.nan, 3.0], r"\[3.0, nan\]"),
     ])
     def test_bad_labels_named_as_plain_numbers(self, labels, bad):
         # formatted as stratified_folds formats them, not as numpy reprs
