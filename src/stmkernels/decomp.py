@@ -19,14 +19,15 @@ here reads, are never formed. Tall, square and narrower unfoldings, a
 numpy without an ILP64 dgelqf, and magnitudes that dgesdd would rescale
 take the plain `np.linalg.svd` call.
 
-A decomposition holds one dense tensor beside its input at a time, and
-none beside it when its input is a source (a function that builds the
-tensor in a requested layout, such as a Tucker sample's
-`tucker_reconstruct`): first the F-ordered tensor whose mode-1
-unfolding dgelqf overwrites, then the C-ordered tensor (the input itself
-when C-ordered) that every rank's mode-1 projection reads. That one is
-dropped before any rank's modes 2...M run. `tucker_reconstruct` builds
-either layout directly, so a generated sample is never copied.
+The decomposition reads one layout, F order (mode 1 varies fastest, as
+in `matricize` and the tensor container). Its input is a tensor or a
+source, a function that builds the tensor anew, F-ordered, such as a
+Tucker sample's `tucker_reconstruct`. A tensor is held beside a copy of
+itself only while the mode-1 SVD runs: the private copy dgelqf
+overwrites. A source is built once for that SVD and once more for every
+rank's mode-1 projections, one build at a time. The projections read an
+F-ordered tensor in place, any other through one F-ordered copy, and
+that tensor is dropped before any rank's modes 2...M run.
 
 This is the one module that reaches numpy's native libraries, all
 through `_numpy_symbol`, a lookup in numpy's linalg extension that finds
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import frobenius_norm, matricize, mode_product
+from .tensor import fold, frobenius_norm, matricize, mode_product
 
 # Singular values below SIGMA_FLOOR * sigma_max count as numerically zero.
 # weighted_hosvd zeroes the core along their directions once, at
@@ -332,7 +333,7 @@ def _left_svd(g, m, build=None):
     bits, without Q, V^T or their N-column buffers. Given `build`, the
     source `g` was built by (see `weighted_hosvd`), dgelqf runs on `g`
     itself when its unfolding is F-contiguous, and the plain call, should
-    it be needed afterwards, reads a new `build("F")`. The plain call runs
+    it be needed afterwards, reads a new `build()`. The plain call runs
     instead for a tall, square or narrower unfolding, without an ILP64
     dgelqf, or when X or L would be rescaled by dgesdd (see `_unscaled`).
     """
@@ -350,17 +351,9 @@ def _left_svd(g, m, build=None):
             u, s, _ = np.linalg.svd(low, full_matrices=False)
             return u, s
         # dgelqf has overwritten x
-        x = matricize(g if build is None else build("F"), m + 1)
+        x = matricize(g if build is None else build(), m + 1)
     u, s, _ = np.linalg.svd(x, full_matrices=False)
     return u, s
-
-
-def _copies(t):
-    """The source (see `weighted_hosvd`) of the array `t`: a new F-ordered
-    copy, and `t` itself when C-ordered, else a C-ordered copy."""
-    t = np.asarray(t, dtype=np.float64)
-    return lambda order: (np.array(t, order="F") if order == "F"
-                          else np.ascontiguousarray(t))
 
 
 def weighted_hosvd(t, ranks, p=None):
@@ -378,20 +371,20 @@ def weighted_hosvd(t, ranks, p=None):
     not depend on p, and `reweight(weighted_hosvd(t, r, 0.0), p)` is
     bitwise equal to `weighted_hosvd(t, r, p)`. Default p is 1/M.
 
-    `t` is a tensor or a source: a function `t(order)` that returns the
-    tensor as an array laid out in `order`, "F" or "C", and must return a
-    new array for "F", as dgelqf overwrites it. The F-ordered build gives
-    the mode-1 SVD and is dropped before the C-ordered one is made, so a
-    source is held dense once at a time. A tensor is its own source
-    (`_copies`): an F-ordered copy, then itself or a C-ordered copy, so
-    it is held beside one copy of itself at a time.
+    `t` is a tensor or a source: a function `t()` that returns a new
+    F-ordered array of the tensor on each call, as dgelqf overwrites it.
+    A source is built once for the mode-1 SVD, and that build is dropped
+    before the second, which the mode-1 projections read, so it is held
+    dense once at a time. A tensor is held beside the private copy that
+    dgelqf overwrites while the mode-1 SVD runs, and the projections read
+    it in place when F-ordered, else through one F-ordered copy.
 
     `ranks` is either one per-mode rank tuple, which returns one
     TuckerTensor, or a sequence of such tuples, which returns a list with
     one TuckerTensor per entry. All entries are validated before any SVD.
     The mode-1 unfolding is the full `t` whatever the ranks, so its SVD is
     computed once and shared by every entry. Every entry's mode-1
-    projection is taken first, from the one C-ordered build, which is
+    projection is taken first, from the one F-ordered tensor, which is
     dropped before modes 2...M run; each entry is bitwise equal to a
     separate call with that tuple.
 
@@ -402,8 +395,8 @@ def weighted_hosvd(t, ranks, p=None):
     at mode 100, not at 64) unless the caller pins one thread, as
     `run_experiment` does with `_blas_threads(1)`.
     """
-    build = t if callable(t) else _copies(t)
-    g = build("F")
+    build = t if callable(t) else None
+    g = build() if build else np.asarray(t, dtype=np.float64)
     ranks = list(ranks)
     single = len(ranks) == 0 or np.ndim(ranks[0]) == 0
     grid = [_checked_ranks(g.shape, r) for r in ([ranks] if single else ranks)]
@@ -413,8 +406,8 @@ def weighted_hosvd(t, ranks, p=None):
         raise ValueError("cannot decompose an all-zero tensor")
 
     u, s = _left_svd(g, 0, build)
-    del g  # dgelqf may have overwritten it
-    g = build("C")
+    del g  # dgelqf may have overwritten a build
+    g = build() if build else np.asfortranarray(t, dtype=np.float64)
     heads = [_project(g, u, s, r[0], 0) for r in grid]
     del g  # only the mode-1 projections read it
     out = [_truncate(*head, r, p) for head, r in zip(heads, grid)]
@@ -423,9 +416,12 @@ def weighted_hosvd(t, ranks, p=None):
 
 def _project(g, u, s, r, m):
     """One ST-HOSVD step: the leading `r` (capped) sign-fixed columns of
-    the mode-(m+1) SVD (u, s), their sigmas, and `g` projected onto them."""
+    the mode-(m+1) SVD (u, s), their sigmas, and `g` projected onto them,
+    on its unfolding: a view of an F-ordered `g` at m = 0, which
+    `mode_product` would copy to C order."""
     u = fix_signs(u[:, :min(r, u.shape[1])])
-    return u, s[:u.shape[1]], mode_product(g, u.T, m + 1)
+    shape = g.shape[:m] + (u.shape[1],) + g.shape[m + 1:]
+    return u, s[:u.shape[1]], fold(u.T @ matricize(g, m + 1), m + 1, shape)
 
 
 def _truncate(u, s, g, ranks, p):
@@ -444,30 +440,24 @@ def _truncate(u, s, g, ranks, p):
     return reweight(TuckerTensor(core=g, factors=basis, sigmas=sigmas), p)
 
 
-def tucker_reconstruct(tt, order="C"):
-    """Contract core and factors back into a dense tensor laid out in
-    `order`, "C" (the default) or "F".
+def tucker_reconstruct(tt):
+    """Contract core and factors back into a new F-ordered dense tensor.
 
     Modes 1...M-1 are multiplied in by `mode_product`. The last mode's
-    product is one matrix product that BLAS writes straight in the
-    requested layout, so neither layout is a copy of the other. Each
-    entry is the same length-R_M dot product as in a plain
-    `mode_product` chain, and with numpy's OpenBLAS both layouts equal
-    that chain bit for bit at the benchmark's sizes (modes 50, 64 and
-    100, rank 3) and at every shape checked with modes up to 12. The
-    kernel's edge tiles fall on other entries in the other layout, and
-    at some larger shapes those round differently in the last bit: at
-    cubic modes 70, 74, 78, ... (2 mod 4) for rank 3, for one.
+    product is one matrix product that BLAS writes straight in F order,
+    so the result is not a copy of another layout. Each entry is the
+    same length-R_M dot product as in a plain `mode_product` chain, whose
+    result is C-ordered, and with numpy's OpenBLAS the two are equal bit
+    for bit at the benchmark's sizes (modes 50, 64 and 100, rank 3) and
+    at every shape checked with modes up to 12. The kernel's edge tiles
+    fall on other entries in the chain's layout, and at some larger
+    shapes those round differently in the last bit: at cubic modes 70,
+    74, 78, ... (2 mod 4) for rank 3, for one.
     """
-    if order not in ("C", "F"):
-        raise ValueError(f"order must be 'C' or 'F', got {order!r}")
     out = tt.core
     for m, f in enumerate(tt.factors[:-1]):
         out = mode_product(out, f, m + 1)
     f = tt.factors[-1]
-    if order == "C":
-        # rows: the earlier modes' indices, C-flattened
-        return (out.reshape(-1, f.shape[1]) @ f.T).reshape(tt.shape)
     # columns: the earlier modes' indices, F-flattened
     cols = np.ascontiguousarray(out.reshape(-1, f.shape[1], order="F").T)
     return (f @ cols).T.reshape(tt.shape, order="F")

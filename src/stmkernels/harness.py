@@ -6,8 +6,8 @@ A run holds one dense sample per decomposition in flight, at most
 `threads` of them (one by default): a data directory's manifest is read
 first (labels and their checks), and each tensor is then read, checked,
 decomposed and dropped in turn; a generated sample is built dense from
-its Tucker form by its decomposition, F-ordered for the mode-1 SVD and
-then C-ordered for the projections, one build alive at a time.
+its Tucker form by its decomposition, once for the mode-1 SVD and once
+more for the projections, one build alive at a time.
 
 Protocol per (kernel, rank, noise) cell: every sample is decomposed once
 per noise level, by one call for all feasible ranks that shares the
@@ -197,16 +197,16 @@ def save_dataset(samples, out_dir):
     """Export labeled samples as tensor containers plus a manifest.
 
     `samples` is a list of LabeledSample; Tucker samples are materialized
-    to dense tensors, F-ordered, so that `save_tensor` writes them from
-    their own memory. The manifest has one `relative-path,label` line per
-    sample.
+    by `tucker_reconstruct`, whose F-ordered tensors `save_tensor` writes
+    from their own memory. The manifest has one `relative-path,label`
+    line per sample.
     """
     os.makedirs(out_dir, exist_ok=True)
     lines = []
     for k, sample in enumerate(samples):
         t = sample.tensor
         if not isinstance(t, np.ndarray):
-            t = tucker_reconstruct(t, order="F")
+            t = tucker_reconstruct(t)
         name = f"sample_{k:04d}.tnsr"
         save_tensor(os.path.join(out_dir, name), t)
         lines.append(f"{name},{int(sample.label)}\n")
@@ -393,10 +393,10 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
 def _source(s):
     """What weighted_hosvd decomposes for the raw sample `s`: a dense
     sample as it is, a Tucker sample as the source of its dense builds,
-    each made by `tucker_reconstruct` straight in the requested layout."""
+    each a new F-ordered tensor from `tucker_reconstruct`."""
     if isinstance(s, np.ndarray):
         return s
-    return lambda order: tucker_reconstruct(s, order=order)
+    return functools.partial(tucker_reconstruct, s)
 
 
 def derive_kernel_inputs(tuckers, kind):

@@ -201,10 +201,10 @@ def generate(cfg, dense=False):
     """All samples of both classes for one configuration.
 
     Returns 2 * samples_per_class LabeledSamples, class -1 first. With
-    `dense=True` the Tucker forms are contracted to full arrays (for the
-    Gaussian-kernel baseline and for dataset export). Deterministic given
-    the config; samples may be generated in parallel because every stream
-    is pre-split.
+    `dense=True` the Tucker forms are contracted to full F-ordered arrays
+    by `tucker_reconstruct` (for the Gaussian-kernel baseline and for
+    dataset export). Deterministic given the config; samples may be
+    generated in parallel because every stream is pre-split.
     """
     grid = np.linspace(-1.0, 1.0, cfg.mode_size)
     out = []

@@ -284,37 +284,38 @@ class TestWeightedHosvd:
         assert modes.count(0) == 1
         assert len(modes) == 1 + 2 * 3
 
-    def test_rank_grid_projects_one_c_ordered_copy(self, monkeypatch):
-        # every rank's mode-1 projection reads the same C-ordered array:
-        # an F-ordered tensor is copied once per grid, not once per rank,
-        # and a C-ordered one, a Tucker reconstruction among them, not at
-        # all
+    def test_rank_grid_projects_one_f_ordered_tensor(self, monkeypatch):
+        # every rank's mode-1 projection reads the same F-ordered array:
+        # an F-ordered tensor, a Tucker reconstruction among them, is read
+        # in place, and a C-ordered one through one copy per grid, not one
+        # per rank
         rng = np.random.default_rng(17)
         tucker = tucker_reconstruct(
             weighted_hosvd(rng.standard_normal((8, 7, 6)), (3, 3, 3)))
         f_ordered = np.asfortranarray(rng.standard_normal((8, 7, 6)))
         c_ordered = rng.standard_normal((8, 7, 6))
-        real = decomp.mode_product
+        real = decomp._project
         seen = []
 
-        def recording(t, a, m):
-            if m == 1:
-                seen.append(t)
-            return real(t, a, m)
+        def recording(g, u, s, r, m):
+            if m == 0:
+                seen.append(g)
+            return real(g, u, s, r, m)
 
-        monkeypatch.setattr(decomp, "mode_product", recording)
+        monkeypatch.setattr(decomp, "_project", recording)
         for t in (tucker, f_ordered, c_ordered):
             seen.clear()
             weighted_hosvd(t, [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
             assert len(seen) == 3
             assert all(s is seen[0] for s in seen)
-            assert seen[0].flags.c_contiguous
+            assert seen[0].flags.f_contiguous
             assert np.array_equal(seen[0], t)
-            assert (seen[0] is t) == (t is not f_ordered)
+            assert np.shares_memory(seen[0], t) == (t is not c_ordered)
 
     def test_working_copy_dropped_before_the_later_modes(self, monkeypatch):
-        # only the mode-1 projections read the C-ordered copy of an
-        # F-ordered tensor, so no mode >= 2 of any rank runs beside it
+        # dgelqf's private copy of an F-ordered tensor is dropped when the
+        # mode-1 SVD returns, and the mode-1 projections read the tensor
+        # itself, so no mode >= 2 of any rank runs beside a copy of it
         import tracemalloc
 
         t = np.asfortranarray(np.random.default_rng(18).standard_normal((64, 64, 64)))
@@ -384,12 +385,13 @@ def _plain_contraction(tt):
 
 
 def _tucker_source(tt, log=None):
-    """A source of `tt`'s dense builds for weighted_hosvd, recording the
-    layouts asked for in `log`."""
-    def build(order):
+    """A source of `tt`'s dense builds for weighted_hosvd, recording each
+    build in `log`."""
+    def build():
+        g = tucker_reconstruct(tt)
         if log is not None:
-            log.append(order)
-        return tucker_reconstruct(tt, order=order)
+            log.append(g.flags.f_contiguous)
+        return g
     return build
 
 
@@ -406,11 +408,10 @@ class TestTuckerReconstruct:
                           factors=[rng.standard_normal((i, r))
                                    for i, r in zip(shape, ranks)])
         ref = _plain_contraction(tt)
-        c, f = tucker_reconstruct(tt), tucker_reconstruct(tt, order="F")
-        assert c.shape == f.shape == shape
-        assert c.flags.c_contiguous and f.flags.f_contiguous
-        assert np.array_equal(c, ref) and np.array_equal(f, ref)
-        assert np.array_equal(tucker_reconstruct(tt, order="C"), c)
+        f = tucker_reconstruct(tt)
+        assert f.shape == shape
+        assert f.flags.f_contiguous
+        assert np.array_equal(f, ref)
 
     @pytest.mark.parametrize("scenario", ["leaf", "core"])
     def test_generated_samples_at_the_benchmark_modes(self, scenario):
@@ -421,27 +422,20 @@ class TestTuckerReconstruct:
                                         samples_per_class=1, seed=mode)
                 for sample in synth.generate(cfg):
                     tt = sample.tensor
-                    ref = _plain_contraction(tt)
-                    for order in ("C", "F"):
-                        assert np.array_equal(tucker_reconstruct(tt, order), ref)
+                    assert np.array_equal(tucker_reconstruct(tt),
+                                          _plain_contraction(tt))
 
     def test_layouts_agree_to_rounding_where_blas_tiles_differ(self):
-        # at mode 70 (rank 3) numpy's OpenBLAS rounds some entries of one
-        # layout's matrix product differently, in the last bit; the values
-        # are the same dot products either way
+        # at mode 70 (rank 3) numpy's OpenBLAS rounds some entries of the
+        # F-ordered matrix product differently from the C-ordered chain, in
+        # the last bit; the values are the same dot products either way
         from stmkernels import synth
         cfg = synth.SynthConfig("leaf", mode_size=70, r_approx=3,
                                 samples_per_class=1, seed=70)
         tt = synth.generate(cfg)[0].tensor
         ref = _plain_contraction(tt)
         tol = 4 * np.finfo(np.float64).eps * np.abs(ref).max()
-        for order in ("C", "F"):
-            assert np.abs(tucker_reconstruct(tt, order) - ref).max() <= tol
-
-    def test_unknown_order_rejected(self):
-        tt = TuckerTensor(core=np.ones((1, 1)), factors=[np.ones((2, 1))] * 2)
-        with pytest.raises(ValueError, match="order must be 'C' or 'F', got 'A'"):
-            tucker_reconstruct(tt, order="A")
+        assert np.abs(tucker_reconstruct(tt) - ref).max() <= tol
 
 
 class TestSource:
@@ -471,12 +465,12 @@ class TestSource:
                     many, weighted_hosvd(tucker_reconstruct(tt), self.GRID, p))
                 one = weighted_hosvd(_tucker_source(tt), self.GRID[2], p)
                 self._assert_same([one], [many[2]])
-            assert log == ["F", "C"] * 3
+            assert log == [True] * (2 * 3)
 
     @pytest.mark.parametrize("fallback", ["x-scaled", "l-scaled", "no-dgelqf"])
     def test_fallbacks_rebuild_what_dgelqf_consumed(self, monkeypatch, fallback):
         # the plain SVD after a refusal reads the tensor dgelqf did not
-        # overwrite: the source is built F-ordered again once it did
+        # overwrite: the source is built again once it did
         rng = np.random.default_rng(62)
         tt = TuckerTensor(core=rng.standard_normal((3, 3, 3)),
                           factors=[rng.standard_normal((i, 3))
@@ -492,16 +486,16 @@ class TestSource:
             monkeypatch.setattr(decomp, "_dgelqf", lambda: None)
         log = []
 
-        def build(order):
-            log.append(order)
-            return np.array(base * scale, order=order)
+        def build():
+            log.append(True)
+            return np.array(base * scale, order="F")
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = weighted_hosvd(build, self.GRID)
             self._assert_same(got, weighted_hosvd(base * scale, self.GRID))
         rebuilt = fallback == "l-scaled"
-        assert log == (["F", "F", "C"] if rebuilt else ["F", "C"])
+        assert len(log) == (3 if rebuilt else 2)
 
     def test_source_holds_one_dense_tensor(self):
         # a mode-64 Tucker source peaks about one dense tensor above its
