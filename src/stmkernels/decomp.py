@@ -21,11 +21,12 @@ take the plain `np.linalg.svd` call.
 
 The decomposition reads one layout, F order (mode 1 varies fastest, as
 in `matricize` and the tensor container). Its input is a tensor or a
-source, a function that builds the tensor anew, F-ordered, such as a
-Tucker sample's `tucker_reconstruct`. A tensor is held beside a copy of
-itself only while the mode-1 SVD runs: the private copy dgelqf
-overwrites. A source is built once for that SVD and once more for every
-rank's mode-1 projections, one build at a time. The projections read an
+source, a function that gives the tensor anew, F-ordered, such as a
+Tucker sample's `tucker_reconstruct` or a re-read of a container into
+one buffer. A tensor is held beside a copy of itself only while the
+mode-1 SVD runs: the private copy dgelqf overwrites. A source is called
+once for that SVD, which dgelqf runs in place, and once more for every
+rank's mode-1 projections, one array at a time. The projections read an
 F-ordered tensor in place, any other through one F-ordered copy, and
 that tensor is dropped before any rank's modes 2...M run.
 
@@ -333,7 +334,7 @@ def _left_svd(g, m, build=None):
     bits, without Q, V^T or their N-column buffers. Given `build`, the
     source `g` was built by (see `weighted_hosvd`), dgelqf runs on `g`
     itself when its unfolding is F-contiguous, and the plain call, should
-    it be needed afterwards, reads a new `build()`. The plain call runs
+    it be needed afterwards, reads `build()` again. The plain call runs
     instead for a tall, square or narrower unfolding, without an ILP64
     dgelqf, or when X or L would be rescaled by dgesdd (see `_unscaled`).
     """
@@ -371,13 +372,16 @@ def weighted_hosvd(t, ranks, p=None):
     not depend on p, and `reweight(weighted_hosvd(t, r, 0.0), p)` is
     bitwise equal to `weighted_hosvd(t, r, p)`. Default p is 1/M.
 
-    `t` is a tensor or a source: a function `t()` that returns a new
-    F-ordered array of the tensor on each call, as dgelqf overwrites it.
-    A source is built once for the mode-1 SVD, and that build is dropped
-    before the second, which the mode-1 projections read, so it is held
-    dense once at a time. A tensor is held beside the private copy that
-    dgelqf overwrites while the mode-1 SVD runs, and the projections read
-    it in place when F-ordered, else through one F-ordered copy.
+    `t` is a tensor or a source: a function `t()` that returns the tensor
+    in an F-ordered array nobody reads until its next call, as dgelqf
+    overwrites it. That array may be new on each call (a Tucker sample's
+    builds) or one buffer filled anew (a `data_dir` sample's container,
+    read again). A source is called once for the mode-1 SVD, and once
+    more for the mode-1 projections, after the first array is dropped, so
+    the tensor is held dense once at a time. A tensor is held beside the
+    private copy that dgelqf overwrites while the mode-1 SVD runs, and the
+    projections read it in place when F-ordered, else through one
+    F-ordered copy.
 
     `ranks` is either one per-mode rank tuple, which returns one
     TuckerTensor, or a sequence of such tuples, which returns a list with

@@ -4,8 +4,11 @@ stratified k-fold cross-validation, and deterministic CSV/JSON reporting.
 
 A run holds one dense sample per decomposition in flight, at most
 `threads` of them (one by default): a data directory's manifest is read
-first (labels and their checks), and each tensor is then read, checked,
-decomposed and dropped in turn; a generated sample is built dense from
+first (labels and their checks), and each container is then read and
+checked into the one buffer of its decomposition slot, which dgelqf
+overwrites, and read and checked once more for the mode-1 projections;
+the slots' buffers serve sample after sample and are dropped when the
+noise level's decompositions end. A generated sample is built dense from
 its Tucker form by its decomposition, once for the mode-1 SVD and once
 more for the projections, one build alive at a time.
 
@@ -221,21 +224,20 @@ def load_dataset(data_dir):
     Labels 0/-1 map to -1 and 1/+1 to +1; anything else is rejected, as
     are missing files, malformed containers, NaN or inf entries, and mixed
     shapes. The whole manifest is checked before any tensor is read; the
-    tensors are then read, and refused, in manifest order. This is the
-    list of the reader that a `data_dir` run streams (`_open_dataset`).
+    tensors are then read, and refused, in manifest order, by the readers
+    a `data_dir` run calls (`_open_dataset`), each into a new array.
     """
-    labels, samples = _open_dataset(data_dir)
-    return TrainingSet(list(samples), labels)
+    labels, readers = _open_dataset(data_dir)
+    return TrainingSet([read() for read in readers], labels)
 
 
 def _open_dataset(data_dir):
-    """(labels, samples) of a manifest directory.
+    """(labels, readers) of a manifest directory.
 
     The manifest is read and checked now: a missing or empty manifest, a
     malformed line and an unknown label are refused before any tensor is
-    read. `samples` is an iterator that reads one dense tensor per
-    manifest entry when asked for it, refusing a malformed container, NaN
-    or inf entries, and a shape other than the first sample's.
+    read. `readers` holds one reader per manifest entry, in order
+    (`_read_tensors`), which reads its dense tensor when called.
     """
     manifest = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.exists(manifest):
@@ -263,20 +265,37 @@ def _open_dataset(data_dir):
     return np.array(labels, dtype=np.float64), _read_tensors(manifest, paths)
 
 
+class _Unreadable(ValueError):
+    """A container the reader refused, with `load_dataset`'s message."""
+
+
 def _read_tensors(manifest, paths):
-    """Yield the checked dense tensor at each of `paths` in turn, holding
-    none of them between yields."""
-    for k, path in enumerate(paths):
-        t = load_tensor(path)
-        if not np.isfinite(t).all():
-            raise ValueError(f"{path}: tensor holds NaN or inf values")
-        if k == 0:
+    """One reader per path: `read(out=None)` reads the dense tensor there
+    by `load_tensor(path, out=out)` and returns it, refusing a malformed
+    container, NaN or inf entries, and a shape other than the first one
+    read, sample 0's when the samples are read in order. Its refusals are
+    `_Unreadable`. A reader may be called again, to read its container
+    anew; the readers share nothing but that first shape."""
+    shape = None
+
+    def read(k, path, out=None):
+        nonlocal shape
+        try:
+            t = load_tensor(path, out=out)
+        except ValueError as err:
+            raise _Unreadable(str(err)) from err
+        # NaN propagates through np.max and np.min, which need no
+        # temporary as large as the tensor
+        if not (math.isfinite(np.max(t)) and math.isfinite(np.min(t))):
+            raise _Unreadable(f"{path}: tensor holds NaN or inf values")
+        if shape is None:
             shape = t.shape
         if t.shape != shape:
-            raise ValueError(
+            raise _Unreadable(
                 f"{manifest}: sample {k} has shape {t.shape}, expected {shape}")
-        yield t
-        del t
+        return t
+
+    return [functools.partial(read, k, path) for k, path in enumerate(paths)]
 
 
 # ---------------------------------------------------------------------------
@@ -317,32 +336,40 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
     no mode size of the first sample is below (all samples share its
     shape).
 
-    `raw_samples` is iterated once and may be a data directory's lazy
-    reader. Each sample is decomposed by one weighted_hosvd call for all
-    ranks (which computes its mode-1 SVD once); a generated sample is
-    passed as the source of its dense builds (`_source`). With `threads`
-    above 1, the samples go to one `ThreadPoolExecutor` per call, which
-    starts threads only as jobs need them, at most `threads`, so up to
-    `threads` are decomposed at once; the reader is advanced only when a
-    slot frees, and results and errors are taken in sample order, so the
-    output does not depend on `threads`. With `threads` None or 1 each
-    sample is decomposed in the calling thread before the next is read,
-    and no pool is made.
+    `raw_samples` is iterated once; its entries are dense arrays, Tucker
+    samples, or a data directory's readers (`_read_tensors`). Each sample
+    is decomposed by one weighted_hosvd call for all ranks (which computes
+    its mode-1 SVD once), from the source `_source` makes of it. Sample k
+    takes decomposition slot k % `threads`, and a reader reads its
+    container into its slot's F-ordered buffer, in the calling thread:
+    the slot's last sample was decomposed by then, so at most `threads`
+    buffers exist, and they are dropped when the call returns. With
+    `threads` above 1, the samples go to one `ThreadPoolExecutor` per
+    call, which starts threads only as jobs need them, at most
+    `threads`, so up to `threads` are decomposed at once; the next
+    sample is taken only when a slot frees, and results and errors are
+    taken in sample order, so the output does not depend on `threads`.
+    With `threads` None or 1 each sample is decomposed in the calling
+    thread before the next is read, and no pool is made.
     A refused decomposition is re-raised naming the sample (its index in
     generation or manifest order) and the noise level; a sample the
-    reader refuses is reported once the samples before it were
-    decomposed, and an error leaves no pool thread running. With no rank
-    feasible every sample is still read, so a bad one is still refused.
+    reader refuses, at either of its reads, is reported with
+    `load_dataset`'s message once the samples before it were decomposed,
+    and an error leaves no pool thread running. With no rank feasible
+    every sample is still read, so a bad one is still refused.
     """
     out = {}
     width = threads or 1
     pool = None
     flight = collections.deque()  # (index, outcome) per sample, oldest first
+    buffers = [None] * width  # per slot, the last container read into it
 
     def collect():
         k, outcome = flight.popleft()
         try:
             decomposed = outcome()
+        except _Unreadable:
+            raise  # the container changed after its first read
         except ValueError as err:
             raise ValueError(f"sample {k} at noise {noise}: {err}") from err
         for tuckers, tk in zip(out.values(), decomposed):
@@ -362,8 +389,12 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
         while True:
             if len(flight) == width:
                 collect()
+            read = None
             try:
                 s = next(samples)
+                if callable(s):
+                    read = s
+                    s = buffers[k % width] = read(buffers[k % width])
             except StopIteration:
                 break
             except Exception:
@@ -374,7 +405,8 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
                 out = {rank: [] for rank in ranks if rank <= min(s.shape)}
             if out:
                 grid = [(rank,) * len(s.shape) for rank in out]
-                job = functools.partial(weighted_hosvd, _source(s), grid, p)
+                job = functools.partial(weighted_hosvd, _source(s, read),
+                                        grid, p)
                 flight.append((k, pool.submit(job).result if pool else job))
             # only its job holds the sample now, so a decomposed one is
             # freed before the next is read and malloc can reuse its
@@ -390,10 +422,16 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
     return out
 
 
-def _source(s):
-    """What weighted_hosvd decomposes for the raw sample `s`: a dense
-    sample as it is, a Tucker sample as the source of its dense builds,
-    each a new F-ordered tensor from `tucker_reconstruct`."""
+def _source(s, read=None):
+    """What weighted_hosvd decomposes for the raw sample `s`: a container
+    that `read` read into `s` as the source that returns `s` as read,
+    then reads the container into `s` again at each later call, so
+    dgelqf factors `s` in place; any other dense sample as it is; and a
+    Tucker sample as the source of its dense builds, each a new F-ordered
+    tensor from `tucker_reconstruct`."""
+    if read is not None:
+        unread = [s]  # the first call's tensor is read already
+        return lambda: unread.pop() if unread else read(s)
     if isinstance(s, np.ndarray):
         return s
     return functools.partial(tucker_reconstruct, s)
@@ -473,7 +511,7 @@ def _evaluate_cell(kind, rank, noise, decomposed, labels, cfg, splits, p):
 def _load_source(cfg):
     """(labels, [(noise_value, raw_samples), ...]) of the run. A data
     directory's manifest is read and checked here; its raw samples are
-    `_open_dataset`'s reader, which reads each tensor when asked for it.
+    `_open_dataset`'s readers, each of which reads its tensor when called.
     Generated raw samples are Tucker tensors, made dense only inside
     their decompositions (`_decompose_by_rank`)."""
     if cfg.data_dir is not None:
@@ -505,9 +543,10 @@ def run_experiment(cfg):
     samples leaves a training fold without it. A weighting power `p`
     whose sigma**p float64 cannot hold for some sample raises ValueError
     naming the sample and its noise level. A `data_dir` sample is read
-    only when its turn to be decomposed comes, so a bad one is refused,
-    with `load_dataset`'s message, after the samples before it have been
-    decomposed.
+    only when its turn to be decomposed comes, and read again for its
+    mode-1 projections, so a bad one, or one that changed between its
+    reads, is refused, with `load_dataset`'s message, after the samples
+    before it have been decomposed.
     """
     labels, datasets = _load_source(cfg)
     counts = (int(np.sum(labels < 0)), int(np.sum(labels > 0)))

@@ -19,6 +19,7 @@ once its model never reached C.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,10 +113,20 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
     gram = np.asarray(gram, dtype=np.float64)
     if gram.shape != (n, n):
         raise ValueError(f"gram shape {gram.shape} does not match {n} samples")
-    # a NaN entry makes the comparison false, so it is rejected too
-    bound = 1e-12 * np.max(np.abs(gram), initial=1.0)
-    if not np.max(np.abs(gram - gram.T), initial=0.0) <= bound:
-        raise ValueError("gram matrix is not symmetric")
+    # the update reads Gram columns. A finite Gram equal to its transpose
+    # has them as its rows, with no temporary the size of the Gram: a -0.0
+    # facing a 0.0 could only flip the sign of a zero in f, which no
+    # comparison, step or returned value reads
+    if (gram == gram.T).all() and math.isfinite(gram.sum()):
+        cols = gram
+    else:
+        # a NaN or inf entry makes the comparison false, so it is rejected
+        bound = 1e-12 * np.max(np.abs(gram), initial=1.0)
+        if not np.max(np.abs(gram - gram.T), initial=0.0) <= bound:
+            raise ValueError("gram matrix is not symmetric")
+        # the check lets a row differ from its column by 1e-12, so rows
+        # would not give the same bits
+        cols = gram.T.copy()
     pos = y > 0  # the class split; y is fixed for the whole call
     if pos.all() or not pos.any():
         raise ValueError("training set must contain both classes")
@@ -124,9 +135,6 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
     # y is +-1 and rounding is sign-symmetric, so each update of f rounds
     # exactly as the gradient's update through Q = yy' * K would.
     f = y.copy()
-    # the update reads Gram columns; the symmetry check lets a row differ
-    # from its column by 1e-12, so rows would not give the same bits
-    cols = gram.T.copy()
     diag = gram.diagonal().tolist()
     on_pos = pos.tolist()
     alpha = [0.0] * n

@@ -7,7 +7,8 @@ position (i_1-1) + I_1*(i_2-1) + I_1*I_2*(i_3-1) + ... for 1-based
 indices, i.e. mode 1 varies fastest.
 
 Mode arguments are 1-based throughout, and error messages report 1-based
-modes. All functions are pure; inputs are never mutated.
+modes. All functions are pure, and no input is mutated, but for the
+buffer `out` that `load_tensor` may read into.
 """
 
 from __future__ import annotations
@@ -124,13 +125,18 @@ def save_tensor(path, t):
         fh.write(np.asarray(t.ravel(order="F"), dtype="<f8").data)
 
 
-def load_tensor(path):
+def load_tensor(path, out=None):
     """Read a tensor from the binary container at `path`.
 
     Raises ValueError naming the file and the expected byte count when the
     container is malformed or truncated. The file's size is checked before
     the values are read, straight into the returned array's memory, so a
-    load holds one copy of the values.
+    load holds one copy of the values. That array is `out` when `out` is a
+    writable F-contiguous little-endian float64 array of the container's
+    shape, so a caller can read container after container into one
+    buffer; otherwise, and when `out` is None, it is a new F-ordered
+    array. A file cut short after its size was read may leave `out` with
+    part of its values.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -152,14 +158,20 @@ def load_tensor(path):
         for d in shape:
             count *= d
         expected = head + 8 * count
+        into = (out is not None and out.shape == shape and out.dtype == "<f8"
+                and out.flags.f_contiguous and out.flags.writeable)
         if size == expected:
-            values = np.empty(count, dtype="<f8")
+            # a view of `out`: reshaping an F-contiguous array in F order
+            values = out.reshape(-1, order="F") if into else np.empty(
+                count, dtype="<f8")
             fh.seek(head)
             # a file cut short after its size was read ends the read early
             size = head + fh.readinto(values)
     if size != expected:
         raise ValueError(
             f"{path}: expected {expected} bytes for shape {shape}, got {size}")
+    if into:
+        return out
     return values.astype(np.float64, copy=False).reshape(shape, order="F")
 
 

@@ -890,6 +890,26 @@ class TestLeftSvd:
         rows = x.shape[0]
         assert shapes == [(rows, rows) if lq and bound else x.shape]
 
+    @pytest.mark.parametrize("mode", [50, 64])
+    def test_lq_bits_do_not_follow_the_buffer_address(self, mode):
+        # a data_dir sample is factored in place in a buffer that malloc
+        # placed: dgelqf gives the same L at offsets of 0-7 doubles, which
+        # covers every 64-byte alignment
+        import stmkernels.decomp as decomp
+        if decomp._dgelqf() is None:
+            pytest.skip("numpy exports no ILP64 dgelqf")
+        x = np.random.default_rng(mode).standard_normal((mode, mode * mode))
+        lows = []
+        with decomp._blas_threads(1):
+            for offset in range(8):
+                a = np.empty(x.size + 8)[offset:offset + x.size].reshape(
+                    x.shape, order="F")
+                a[...] = x
+                lows.append(decomp._lq_lower(a))
+        assert lows[0] is not None
+        for low in lows[1:]:
+            assert np.array_equal(low, lows[0])
+
     def test_fortran_ordered_tensor_left_unchanged(self):
         import stmkernels.decomp as decomp
         t = np.asfortranarray(

@@ -56,6 +56,18 @@ def tiny_experiment(**kw):
     return ExperimentConfig(**base)
 
 
+def _spoil(path, t, fault):
+    """Rewrite the container at `path`, which holds `t`, with `fault`."""
+    if fault == "truncated":
+        path.write_bytes(path.read_bytes()[:-16])
+    elif fault == "shape":
+        sk.save_tensor(path, np.zeros((12, 12, 11)))
+    else:
+        t = t.copy()
+        t[1, 0, 2] = float(fault)
+        sk.save_tensor(path, t)
+
+
 def _no_decomposition(*args, **kwargs):
     raise AssertionError("decomposed before the class counts were checked")
 
@@ -69,6 +81,18 @@ class TestDatasetIO:
         for orig, loaded in zip(data, ts.samples):
             assert np.array_equal(orig.tensor, loaded)
         assert np.array_equal(ts.labels, [s.label for s in data])
+
+    def test_loaded_samples_share_no_memory(self, tmp_path):
+        # a run reads every container into its slot's buffer; load_dataset
+        # gives each sample an array of its own
+        save_dataset(generate(tiny_synth(samples_per_class=3), dense=True),
+                     tmp_path)
+        samples = load_dataset(tmp_path).samples
+        assert len(samples) == 6
+        for i, a in enumerate(samples):
+            assert a.flags.f_contiguous and a.flags.writeable
+            for b in samples[:i]:
+                assert not np.shares_memory(a, b)
 
     def test_zero_label_maps_to_minus_one(self, tmp_path):
         data = generate(tiny_synth(samples_per_class=1), dense=True)
@@ -620,23 +644,27 @@ class TestRunExperiment:
 
     def test_data_dir_holds_one_dense_sample_at_a_time(self, tmp_path,
                                                        monkeypatch):
-        # every earlier sample is gone when the next one is read
+        # at threads 1 each sample is read twice, and every read lands in
+        # the first one's array; no other sample array is alive at a read
         from stmkernels import harness
         data = generate(tiny_synth(), dense=True)
         save_dataset(data, tmp_path)
         real_load = harness.load_tensor
-        loaded, alive_at_load = [], []
+        loaded, alive_at_load, in_first = [], [], []
 
-        def tracking_load(path):
-            alive_at_load.append(sum(ref() is not None for ref in loaded))
-            t = real_load(path)
+        def tracking_load(path, out=None):
+            alive_at_load.append(sum(ref() is not None and ref() is not out
+                                     for ref in loaded))
+            t = real_load(path, out=out)
+            in_first.append(t is loaded[0]() if loaded else True)
             loaded.append(weakref.ref(t))
             return t
 
         monkeypatch.setattr(harness, "load_tensor", tracking_load)
         cfg = tiny_experiment(synth=None, data_dir=str(tmp_path))
         rows = run_experiment(cfg).rows
-        assert alive_at_load == [0] * len(data)
+        assert alive_at_load == [0] * (2 * len(data))
+        assert in_first == [True] * (2 * len(data))
         monkeypatch.setattr(harness, "load_tensor", real_load)
         assert rows == run_experiment(cfg).rows
 
@@ -659,7 +687,8 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=message):
             run_experiment(cfg)
 
-    @pytest.mark.parametrize("fault", ["truncated", "nan", "shape"])
+    @pytest.mark.parametrize("fault", ["truncated", "nan", "inf", "-inf",
+                                       "shape"])
     def test_bad_data_dir_sample_refused_as_load_dataset_does(
             self, tmp_path, monkeypatch, fault):
         # sample 3 of 12 is refused with load_dataset's message, after
@@ -667,15 +696,7 @@ class TestRunExperiment:
         from stmkernels import harness
         data = generate(tiny_synth(), dense=True)
         save_dataset(data, tmp_path)
-        victim = tmp_path / "sample_0003.tnsr"
-        if fault == "truncated":
-            victim.write_bytes(victim.read_bytes()[:-16])
-        elif fault == "nan":
-            t = data[3].tensor.copy()
-            t[1, 0, 2] = np.nan
-            sk.save_tensor(victim, t)
-        else:
-            sk.save_tensor(victim, np.zeros((12, 12, 11)))
+        _spoil(tmp_path / "sample_0003.tnsr", data[3].tensor, fault)
         with pytest.raises(ValueError) as expected:
             load_dataset(tmp_path)
         decomposed = []
@@ -691,6 +712,39 @@ class TestRunExperiment:
         assert str(err.value) == str(expected.value)
         assert "sample_0003.tnsr" in str(err.value) or "sample 3" in str(err.value)
         assert len(decomposed) == 3
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("fault", ["truncated", "nan", "shape"])
+    def test_container_changed_between_its_reads_refused(
+            self, tmp_path, monkeypatch, fault, threads):
+        # sample 3's container changes after its first read, so the read
+        # for its mode-1 projections refuses it, with the message
+        # load_dataset gives on the changed directory
+        from stmkernels import harness
+        data = generate(tiny_synth(), dense=True)
+        save_dataset(data, tmp_path)
+        victim = tmp_path / "sample_0003.tnsr"
+        real_load = harness.load_tensor
+        reads = []
+
+        def changing_load(path, out=None):
+            reads.append(path)
+            t = real_load(path, out=out)
+            if path == str(victim) and reads.count(path) == 1:
+                _spoil(victim, data[3].tensor, fault)
+            return t
+
+        monkeypatch.setattr(harness, "load_tensor", changing_load)
+        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path),
+                              threads=threads)
+        with pytest.raises(ValueError) as err:
+            run_experiment(cfg)
+        assert reads.count(str(victim)) == 2
+        monkeypatch.setattr(harness, "load_tensor", real_load)
+        with pytest.raises(ValueError) as expected:
+            load_dataset(tmp_path)
+        assert str(err.value) == str(expected.value)
+        assert "sample_0003.tnsr" in str(err.value) or "sample 3" in str(err.value)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -1025,6 +1079,41 @@ class TestThreads:
             assert summary.count(f'"threads": {n}') == 1
             texts[n] = ((out / "report.csv").read_bytes(),
                         summary.replace(f'"threads": {n}', '"threads": 1'))
+        assert texts[1] == texts[2] == texts[4]
+
+    def test_data_dir_reads_each_sample_into_its_slot(self, tmp_path,
+                                                      monkeypatch):
+        # both reads of sample k land in the buffer of slot k % threads,
+        # so `threads` buffers serve 12 samples; the report is the serial
+        # one
+        from stmkernels import harness
+        save_dataset(generate(tiny_synth(), dense=True), tmp_path / "d")
+        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path / "d"))
+        real_load = harness.load_tensor
+        texts = {}
+        for n in (1, 2, 4):
+            reads = {}  # path -> the arrays its reads returned
+
+            def recording(path, out=None):
+                t = real_load(path, out=out)
+                reads.setdefault(path, []).append(t)
+                return t
+
+            monkeypatch.setattr(harness, "load_tensor", recording)
+            out = tmp_path / f"t{n}"
+            emit_report(run_experiment(replace(cfg, threads=n)), out)
+            summary = (out / "summary.json").read_text()
+            assert summary.count(f'"threads": {n}') == 1
+            texts[n] = ((out / "report.csv").read_bytes(),
+                        summary.replace(f'"threads": {n}', '"threads": 1'))
+            paths = sorted(reads)
+            assert len(paths) == 12
+            slots = [reads[path][0] for path in paths[:n]]
+            for k, path in enumerate(paths):
+                assert len(reads[path]) == 2
+                assert all(t is slots[k % n] for t in reads[path])
+            assert all(a is not b for i, a in enumerate(slots)
+                       for b in slots[:i])
         assert texts[1] == texts[2] == texts[4]
 
     @pytest.mark.parametrize("fault", ["weighting", "nan", "both"])

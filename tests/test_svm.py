@@ -152,6 +152,48 @@ class TestGramAsymmetricWithinCheck:
             assert model.updates == updates
 
 
+class TestSymmetricGram:
+    """A Gram equal to its transpose is read through its rows."""
+
+    def test_signed_zeros_train_to_the_same_bits(self):
+        # -0.0 faces 0.0 across the diagonal, which the equality test
+        # passes; the model is the one of the all +0.0 Gram
+        rng = np.random.default_rng(71)
+        for log2_c in range(-4, 7, 2):
+            pts, y, k = random_instance(rng, 20, g=0.4)
+            k[k < 1e-3] = 0.0
+            signed = k.copy()
+            signed[np.tril(k == 0.0)] = -0.0
+            assert np.signbit(signed).any() and (signed == signed.T).all()
+            models = [train(TrainingSet(list(pts), y), g, 2.0 ** log2_c)
+                      for g in (k, signed)]
+            a, b = models
+            assert a.alphas.tobytes() == b.alphas.tobytes()
+            assert (a.bias, a.updates, a.reached_c, a.bias_fallback) == (
+                b.bias, b.updates, b.reached_c, b.bias_fallback)
+            assert a.dual_objective == b.dual_objective
+
+    def test_no_transposed_copy(self):
+        # `dual_objective` holds one Gram-sized temporary; a Gram equal to
+        # its transpose adds none, one within the check adds its check's
+        # temporaries, then its transposed copy
+        import tracemalloc
+        rng = np.random.default_rng(72)
+        pts, y, k = random_instance(rng, 400)
+        near = k.copy()
+        near[0, 1] += 1e-14
+        ts = TrainingSet(list(pts), y)
+        peaks = []
+        for gram in (k, near):
+            tracemalloc.start()
+            try:
+                train(ts, gram, 1.0, tol=10.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.25 * k.nbytes < 1.9 * k.nbytes <= peaks[1]
+
+
 class TestConstraintsAndKkt:
     def test_box_and_equality(self):
         rng = np.random.default_rng(3)
@@ -223,6 +265,13 @@ class TestErrors:
     def test_nan_gram_rejected(self):
         k = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ValueError, match="not symmetric"):
+            train(TrainingSet([0, 1], np.array([1.0, -1.0])), k, 1.0)
+
+    def test_inf_gram_rejected(self):
+        # equal to its transpose, but inf - inf is NaN
+        k = np.array([[1.0, np.inf], [np.inf, 1.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match="not symmetric"):
             train(TrainingSet([0, 1], np.array([1.0, -1.0])), k, 1.0)
 
     def test_bad_labels_rejected(self):

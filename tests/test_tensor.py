@@ -173,6 +173,40 @@ class TestContainer:
         save_tensor(path, t)
         assert np.array_equal(load_tensor(path), t)
 
+    def test_reads_into_out_that_fits(self, tmp_path):
+        rng = np.random.default_rng(33)
+        t, s = rng.standard_normal((2, 3, 5, 4))
+        for name, x in (("t", t), ("s", s)):
+            save_tensor(tmp_path / f"{name}.tnsr", x)
+        buf = np.empty((3, 5, 4), order="F")
+        assert load_tensor(tmp_path / "t.tnsr", out=buf) is buf
+        assert np.array_equal(buf, t)
+        assert load_tensor(tmp_path / "s.tnsr", out=buf) is buf
+        assert np.array_equal(buf, s)
+
+    @pytest.mark.parametrize("misfit", [
+        "shape", "same size", "C order", "read-only", "float32", "big-endian"])
+    def test_out_that_does_not_fit_is_left_alone(self, tmp_path, misfit):
+        # the values go to a new F-ordered array, and `out` keeps its own
+        t = np.random.default_rng(34).standard_normal((3, 5, 4))
+        path = tmp_path / "t.tnsr"
+        save_tensor(path, t)
+        shape, order, dtype = (3, 5, 4), "F", np.float64
+        if misfit == "shape":
+            shape = (3, 5, 3)
+        elif misfit == "same size":
+            shape = (5, 3, 4)
+        elif misfit == "C order":
+            order = "C"
+        elif misfit in ("float32", "big-endian"):
+            dtype = np.float32 if misfit == "float32" else ">f8"
+        out = np.full(shape, 7.0, dtype=dtype, order=order)
+        out.flags.writeable = misfit != "read-only"
+        got = load_tensor(path, out=out)
+        assert got is not out and not np.shares_memory(got, out)
+        assert got.flags.f_contiguous and np.array_equal(got, t)
+        assert (out == 7.0).all()
+
     @pytest.mark.parametrize("order, copies", [("C", 1), ("F", 0)])
     def test_write_holds_at_most_one_copy(self, tmp_path, order, copies):
         # a C-ordered tensor is written from the one copy its column-major
