@@ -25,8 +25,10 @@ source, a function that gives the tensor anew, F-ordered, such as a
 Tucker sample's `tucker_reconstruct` or a re-read of a container into
 one buffer. A tensor is held beside a copy of itself only while the
 mode-1 SVD runs: the private copy dgelqf overwrites. A source is called
-once for that SVD, which dgelqf runs in place, and once more for every
-rank's mode-1 projections, one array at a time. The projections read an
+once for that SVD, which dgelqf runs in place, and, only when the mode-1
+unfolding is wide, once more for every rank's mode-1 projections, one
+array at a time; np.linalg.svd leaves any other unfolding as it was, so
+the projections read the first array. The projections read an
 F-ordered tensor in place, any other through one F-ordered copy, and
 that tensor is dropped before any rank's modes 2...M run.
 
@@ -110,7 +112,7 @@ class TuckerTensor:
     def unweighted_factors(self):
         """Orthonormal factors: those of `reweight(self, 0.0)`, the only
         code that applies and removes sigma**p, exactly at both ends."""
-        return list(reweight(self, 0.0).factors)
+        return reweight(self, 0.0).factors
 
 
 @dataclass(eq=False)
@@ -321,6 +323,11 @@ def _unscaled(x):
     return bool(_SMLNUM <= amax <= 1.0 / _SMLNUM)
 
 
+def _wide(rows, cols):
+    """True when dgesdd LQ-factors a rows x cols matrix first."""
+    return rows < cols and cols >= int(rows * 11.0 / 6.0)
+
+
 def _left_svd(g, m, build=None):
     """Left singular vectors and values of the mode-(m+1) unfolding.
 
@@ -339,9 +346,7 @@ def _left_svd(g, m, build=None):
     dgelqf, or when X or L would be rescaled by dgesdd (see `_unscaled`).
     """
     x = matricize(g, m + 1)
-    rows, cols = x.shape
-    if (rows < cols and cols >= int(rows * 11.0 / 6.0) and _unscaled(x)
-            and _dgelqf() is not None):
+    if _wide(*x.shape) and _unscaled(x) and _dgelqf() is not None:
         # matricize copies unless `g` is F-ordered; a view of `g` must be
         # copied unless `g` is the caller's to overwrite
         if not x.flags.f_contiguous or (
@@ -376,9 +381,12 @@ def weighted_hosvd(t, ranks, p=None):
     in an F-ordered array nobody reads until its next call, as dgelqf
     overwrites it. That array may be new on each call (a Tucker sample's
     builds) or one buffer filled anew (a `data_dir` sample's container,
-    read again). A source is called once for the mode-1 SVD, and once
-    more for the mode-1 projections, after the first array is dropped, so
-    the tensor is held dense once at a time. A tensor is held beside the
+    read again). A source is called once for the mode-1 SVD. Only when
+    the mode-1 unfolding is wide (dgelqf's route, `_wide`) is it called
+    once more for the mode-1 projections, after the first array is
+    dropped; otherwise the projections read the first array, which
+    np.linalg.svd left as it was. Either way the tensor is held dense
+    once at a time. A tensor is held beside the
     private copy that dgelqf overwrites while the mode-1 SVD runs, and the
     projections read it in place when F-ordered, else through one
     F-ordered copy.
@@ -410,8 +418,9 @@ def weighted_hosvd(t, ranks, p=None):
         raise ValueError("cannot decompose an all-zero tensor")
 
     u, s = _left_svd(g, 0, build)
-    del g  # dgelqf may have overwritten a build
-    g = build() if build else np.asfortranarray(t, dtype=np.float64)
+    if not build or _wide(len(g), g.size // len(g)):
+        del g  # dgelqf may have overwritten a build
+        g = build() if build else np.asfortranarray(t, dtype=np.float64)
     heads = [_project(g, u, s, r[0], 0) for r in grid]
     del g  # only the mode-1 projections read it
     out = [_truncate(*head, r, p) for head, r in zip(heads, grid)]
@@ -471,9 +480,10 @@ def reweight(tt, p):
     """Move a Tucker representation to a different weighting power.
 
     Pure rescaling of factors and core; the represented tensor and the
-    underlying subspaces are unchanged. Requires sigma vectors. The only
-    code that applies and removes sigma**p, exactly at both ends: factor
-    columns are divided by the old weight, then multiplied by the new.
+    underlying subspaces are unchanged. Requires sigma vectors, which the
+    result shares with `tt`. The only code that applies and removes
+    sigma**p, exactly at both ends: factor columns are divided by the old
+    weight, then multiplied by the new.
 
     Raises ValueError, naming p, when float64 cannot hold the result: the
     core or a factor gets a non-finite entry, or one that had a nonzero
@@ -499,8 +509,8 @@ def reweight(tt, p):
         if lost or not np.isfinite(new).all():
             raise ValueError(f"weighting power p = {p} over- or underflows "
                              "the core or a factor of this tensor")
-    return TuckerTensor(core=core, factors=factors,
-                        sigmas=[s.copy() for s in tt.sigmas], p=float(p))
+    return TuckerTensor(core=core, factors=factors, sigmas=tt.sigmas,
+                        p=float(p))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ stratified k-fold cross-validation, and deterministic CSV/JSON reporting.
 A run holds one dense sample per decomposition in flight, at most
 `threads` of them (one by default): a data directory's manifest is read
 first (labels and their checks), and each container is then read and
-checked into the one buffer of its decomposition slot, which dgelqf
-overwrites, and read and checked once more for the mode-1 projections;
-the slots' buffers serve sample after sample and are dropped when the
-noise level's decompositions end. A generated sample is built dense from
-its Tucker form by its decomposition, once for the mode-1 SVD and once
-more for the projections, one build alive at a time.
+checked into the one buffer of its decomposition slot. When the sample's
+mode-1 unfolding is wide, dgelqf overwrites that buffer, and the
+container is read and checked once more for the mode-1 projections;
+otherwise the projections read the buffer as first read. The slots'
+buffers serve sample after sample and are dropped when the noise level's
+decompositions end. A generated sample is built dense from its Tucker
+form by its decomposition, for the mode-1 SVD and, after a wide
+unfolding, once more for the projections, one build alive at a time.
 
 Protocol per (kernel, rank, noise) cell: every sample is decomposed once
 per noise level, by one call for all feasible ranks that shares the
@@ -336,10 +338,11 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
     no mode size of the first sample is below (all samples share its
     shape).
 
-    `raw_samples` is iterated once; its entries are dense arrays, Tucker
-    samples, or a data directory's readers (`_read_tensors`). Each sample
-    is decomposed by one weighted_hosvd call for all ranks (which computes
-    its mode-1 SVD once), from the source `_source` makes of it. Sample k
+    `raw_samples` is iterated once; its entries are the two kinds
+    `_load_source` makes: Tucker samples, or a data directory's readers
+    (`_read_tensors`). Each sample is decomposed by one weighted_hosvd
+    call for all ranks (which computes its mode-1 SVD once), from the
+    source `_source` makes of it. Sample k
     takes decomposition slot k % `threads`, and a reader reads its
     container into its slot's F-ordered buffer, in the calling thread:
     the slot's last sample was decomposed by then, so at most `threads`
@@ -423,17 +426,15 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
 
 
 def _source(s, read=None):
-    """What weighted_hosvd decomposes for the raw sample `s`: a container
-    that `read` read into `s` as the source that returns `s` as read,
-    then reads the container into `s` again at each later call, so
-    dgelqf factors `s` in place; any other dense sample as it is; and a
-    Tucker sample as the source of its dense builds, each a new F-ordered
-    tensor from `tucker_reconstruct`."""
+    """The source weighted_hosvd decomposes for the raw sample `s`. For a
+    container that `read` read into `s`, it returns `s` as read, then
+    reads the container into `s` again at each later call, so dgelqf
+    factors `s` in place; `weighted_hosvd` calls it again only after a
+    wide mode-1 unfolding. For a Tucker sample, it returns a new
+    F-ordered build from `tucker_reconstruct` at each call."""
     if read is not None:
         unread = [s]  # the first call's tensor is read already
         return lambda: unread.pop() if unread else read(s)
-    if isinstance(s, np.ndarray):
-        return s
     return functools.partial(tucker_reconstruct, s)
 
 
@@ -454,31 +455,30 @@ def _cross_validate(stack, labels, splits, c_grid, tol):
     """acc[repeat, i, j]: mean validation accuracy over the folds of
     splits[repeat] at c_grid[i] on the Gram stack[j]; NaN if training failed
     on a fold, and that (C, g) then trains no later fold. Each fold cuts its
-    blocks from the whole stack once; C ascends per (repeat, g, fold). Once
-    a fold's model at some C never had an alpha reach C, training at every
-    larger C would repeat it bit for bit, so its accuracy is reused there."""
+    blocks from the whole stack once, then walks each g up the C grid. At
+    the first model that never had an alpha reach C, training at every
+    larger C would repeat it bit for bit, so the walk copies its accuracy
+    into the fold's larger-C entries for that g and stops."""
     fold_acc = np.zeros((len(splits), len(c_grid), len(stack), len(splits[0])))
     for rep, pairs in enumerate(splits):
         for f, (tr, val) in enumerate(pairs):
             # a fold's training samples are its indices into the cell
             ts = TrainingSet(tr, labels[tr])
             k_tr, k_tv = stack[:, tr[:, None], tr], stack[:, tr[:, None], val]
-            settled = {}  # g index -> accuracy of a model that never reached C
-            for i, j in np.ndindex(len(c_grid), len(stack)):
-                if math.isnan(fold_acc[rep, i, j, f]):
-                    continue
-                if j in settled:
-                    fold_acc[rep, i, j, f] = settled[j]
-                    continue
-                try:
-                    model = train(ts, k_tr[j], c_grid[i], tol=tol)
-                except ConvergenceError:
-                    fold_acc[rep, i, j] = math.nan
-                    continue
-                pred = predict_from_gram(model, k_tv[j])
-                fold_acc[rep, i, j, f] = np.mean(pred == labels[val])
-                if not model.reached_c:
-                    settled[j] = fold_acc[rep, i, j, f]
+            for j in range(len(stack)):
+                for i, c in enumerate(c_grid):
+                    if math.isnan(fold_acc[rep, i, j, f]):
+                        continue
+                    try:
+                        model = train(ts, k_tr[j], c, tol=tol)
+                    except ConvergenceError:
+                        fold_acc[rep, i, j] = math.nan
+                        continue
+                    pred = predict_from_gram(model, k_tv[j])
+                    fold_acc[rep, i, j, f] = np.mean(pred == labels[val])
+                    if not model.reached_c:
+                        fold_acc[rep, i + 1:, j, f] = fold_acc[rep, i, j, f]
+                        break
     return fold_acc.mean(axis=-1)
 
 
@@ -544,9 +544,10 @@ def run_experiment(cfg):
     whose sigma**p float64 cannot hold for some sample raises ValueError
     naming the sample and its noise level. A `data_dir` sample is read
     only when its turn to be decomposed comes, and read again for its
-    mode-1 projections, so a bad one, or one that changed between its
-    reads, is refused, with `load_dataset`'s message, after the samples
-    before it have been decomposed.
+    mode-1 projections when its mode-1 unfolding is wide, so a bad one,
+    or one that changed between its reads, is refused, with
+    `load_dataset`'s message, after the samples before it have been
+    decomposed.
     """
     labels, datasets = _load_source(cfg)
     counts = (int(np.sum(labels < 0)), int(np.sum(labels > 0)))

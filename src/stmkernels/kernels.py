@@ -172,11 +172,9 @@ def _gaussian_row(xv, yvs, g):
 def _dusk_view(x):
     """CP columns as rows, with the weights absorbed evenly into every
     mode and the modes concatenated: (R, I_1 + ... + I_M)."""
-    factors = x.factors
-    if not np.all(x.weights == 1.0):
-        scale = x.weights ** (1.0 / x.order)
-        factors = [f * scale[None, :] for f in factors]
-    return np.ascontiguousarray(np.vstack(factors).T)
+    scale = x.weights ** (1.0 / x.order)
+    return np.ascontiguousarray(
+        np.vstack([f * scale[None, :] for f in x.factors]).T)
 
 
 # float64 entries (8 MB) a dusk pair's difference or exp block may hold

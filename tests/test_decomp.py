@@ -452,9 +452,12 @@ class TestSource:
     GRID = [(1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 2, 3)]
 
     def test_bitwise_equals_the_array_path(self):
+        # a wide mode-1 unfolding is built twice per call, as dgelqf
+        # overwrites the first build; the tall (40, 5, 6) one is built once
         rng = np.random.default_rng(61)
-        for shape, ranks in (((10, 12, 9), (3, 4, 2)), ((6, 30, 20), (3, 3, 3)),
-                             ((40, 5, 6), (4, 3, 3))):
+        for shape, ranks, builds in (((10, 12, 9), (3, 4, 2), 2),
+                                     ((6, 30, 20), (3, 3, 3), 2),
+                                     ((40, 5, 6), (4, 3, 3), 1)):
             tt = TuckerTensor(core=rng.standard_normal(ranks),
                               factors=[rng.standard_normal((i, r))
                                        for i, r in zip(shape, ranks)])
@@ -465,7 +468,7 @@ class TestSource:
                     many, weighted_hosvd(tucker_reconstruct(tt), self.GRID, p))
                 one = weighted_hosvd(_tucker_source(tt), self.GRID[2], p)
                 self._assert_same([one], [many[2]])
-            assert log == [True] * (2 * 3)
+            assert log == [True] * (builds * 3)
 
     @pytest.mark.parametrize("fallback", ["x-scaled", "l-scaled", "no-dgelqf"])
     def test_fallbacks_rebuild_what_dgelqf_consumed(self, monkeypatch, fallback):

@@ -203,15 +203,16 @@ class TestDatasetIO:
         # OpenBLAS, a reconstruction in C order differs from the F-ordered
         # one in the last bit of a few entries, so both paths must read F
         from stmkernels import decomp
-        from stmkernels.harness import _decompose_by_rank
+        from stmkernels.harness import _decompose_by_rank, _open_dataset
         data = generate(tiny_synth(mode_size=mode, r_approx=3,
                                    samples_per_class=2, seed=74))
         save_dataset(data, tmp_path)
         with decomp._blas_threads(1):
             in_memory = _decompose_by_rank(
                 [s.tensor for s in data], (2, 3), None, 0.01)
+            # a run's readers: the slot buffer and the in-place dgelqf
             read_back = _decompose_by_rank(
-                load_dataset(tmp_path).samples, (2, 3), None, 0.01)
+                _open_dataset(tmp_path)[1], (2, 3), None, 0.01)
         assert list(in_memory) == list(read_back) == [2, 3]
         for rank in (2, 3):
             for a, b in zip(in_memory[rank], read_back[rank], strict=True):
@@ -372,6 +373,41 @@ class TestCrossValidate:
         assert np.array_equal(acc, expected, equal_nan=True)
         assert np.isnan(acc[0, 2]).all()
         assert not np.isnan(acc[0, 3:]).any() and not np.isnan(acc[1]).any()
+
+    def test_earlier_fold_failing_above_where_later_folds_settle(
+            self, monkeypatch):
+        # fold 0 of repeat 0 is kept from settling below C = 16 and fails
+        # there, while every other fold settled at C = 4 and copied its
+        # accuracy up the C grid: repeat 0 is NaN at C = 16 for every g,
+        # and only fold 0 trains above C = 4
+        from stmkernels import harness
+        stack, labels, splits, _ = _cv_problem()
+        c_grid = (0.25, 1.0, 4.0, 16.0, 64.0)
+        first = tuple(splits[0][0][0])
+        assert all(tuple(tr) != first for tr, _ in splits[1])
+        real_train = harness.train
+        calls = []
+
+        def train_fold_0_unsettled(ts, gram, C, **kwargs):
+            tr = tuple(ts.samples)
+            calls.append((tr, C))
+            if (tr, C) == (first, 16.0):
+                raise ConvergenceError("forced")
+            model = real_train(ts, gram, C, **kwargs)
+            if tr == first and C < 16.0:
+                model.reached_c = True
+            return model
+
+        monkeypatch.setattr(harness, "train", train_fold_0_unsettled)
+        acc = harness._cross_validate(stack, labels, splits, c_grid, 1e-3)
+        expected = _retrained_acc(stack, labels, splits, c_grid,
+                                  (first, 16.0))
+        assert np.array_equal(acc, expected, equal_nan=True)
+        assert np.isnan(acc[0, 3]).all()
+        assert np.isnan(acc).sum() == 3
+        assert Counter(c for _, c in calls) == {0.25: 18, 1.0: 18, 4.0: 18,
+                                                16.0: 3, 64.0: 3}
+        assert all(tr == first for tr, c in calls if c > 4.0)
 
 
 def _retrained_acc(stack, labels, splits, c_grid, fail=None):
@@ -1166,7 +1202,10 @@ class TestThreads:
 
         from stmkernels.harness import _decompose_by_rank
         rng = np.random.default_rng(70)
-        samples = [rng.standard_normal((6, 7, 5)) for _ in range(40)]
+        samples = [sk.TuckerTensor(core=rng.standard_normal((3, 3, 3)),
+                                   factors=[rng.standard_normal((i, 3))
+                                            for i in (6, 7, 5)])
+                   for _ in range(40)]
         serial = _decompose_by_rank(samples, (1, 2), None, 0.5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1181,6 +1220,42 @@ class TestThreads:
                 assert np.array_equal(a.core, b.core)
                 for x, y in zip(a.factors, b.factors):
                     assert np.array_equal(x, y)
+
+    def test_tall_first_mode_data_dir_is_read_once(self, tmp_path,
+                                                   monkeypatch):
+        # a (40, 4, 4) sample's mode-1 unfolding is tall: np.linalg.svd
+        # leaves the slot buffer as read, and the projections read it
+        # there, so each container is read once at any `threads`
+        from stmkernels import decomp, harness
+        from stmkernels.harness import _decompose_by_rank, _open_dataset
+        rng = np.random.default_rng(40)
+        save_dataset([sk.LabeledSample(rng.standard_normal((40, 4, 4)),
+                                       (-1) ** k) for k in range(8)], tmp_path)
+        grid = [(r, r, r) for r in (1, 2, 3)]
+        with decomp._blas_threads(1):
+            expected = [decomp.weighted_hosvd(t, grid)
+                        for t in load_dataset(tmp_path).samples]
+        real_load = harness.load_tensor
+        for n in (1, 2):
+            reads = Counter()
+
+            def counting(path, out=None):
+                reads[path] += 1
+                return real_load(path, out=out)
+
+            monkeypatch.setattr(harness, "load_tensor", counting)
+            with decomp._blas_threads(1):
+                got = _decompose_by_rank(_open_dataset(tmp_path)[1],
+                                         (1, 2, 3), None, math.nan, n)
+            assert len(reads) == 8 and set(reads.values()) == {1}
+            assert list(got) == [1, 2, 3]
+            for rank, tuckers in got.items():
+                for a, tk in zip(tuckers, expected, strict=True):
+                    b = tk[rank - 1]
+                    assert a.p == b.p and np.array_equal(a.core, b.core)
+                    for x, y in zip(a.factors + a.sigmas,
+                                    b.factors + b.sigmas, strict=True):
+                        assert np.array_equal(x, y)
 
     def test_pool_jobs_compute_on_one_blas_thread(self, monkeypatch):
         _openblas_or_skip()
