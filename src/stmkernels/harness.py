@@ -21,12 +21,15 @@ mode-1 SVD, and each rank's decomposition is reused across the whole
 `weighted_hosvd`'s default 1/order; a cell's errors name the `p` its
 decompositions carry. The cell's Grams for every g come from one
 `gram_matrix` call over the whole g grid, which computes each distance
-once. A run has one label vector (`generate` lists class -1 then +1 at
-every noise level, and a data directory is one dataset), and for each
-repeat a stratified fold split is drawn (shared by all cells of the
-run). One function, `_cross_validate`, runs the whole (C, g) search: it
-cuts each fold's training and validation blocks from the Gram stack once
-and fills acc[repeat, i, j], the mean validation accuracy over folds at
+once. A `dusk` cell's CP expansions are made as that call reads them
+(`derive_kernel_inputs`), so the cell holds one expansion at a time
+beside its kernel views, not all of them. A run has one label vector
+(`generate` lists class -1 then +1 at every noise level, and a data
+directory is one dataset), and for each repeat a stratified fold split
+is drawn (shared by all cells of the run). One function,
+`_cross_validate`, runs the whole (C, g) search: it cuts each fold's
+training and validation blocks from the Gram stack once and fills
+acc[repeat, i, j], the mean validation accuracy over folds at
 c_grid[i] and g_grid[j], NaN if training failed on a fold. A cell's
 `kernel_seconds` time its Gram stack and its `train_seconds` the whole
 search, SMO and validation predictions alike. Each repeat
@@ -438,10 +441,37 @@ def _source(s, read=None):
     return functools.partial(tucker_reconstruct, s)
 
 
+class _CPExpansions:
+    """The CP expansions of unweighted Tucker decompositions, made on
+    access: a sized sequence whose item k is a new
+    `tucker_to_cp(reweight(tuckers[k], 0.0))`, called through this
+    module's names. Nothing is cached, so a reader that drops each item
+    once it is used holds one expansion at a time."""
+
+    def __init__(self, tuckers):
+        self._tuckers = tuckers
+
+    def __len__(self):
+        return len(self._tuckers)
+
+    def __getitem__(self, k):
+        return tucker_to_cp(reweight(self._tuckers[k], 0.0))
+
+    def __iter__(self):
+        for t in self._tuckers:
+            yield tucker_to_cp(reweight(t, 0.0))
+
+
 def derive_kernel_inputs(tuckers, kind):
-    """Kernel-specific sample views of shared Tucker decompositions."""
+    """Kernel-specific sample views of shared Tucker decompositions.
+
+    For `dusk` they are the CP expansions of the unweighted
+    decompositions, R = r**M terms each, made on access by a sized
+    sequence (`_CPExpansions`) rather than held in a list: `gram_matrix`
+    reads each once and drops it once its view exists. The other kinds
+    read the decompositions themselves."""
     if kind == "dusk":
-        return [tucker_to_cp(reweight(t, 0.0)) for t in tuckers]
+        return _CPExpansions(tuckers)
     return tuckers
 
 

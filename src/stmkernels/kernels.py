@@ -21,9 +21,12 @@ R_x x R_y exponent grid is built from exact column differences in
 blocks of its rows, and its exp terms are summed in blocks of g; no
 block holds more than `_DUSK_BLOCK` floats unless one row of the grid,
 or one g's terms, alone does. Each term is a positive exp, so nothing
-cancels. `gram_matrix` fills rows from the diagonal onward and mirrors
-them; the single-pair functions are the one-g view and average both
-argument orders, so swapping the inputs gives bitwise identical values.
+cancels. `gram_matrix` reads its samples once, in order, from any sized
+iterable, checking each and making its view as it is read, so a sample
+made on access need not outlive its view. It fills rows from the
+diagonal onward and mirrors them; the single-pair functions are the
+one-g view and average both argument orders, so swapping the inputs
+gives bitwise identical values.
 Expanded squared distances are clamped at 0 against cancellation.
 """
 
@@ -240,20 +243,28 @@ KINDS = tuple(_EVALUATORS)
 
 
 def _check_samples(kind, samples):
+    """Yield each of `samples` in order once it passes the checks against
+    the first: the kind's input type, one representation, one shape and,
+    for `wsek`, one weighting power. Only the first sample's type, shape
+    and p are kept, and no sample is held while the next one is taken."""
     required = _EVALUATORS[kind][0]
-    first = samples[0]
+    first = None  # the first sample's (type, shape, weighting power)
     for s in samples:
         if not isinstance(s, required):
             raise TypeError(f"{kind} kernel requires {required.__name__} inputs")
         # ndarray and every decomposition type expose mode sizes as .shape
-        if type(s) is not type(first):
-            raise ValueError(f"mixed representations: {type(first).__name__} "
-                             f"vs {type(s).__name__}")
-        if tuple(s.shape) != tuple(first.shape):
-            raise ValueError(
-                f"shape mismatch: {tuple(first.shape)} vs {tuple(s.shape)}")
-        if kind == "wsek" and s.p != first.p:
-            raise ValueError(f"weighting powers differ: {first.p} vs {s.p}")
+        rep, shape, p = type(s), tuple(s.shape), getattr(s, "p", None)
+        if first is None:
+            first = rep, shape, p
+        if rep is not first[0]:
+            raise ValueError(f"mixed representations: {first[0].__name__} "
+                             f"vs {rep.__name__}")
+        if shape != first[1]:
+            raise ValueError(f"shape mismatch: {first[1]} vs {shape}")
+        if kind == "wsek" and p != first[2]:
+            raise ValueError(f"weighting powers differ: {first[2]} vs {p}")
+        yield s
+        del s  # a sample made on access is freed before the next is made
 
 
 def _check_finite(values, what):
@@ -268,7 +279,7 @@ def _check_finite(values, what):
 def _pair(kind, x, y, g):
     """The one-pair, one-g view of the row evaluator of `kind`."""
     gs = _one_length_scale(g, f"{kind} kernel")
-    _check_samples(kind, [x, y])
+    x, y = _check_samples(kind, (x, y))
     _, view, row, unit_diagonal = _EVALUATORS[kind]
     if x is y and unit_diagonal:
         return 1.0
@@ -316,7 +327,14 @@ def kernel_value(spec, x, y):
 
 
 def gram_matrix(samples, spec):
-    """Symmetric kernel matrix over a homogeneous sample list.
+    """Symmetric kernel matrix over a homogeneous, sized iterable of
+    samples.
+
+    `samples` is read once, in order, and each sample is checked and
+    turned into its kernel view as it is read, so a sequence that makes
+    its samples on access (the harness's `dusk` CP expansions) has one of
+    them alive beside the views. The stack is sized from `len(samples)`,
+    and a ValueError names both counts when the samples read disagree.
 
     With one length scale `spec.g` the result is the (n, n) Gram; with a
     tuple of them it is a (len(g), n, n) stack, one Gram per entry, each
@@ -332,12 +350,15 @@ def gram_matrix(samples, spec):
     n = len(samples)
     if n == 0:
         raise ValueError("empty sample list")
-    _check_samples(spec.kind, samples)
     _, view, row, unit_diagonal = _EVALUATORS[spec.kind]
     gs = _length_scales(spec.g)
     k = np.empty((len(gs), n, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        views = [view(s) for s in samples]
+        # map holds no sample between calls, so each is freed once viewed
+        views = list(map(view, _check_samples(spec.kind, samples)))
+        if len(views) != n:
+            raise ValueError(f"samples has length {n} but yields "
+                             f"{len(views)} samples")
         for i in range(n):
             k[:, i, i:] = k[:, i:, i] = row(views[i], views[i:], gs)
     if unit_diagonal:

@@ -430,6 +430,54 @@ def _retrained_acc(stack, labels, splits, c_grid, fail=None):
     return acc
 
 
+class TestDuskInputs:
+    def test_dusk_cell_holds_one_expansion_at_a_time(self, monkeypatch):
+        # each CP expansion is made as the Gram reads it and freed once its
+        # view exists: when the rows start, at most one is alive
+        from stmkernels import harness, kernels
+        made = []  # a weakref to every expansion harness.tucker_to_cp made
+        alive_at_rows = []
+        real_cp = harness.tucker_to_cp
+        required, view, row, unit_diagonal = kernels._EVALUATORS["dusk"]
+
+        def recording_cp(t):
+            cp = real_cp(t)
+            made.append(weakref.ref(cp))
+            return cp
+
+        def counting_row(xv, yvs, g):
+            if len(alive_at_rows) < len(made) // n:  # a cell's first row
+                alive_at_rows.append(sum(r() is not None for r in made))
+            return row(xv, yvs, g)
+
+        monkeypatch.setattr(harness, "tucker_to_cp", recording_cp)
+        monkeypatch.setitem(kernels._EVALUATORS, "dusk",
+                            (required, view, counting_row, unit_diagonal))
+        cfg = tiny_experiment(kernels=("dusk",), noise_grid=(0.01, 0.1))
+        n = 2 * cfg.synth.samples_per_class
+        run_experiment(cfg)
+        cells = len(cfg.noise_grid) * len(cfg.rank_grid)
+        assert len(made) == cells * n  # once per sample per dusk cell
+        assert len(alive_at_rows) == cells
+        assert max(alive_at_rows) <= 1
+
+    def test_dusk_inputs_equal_the_expansions(self):
+        from stmkernels.harness import derive_kernel_inputs
+        rng = np.random.default_rng(35)
+        tuckers = [sk.weighted_hosvd(rng.standard_normal((6, 5, 4)),
+                                     (2, 2, 2), p=0.5) for _ in range(3)]
+        expected = [sk.tucker_to_cp(sk.reweight(t, 0.0)) for t in tuckers]
+        inputs = derive_kernel_inputs(tuckers, "dusk")
+        assert len(inputs) == len(tuckers)
+        for got in (list(inputs), [inputs[k] for k in range(len(inputs))]):
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert a.weights.tobytes() == b.weights.tobytes()
+                assert [f.tobytes() for f in a.factors] == \
+                    [f.tobytes() for f in b.factors]
+        assert derive_kernel_inputs(tuckers, "wsek") is tuckers
+
+
 class TestRunExperiment:
     def test_separable_sanity(self, tmp_path):
         # trivially separable two-cluster data: every kernel reaches 1.0

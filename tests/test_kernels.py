@@ -342,6 +342,26 @@ class TestSymmetryAndMonotonicity:
             assert all(v2 >= v1 - 1e-15 for v1, v2 in zip(values, values[1:]))
 
 
+class _OnePass:
+    """A sized iterable with no __getitem__ that records its passes and
+    the samples it gave, in order; `length` is what len() reports."""
+
+    def __init__(self, samples, length=None):
+        self.samples = samples
+        self.length = len(samples) if length is None else length
+        self.passes = 0
+        self.read = []
+
+    def __len__(self):
+        return self.length
+
+    def __iter__(self):
+        self.passes += 1
+        for s in self.samples:
+            self.read.append(s)
+            yield s
+
+
 class TestGramMatrix:
     @pytest.mark.parametrize("kind,fmt", KIND_FORMATS)
     @pytest.mark.parametrize("mixed_ranks", [False, True])
@@ -421,6 +441,28 @@ class TestGramMatrix:
         with pytest.raises(error) as err:
             gram_matrix(samples, KernelSpec(kind, g=1.0))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind,fmt", [
+        ("gaussian", "tucker"), ("dusk", "kruskal"), ("subspace", "tucker"),
+        ("wsek", "tucker")])
+    def test_sized_iterable_read_once_in_order(self, kind, fmt):
+        # no __getitem__: the Gram must come from one pass over the samples
+        rng = np.random.default_rng(33)
+        samples = [as_format(fmt, rng.standard_normal((5, 5, 5)))
+                   for _ in range(5)]
+        once = _OnePass(samples)
+        spec = KernelSpec(kind, g=(0.5, 2.0))
+        stack = gram_matrix(once, spec)
+        assert once.passes == 1 and once.read == samples
+        assert stack.tobytes() == gram_matrix(samples, spec).tobytes()
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_length_other_than_the_samples_read_rejected(self, length):
+        rng = np.random.default_rng(34)
+        samples = [random_tucker(rng) for _ in range(4)]
+        with pytest.raises(ValueError) as err:
+            gram_matrix(_OnePass(samples, length), KernelSpec("wsek", g=1.0))
+        assert str(err.value) == f"samples has length {length} but yields 4 samples"
 
     def test_heterogeneous_rejected(self):
         rng = np.random.default_rng(27)
