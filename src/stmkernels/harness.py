@@ -52,6 +52,7 @@ report does not depend on `threads`. The cross-validation runs serially.
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
 import functools
 import json
@@ -240,9 +241,10 @@ def _open_dataset(data_dir):
     """(labels, readers) of a manifest directory.
 
     The manifest is read and checked now: a missing or empty manifest, a
-    malformed line and an unknown label are refused before any tensor is
-    read. `readers` holds one reader per manifest entry, in order
-    (`_read_tensors`), which reads its dense tensor when called.
+    malformed line (no comma, or an empty path) and an unknown label are
+    refused before any tensor is read. `readers` holds one reader per
+    manifest entry, in order (`_read_tensors`), which reads its dense
+    tensor when called.
     """
     manifest = os.path.join(data_dir, MANIFEST_NAME)
     if not os.path.exists(manifest):
@@ -254,11 +256,10 @@ def _open_dataset(data_dir):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            try:
-                rel, label_txt = line.rsplit(",", 1)
-            except ValueError:
+            rel, _, label_txt = line.rpartition(",")
+            if not rel.strip():  # no comma, or an empty path
                 raise ValueError(
-                    f"{manifest}:{lineno}: expected '<path>,<label>'") from None
+                    f"{manifest}:{lineno}: expected '<path>,<label>'")
             label_txt = label_txt.strip()
             if label_txt not in _LABEL_MAP:
                 raise ValueError(
@@ -341,22 +342,23 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
     no mode size of the first sample is below (all samples share its
     shape).
 
-    `raw_samples` is iterated once; its entries are the two kinds
-    `_load_source` makes: Tucker samples, or a data directory's readers
-    (`_read_tensors`). Each sample is decomposed by one weighted_hosvd
-    call for all ranks (which computes its mode-1 SVD once), from the
-    source `_source` makes of it. Sample k
-    takes decomposition slot k % `threads`, and a reader reads its
-    container into its slot's F-ordered buffer, in the calling thread:
-    the slot's last sample was decomposed by then, so at most `threads`
-    buffers exist, and they are dropped when the call returns. With
-    `threads` above 1, the samples go to one `ThreadPoolExecutor` per
-    call, which starts threads only as jobs need them, at most
-    `threads`, so up to `threads` are decomposed at once; the next
-    sample is taken only when a slot frees, and results and errors are
-    taken in sample order, so the output does not depend on `threads`.
-    With `threads` None or 1 each sample is decomposed in the calling
-    thread before the next is read, and no pool is made.
+    `raw_samples` is iterated once, by one `for` loop; its entries are
+    the two kinds `_load_source` makes: Tucker samples, or a data
+    directory's readers (`_read_tensors`). Each sample is decomposed by
+    one weighted_hosvd call for all ranks (which computes its mode-1 SVD
+    once), from the source `_source` makes of it. Sample k takes
+    decomposition slot k % `threads`, and a reader reads its container
+    into its slot's F-ordered buffer, in the calling thread: the slot's
+    last sample was decomposed by then, so at most `threads` buffers
+    exist, and they are dropped when the call returns. With `threads`
+    above 1, the loop runs inside one `with` of a `ThreadPoolExecutor`,
+    which starts threads only as jobs need them, at most `threads`, so up
+    to `threads` are decomposed at once, and which is shut down when the
+    loop ends or raises; the next sample is taken only when a slot frees,
+    and results and errors are taken in sample order, so the output does
+    not depend on `threads`. With `threads` None or 1 the `with` holds no
+    pool, and each sample is decomposed in the calling thread before the
+    next is read.
     A refused decomposition is re-raised naming the sample (its index in
     generation or manifest order) and the noise level; a sample the
     reader refuses, at either of its reads, is reported with
@@ -366,7 +368,6 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
     """
     out = {}
     width = threads or 1
-    pool = None
     flight = collections.deque()  # (index, outcome) per sample, oldest first
     buffers = [None] * width  # per slot, the last container read into it
 
@@ -381,32 +382,28 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
         for tuckers, tk in zip(out.values(), decomposed):
             tuckers.append(tk)
 
-    samples = iter(raw_samples)
-    k = 0  # not enumerate: its reused tuple would hold the last sample
-    try:
-        if width > 1:
-            import concurrent.futures
+    if width > 1:
+        import concurrent.futures
 
-            # its threads live until shutdown, so one malloc arena serves
-            # every job a thread runs: with a thread per job, a new thread
-            # could get a fresh arena while a finished one's was not yet
-            # released, and peak RSS then moved by a dense tensor
-            pool = concurrent.futures.ThreadPoolExecutor(width)
-        while True:
+        # its threads live until shutdown, so one malloc arena serves
+        # every job a thread runs: with a thread per job, a new thread
+        # could get a fresh arena while a finished one's was not yet
+        # released, and peak RSS then moved by a dense tensor
+        context = concurrent.futures.ThreadPoolExecutor(width)
+    else:
+        context = contextlib.nullcontext()
+    with context as pool:
+        for k, s in enumerate(raw_samples):
             if len(flight) == width:
                 collect()
-            read = None
-            try:
-                s = next(samples)
-                if callable(s):
-                    read = s
+            read = s if callable(s) else None
+            if read:
+                try:
                     s = buffers[k % width] = read(buffers[k % width])
-            except StopIteration:
-                break
-            except Exception:
-                while flight:  # an earlier sample's refusal comes first
-                    collect()
-                raise
+                except Exception:
+                    while flight:  # an earlier sample's refusal comes first
+                        collect()
+                    raise
             if k == 0:
                 out = {rank: [] for rank in ranks if rank <= min(s.shape)}
             if out:
@@ -414,17 +411,8 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
                 job = functools.partial(weighted_hosvd, _source(s, read),
                                         grid, p)
                 flight.append((k, pool.submit(job).result if pool else job))
-            # only its job holds the sample now, so a decomposed one is
-            # freed before the next is read and malloc can reuse its
-            # memory: with one more alive, peak RSS moved by one dense
-            # tensor from run to run
-            s = job = None
-            k += 1
         while flight:
             collect()
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
     return out
 
 
@@ -442,20 +430,17 @@ def _source(s, read=None):
 
 
 class _CPExpansions:
-    """The CP expansions of unweighted Tucker decompositions, made on
-    access: a sized sequence whose item k is a new
-    `tucker_to_cp(reweight(tuckers[k], 0.0))`, called through this
-    module's names. Nothing is cached, so a reader that drops each item
-    once it is used holds one expansion at a time."""
+    """The CP expansions of unweighted Tucker decompositions, made as
+    they are read: a sized iterable whose pass yields, in order, a new
+    `tucker_to_cp(reweight(t, 0.0))` for each decomposition t, called
+    through this module's names. Nothing is cached, so a reader that
+    drops each expansion once it is used holds one at a time."""
 
     def __init__(self, tuckers):
         self._tuckers = tuckers
 
     def __len__(self):
         return len(self._tuckers)
-
-    def __getitem__(self, k):
-        return tucker_to_cp(reweight(self._tuckers[k], 0.0))
 
     def __iter__(self):
         for t in self._tuckers:
@@ -466,10 +451,10 @@ def derive_kernel_inputs(tuckers, kind):
     """Kernel-specific sample views of shared Tucker decompositions.
 
     For `dusk` they are the CP expansions of the unweighted
-    decompositions, R = r**M terms each, made on access by a sized
-    sequence (`_CPExpansions`) rather than held in a list: `gram_matrix`
-    reads each once and drops it once its view exists. The other kinds
-    read the decompositions themselves."""
+    decompositions, R = r**M terms each, made as they are read by a
+    sized iterable (`_CPExpansions`) rather than held in a list:
+    `gram_matrix` reads each once and drops it once its view exists. The
+    other kinds read the decompositions themselves."""
     if kind == "dusk":
         return _CPExpansions(tuckers)
     return tuckers

@@ -119,6 +119,8 @@ class TestDatasetIO:
     @pytest.mark.parametrize("text, message", [
         ("sample_0000.tnsr,-1\nsample_0001.tnsr\n",
          "{manifest}:2: expected '<path>,<label>'"),
+        ("sample_0000.tnsr,-1\n ,1\n",
+         "{manifest}:2: expected '<path>,<label>'"),
         ("", "{manifest}: empty manifest"),
         ("# no samples\n\n", "{manifest}: empty manifest"),
     ])
@@ -469,12 +471,12 @@ class TestDuskInputs:
         expected = [sk.tucker_to_cp(sk.reweight(t, 0.0)) for t in tuckers]
         inputs = derive_kernel_inputs(tuckers, "dusk")
         assert len(inputs) == len(tuckers)
-        for got in (list(inputs), [inputs[k] for k in range(len(inputs))]):
-            assert len(got) == len(expected)
-            for a, b in zip(got, expected):
-                assert a.weights.tobytes() == b.weights.tobytes()
-                assert [f.tobytes() for f in a.factors] == \
-                    [f.tobytes() for f in b.factors]
+        got = list(inputs)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert [f.tobytes() for f in a.factors] == \
+                [f.tobytes() for f in b.factors]
         assert derive_kernel_inputs(tuckers, "wsek") is tuckers
 
 
@@ -1200,10 +1202,51 @@ class TestThreads:
                        for b in slots[:i])
         assert texts[1] == texts[2] == texts[4]
 
-    @pytest.mark.parametrize("fault", ["weighting", "nan", "both"])
+    @pytest.mark.parametrize("source", ["synth", "data_dir"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_at_most_threads_dense_arrays_alive(self, tmp_path, monkeypatch,
+                                               source, threads):
+        # at every build or read, at most threads - 1 dense arrays of other
+        # samples are alive, not counting the buffer being refilled
+        import threading
+
+        from stmkernels import harness
+        cfg = tiny_experiment(threads=threads)
+        if source == "data_dir":
+            # written before the wrapping: save_dataset builds too
+            save_dataset(generate(tiny_synth(), dense=True), tmp_path / "d")
+            cfg = replace(cfg, synth=None, data_dir=str(tmp_path / "d"),
+                          noise_grid=None)
+        lock = threading.Lock()
+        made = []  # (sample, weakref) per array made, oldest first
+        others = []  # per build or read, other samples' arrays alive
+
+        def tracking(real, sample, arg, out=None):
+            with lock:
+                # each live array but `out`, and the sample it last held
+                alive = {id(ref()): key for key, ref in made
+                         if ref() is not None and ref() is not out}
+                others.append(sum(key != sample for key in alive.values()))
+            t = real(arg) if out is None else real(arg, out=out)
+            with lock:
+                made.append((sample, weakref.ref(t)))
+            return t
+
+        real_build, real_load = harness.tucker_reconstruct, harness.load_tensor
+        monkeypatch.setattr(harness, "tucker_reconstruct", lambda t: tracking(
+            real_build, id(t), t))
+        monkeypatch.setattr(harness, "load_tensor", lambda path, out=None:
+                            tracking(real_load, path, path, out))
+        run_experiment(cfg)
+        assert len(others) == 24  # every sample is made dense twice
+        assert max(others) <= threads - 1
+
+    @pytest.mark.parametrize("fault", ["weighting", "nan", "both", "missing",
+                                       "missing-both"])
     def test_refusals_as_in_a_serial_run(self, tmp_path, monkeypatch, fault):
         # p = 200 refuses sample 5; a NaN container refuses sample 3 (or
-        # 6, after sample 5's refusal) when it is read. The message is
+        # 6, after sample 5's refusal) when it is read, and so does a
+        # deleted one, whose read raises FileNotFoundError. The message is
         # the serial one, the samples before the refused one were
         # decomposed, and no worker is left running.
         import threading
@@ -1212,12 +1255,16 @@ class TestThreads:
         synth_cfg = tiny_synth(mode_size=6, r_exact=3, r_approx=3,
                                noise_variance=0.1)
         data = generate(synth_cfg, dense=True)
-        bad = {"weighting": None, "nan": 3, "both": 6}[fault]
-        if bad is not None:
+        bad = {"weighting": None, "nan": 3, "both": 6, "missing": 3,
+               "missing-both": 6}[fault]
+        if bad is not None and not fault.startswith("missing"):
             data[bad].tensor[1, 0, 2] = np.nan
         save_dataset(data, tmp_path)
+        if fault.startswith("missing"):
+            (tmp_path / f"sample_{bad:04d}.tnsr").unlink()
         cfg = tiny_experiment(synth=None, data_dir=str(tmp_path),
-                              p=200.0 if fault != "nan" else None)
+                              p=None if bad == 3 else 200.0)
+        error = FileNotFoundError if fault == "missing" else ValueError
         real = harness.weighted_hosvd
         messages, counts = [], []
         before = threading.enumerate()
@@ -1229,13 +1276,13 @@ class TestThreads:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(harness, "weighted_hosvd", counting)
-            with pytest.raises(ValueError) as err:
+            with pytest.raises(error) as err:
                 run_experiment(replace(cfg, threads=n))
             messages.append(str(err.value))
             counts.append(len(calls))
             assert threading.enumerate() == before
         assert messages[0] == messages[1]
-        if fault == "nan":
+        if bad == 3:
             assert "sample_0003.tnsr" in messages[0]
             assert counts == [3, 3]
         else:
