@@ -313,7 +313,9 @@ def stratified_folds(labels, n_folds, rng):
     perfect proportion (shuffle within class, deal round-robin).
 
     Raises ValueError for labels other than -1 and +1, which no fold
-    would hold."""
+    would hold, and for `n_folds` below 1."""
+    if not n_folds >= 1:
+        raise ValueError(f"n_folds must be at least 1, got {n_folds}")
     labels = np.asarray(labels)
     svm._check_labels(labels)
     folds = [[] for _ in range(n_folds)]

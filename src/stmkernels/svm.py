@@ -5,9 +5,11 @@ once and shares across the regularization grid, so the pair updates
 here, not the kernel evaluations, take most of a grid search's time.
 Working pairs are chosen as the maximal KKT-violating pair; the
 two-variable subproblem is solved analytically and clipped to the box.
-The update loop carries f = -y * gradient, which rounds exactly as the
-gradient would because y is +-1, and keeps the two sides the pair is
-drawn from entry by entry, because an update moves only its two alphas.
+The update loop tracks f = -y * gradient, which rounds exactly as the
+gradient would because y is +-1, and keeps only the two sides the pair
+is drawn from: f on each side's members, and -inf or +inf elsewhere.
+Each update adds one step to both sides and re-places the two samples
+it moved, because an update moves only its two alphas.
 
 A model records whether an alpha ever equalled C (`reached_c`). When
 none did, training at any larger C takes the same path: every
@@ -88,9 +90,12 @@ class SvmModel:
 
 
 def dual_objective(alphas, labels, gram):
-    """Value of the dual objective sum(a) - 1/2 a'Qa with Q = yy' * K."""
-    q = gram * np.outer(labels, labels)
-    return float(alphas.sum() - 0.5 * alphas @ q @ alphas)
+    """Value of the dual objective sum(a) - 1/2 a'Qa with Q = yy' * K,
+    as sum(a) - 1/2 w'Kw with w = a * y, which allocates nothing the size
+    of the Gram. Bitwise equal to the Q form on a contiguous Gram: y is
+    +-1, and rounding is sign-symmetric."""
+    w = alphas * labels
+    return float(alphas.sum() - 0.5 * w @ (w @ gram))
 
 
 def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
@@ -102,7 +107,8 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
     violation drops below `tol`. Raises ConvergenceError after
     `max_updates` pair updates; raises ValueError for C <= 0, a negative
     or NaN `tol`, a single-class training set, or a non-symmetric Gram
-    matrix.
+    matrix. The Gram is read in place, through a view of its columns;
+    the loop's state is the alphas and the two sides.
     """
     if not C > 0:
         raise ValueError("C must be positive")
@@ -113,44 +119,40 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
     gram = np.asarray(gram, dtype=np.float64)
     if gram.shape != (n, n):
         raise ValueError(f"gram shape {gram.shape} does not match {n} samples")
-    # the update reads Gram columns. A finite Gram equal to its transpose
-    # has them as its rows, with no temporary the size of the Gram: a -0.0
-    # facing a 0.0 could only flip the sign of a zero in f, which no
-    # comparison, step or returned value reads
-    if (gram == gram.T).all() and math.isfinite(gram.sum()):
-        cols = gram
-    else:
-        # a NaN or inf entry makes the comparison false, so it is rejected
-        bound = 1e-12 * np.max(np.abs(gram), initial=1.0)
-        if not np.max(np.abs(gram - gram.T), initial=0.0) <= bound:
+    # a finite Gram equal to its transpose passes with no temporary the
+    # size of the Gram; otherwise one difference array holds the check
+    if not ((gram == gram.T).all() and math.isfinite(gram.sum())):
+        # a NaN or inf entry makes the comparison false, so it is rejected;
+        # the bound scales with max(1, max|K|), read with no temporary
+        bound = 1e-12 * max(np.max(gram, initial=1.0),
+                            -np.min(gram, initial=-1.0))
+        diff = gram - gram.T
+        if not np.max(np.abs(diff, out=diff), initial=0.0) <= bound:
             raise ValueError("gram matrix is not symmetric")
-        # the check lets a row differ from its column by 1e-12, so rows
-        # would not give the same bits
-        cols = gram.T.copy()
+    # the update reads Gram columns, which the check lets differ from rows
+    # by 1e-12; on a Gram equal to its transpose they differ at most in
+    # the sign of a zero, which no comparison, step or returned value reads
+    cols = gram.T
     pos = y > 0  # the class split; y is fixed for the whole call
     if pos.all() or not pos.any():
         raise ValueError("training set must contain both classes")
 
     # f = -y * (gradient of 1/2 a'Qa - sum(a)), which is y at alpha = 0.
     # y is +-1 and rounding is sign-symmetric, so each update of f rounds
-    # exactly as the gradient's update through Q = yy' * K would.
-    f = y.copy()
+    # exactly as the gradient's update through Q = yy' * K would. The two
+    # sides the pair is drawn from hold f on their members and -inf (up)
+    # or inf (low) elsewhere; every sample is on at least one side
+    f_up, f_low = np.where(pos, y, -np.inf), np.where(pos, np.inf, y)
     diag = gram.diagonal().tolist()
     on_pos = pos.tolist()
     alpha = [0.0] * n
     C = float(C)
-    # the two sides the pair is drawn from, and f on each side with -inf
-    # (up) or inf (low) elsewhere; an update moves only i and j
-    up, low = pos.copy(), ~pos
-    f_up, f_low = np.full(n, -np.inf), np.full(n, np.inf)
     reached_c = False
     history = [0.0] if record_objective else None
     updates = 0
 
     while True:
         # maximal violating pair; an empty side gives -inf and stops
-        np.copyto(f_up, f, where=up)
-        np.copyto(f_low, f, where=low)
         i, j = int(f_up.argmax()), int(f_low.argmin())
         violation = f_up.item(i) - f_low.item(j)
         if violation <= tol:
@@ -173,17 +175,19 @@ def train(ts, gram, C, tol=1e-3, spec=None, max_updates=MAX_UPDATES,
         if step == bound_j:
             a_j = 0.0 if pos_j else C
         alpha[i], alpha[j] = a_i, a_j
-        for k, a, p in ((i, a_i, pos_i), (j, a_j, pos_j)):
+        d = step * cols[j] - step * cols[i]
+        f_up += d
+        f_low += d
+        # i was drawn from the up side and j from the low one, so each
+        # side holds its sample's f; an infinite entry stays infinite
+        for k, f_k, a, p in ((i, f_up.item(i), a_i, pos_i),
+                             (j, f_low.item(j), a_j, pos_j)):
             below, above = a < C, a > 0
             # at a larger C every `a < C` test reads the same until one fails
             reached_c = reached_c or not below
             is_up, is_low = (below, above) if p else (above, below)
-            up[k], low[k] = is_up, is_low
-            if not is_up:
-                f_up[k] = -np.inf
-            if not is_low:
-                f_low[k] = np.inf
-        f += step * cols[j] - step * cols[i]
+            f_up[k] = f_k if is_up else -np.inf
+            f_low[k] = f_k if is_low else np.inf
         updates += 1
         if record_objective:
             history.append(dual_objective(np.array(alpha), y, gram))

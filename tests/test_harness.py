@@ -253,6 +253,14 @@ class TestStratifiedFolds:
                                              rf"found {bad}$"):
             stratified_folds(labels, 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n_folds", [0, -1])
+    def test_fewer_than_one_fold_rejected(self, n_folds):
+        # 0 used to divide by zero and -1 to index past the fold list
+        with pytest.raises(ValueError, match=rf"^n_folds must be at least 1, "
+                                             rf"got {n_folds}$"):
+            stratified_folds([-1.0, 1.0, 1.0, -1.0], n_folds,
+                             np.random.default_rng(0))
+
 
 def _cv_problem():
     """A hand-made PSD Gram stack (3 g) over 12 samples, its labels and

@@ -174,9 +174,9 @@ class TestSymmetricGram:
             assert a.dual_objective == b.dual_objective
 
     def test_no_transposed_copy(self):
-        # `dual_objective` holds one Gram-sized temporary; a Gram equal to
-        # its transpose adds none, one within the check adds its check's
-        # temporaries, then its transposed copy
+        # a Gram equal to its transpose is checked with no temporary the
+        # size of the Gram; one within the check adds its one difference
+        # array, and neither is copied to read its columns
         import tracemalloc
         rng = np.random.default_rng(72)
         pts, y, k = random_instance(rng, 400)
@@ -191,7 +191,35 @@ class TestSymmetricGram:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= 1.25 * k.nbytes < 1.9 * k.nbytes <= peaks[1]
+        assert peaks[0] <= 0.5 * k.nbytes
+        assert k.nbytes <= peaks[1] <= 1.25 * k.nbytes
+
+
+class TestRunLayout:
+    """`train` on the blocks cross-validation cuts from a Gram stack: a
+    strided view with the g axis innermost, on which `(alpha * y) @ K`
+    sums row by row, as the reference's does."""
+
+    def test_bitwise_equal_to_index_selection(self):
+        rng = np.random.default_rng(73)
+        y = np.array([-1.0, 1.0] * 16)
+        pts = rng.standard_normal((32, 3)) + 0.5 * y[:, None]
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+        g = 2.0 ** np.arange(-3, 4)
+        stack = np.exp(-d2[None] / (2 * g * g)[:, None, None])
+        for fold in np.array_split(rng.permutation(32), 5):
+            tr = np.setdiff1d(np.arange(32), fold)
+            k_tr = stack[:, tr[:, None], tr]
+            assert k_tr[0].strides == (len(tr) * len(g) * 8, len(g) * 8)
+            for k in k_tr:
+                for log2_c in range(-4, 9, 2):
+                    c = 2.0 ** log2_c
+                    model = train(TrainingSet(tr, y[tr]), k, c)
+                    alpha, bias, updates = smo_index_selection(
+                        k, y[tr], c, 1e-3)
+                    assert np.array_equal(model.alphas, alpha)
+                    assert model.bias == bias
+                    assert model.updates == updates
 
 
 class TestConstraintsAndKkt:
@@ -374,6 +402,12 @@ class TestKernelBackedPrediction:
         model = train(TrainingSet(list(pts), y), k, C=1.0, tol=1e-10)
         assert np.isclose(dual_objective(model.alphas, y, k),
                           model.dual_objective, rtol=1e-12)
+        # the Q = yy' * K form, bitwise on contiguous Grams
+        for _ in range(50):
+            a = rng.uniform(0.0, 2.0, 6) * (rng.uniform(size=6) < 0.7)
+            k = gaussian_gram(rng.standard_normal((6, 3)), 1.0)
+            assert dual_objective(a, y, k) == (
+                a.sum() - 0.5 * a @ (k * np.outer(y, y)) @ a)
 
 
 def kernel_value_for(spec, a, b):
