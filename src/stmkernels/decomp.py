@@ -453,6 +453,25 @@ def _truncate(u, s, g, ranks, p):
     return reweight(TuckerTensor(core=g, factors=basis, sigmas=sigmas), p)
 
 
+def _lift(tt, bases):
+    """`tt` with factor m lifted to bases[m] @ factors[m] and sign-fixed
+    by `fix_signs`'s rule, each flipped column's core slice flipped with
+    it; sigmas and p are kept. When the columns of each bases[m] are
+    orthonormal and `tt` decomposes the tensor Y, the result decomposes
+    Y x_1 bases[0] ... x_M bases[M-1]: it is that tensor's
+    `weighted_hosvd` at the same ranks and p, to rounding."""
+    core = tt.core
+    factors = []
+    for m, (q, f) in enumerate(zip(bases, tt.factors)):
+        f = q @ f
+        signs = _column_signs(f)
+        factors.append(f * signs[None, :])
+        bshape = [1] * tt.order
+        bshape[m] = len(signs)
+        core = core * signs.reshape(bshape)
+    return TuckerTensor(core=core, factors=factors, sigmas=tt.sigmas, p=tt.p)
+
+
 def tucker_reconstruct(tt):
     """Contract core and factors back into a new F-ordered dense tensor.
 

@@ -2,17 +2,19 @@
 noise level for all ranks, grid search over (C, g) with repeated
 stratified k-fold cross-validation, and deterministic CSV/JSON reporting.
 
-A run holds one dense sample per decomposition in flight, at most
-`threads` of them (one by default): a data directory's manifest is read
-first (labels and their checks), and each container is then read and
+A run holds at most one dense sample per decomposition in flight, so at
+most `threads` of them (one by default): a data directory's manifest is
+read first (labels and their checks), and each container is then read and
 checked into the one buffer of its decomposition slot. When the sample's
 mode-1 unfolding is wide, dgelqf overwrites that buffer, and the
 container is read and checked once more for the mode-1 projections;
 otherwise the projections read the buffer as first read. The slots'
 buffers serve sample after sample and are dropped when the noise level's
-decompositions end. A generated sample is built dense from its Tucker
-form by its decomposition, for the mode-1 SVD and, after a wide
-unfolding, once more for the projections, one build alive at a time.
+decompositions end. A generated sample, an exact Tucker tensor, is
+decomposed from its core and never built dense when no rank of the grid
+exceeds that core (`_decompose_from_core`); otherwise it is built dense
+by its decomposition, for the mode-1 SVD and, after a wide unfolding,
+once more for the projections, one build alive at a time.
 
 Protocol per (kernel, rank, noise) cell: every sample is decomposed once
 per noise level, by one call for all feasible ranks that shares the
@@ -64,7 +66,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import decomp, svm, synth
-from .decomp import reweight, tucker_reconstruct, tucker_to_cp, weighted_hosvd
+from .decomp import (TuckerTensor, reweight, tucker_reconstruct, tucker_to_cp,
+                     weighted_hosvd)
 from .kernels import KINDS, KernelSpec, _check_length_scale, gram_matrix
 from .svm import ConvergenceError, TrainingSet, predict_from_gram, train
 from .tensor import load_tensor, save_tensor
@@ -348,11 +351,14 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
     the two kinds `_load_source` makes: Tucker samples, or a data
     directory's readers (`_read_tensors`). Each sample is decomposed by
     one weighted_hosvd call for all ranks (which computes its mode-1 SVD
-    once), from the source `_source` makes of it. Sample k takes
-    decomposition slot k % `threads`, and a reader reads its container
-    into its slot's F-ordered buffer, in the calling thread: the slot's
-    last sample was decomposed by then, so at most `threads` buffers
-    exist, and they are dropped when the call returns. With `threads`
+    once). A Tucker sample whose core no rank exceeds is decomposed from
+    that core (`_decompose_from_core`) and is never built dense; a
+    reader's container, and a Tucker sample with a rank above its core's
+    size, are decomposed dense, from the source `_source` makes of them.
+    Sample k takes decomposition slot k % `threads`, and a reader reads
+    its container into its slot's F-ordered buffer, in the calling
+    thread: the slot's last sample was decomposed by then, so at most
+    `threads` buffers exist, and they are dropped when the call returns. With `threads`
     above 1, the loop runs inside one `with` of a `ThreadPoolExecutor`,
     which starts threads only as jobs need them, at most `threads`, so up
     to `threads` are decomposed at once, and which is shut down when the
@@ -410,21 +416,38 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
                 out = {rank: [] for rank in ranks if rank <= min(s.shape)}
             if out:
                 grid = [(rank,) * len(s.shape) for rank in out]
-                job = functools.partial(weighted_hosvd, _source(s, read),
-                                        grid, p)
+                if read is None and max(out) <= min(s.ranks):
+                    job = functools.partial(_decompose_from_core, s, grid, p)
+                else:
+                    job = functools.partial(weighted_hosvd, _source(s, read),
+                                            grid, p)
                 flight.append((k, pool.submit(job).result if pool else job))
         while flight:
             collect()
     return out
 
 
+def _decompose_from_core(s, grid, p):
+    """weighted_hosvd(tucker_reconstruct(s), grid, p), to rounding, for a
+    Tucker sample `s` whose core no rank of `grid` exceeds, without a
+    dense `s`. With each factor QR-factored, F_m = Q_m R_m, `s` is the
+    small tensor Y = core x_1 R_1 ... x_M R_M, which `tucker_reconstruct`
+    builds at the core's size, multiplied by the orthonormal Q_m. So one
+    weighted_hosvd call decomposes Y for the whole grid, and each result
+    lifted by the Q_m (`decomp._lift`) is the decomposition of `s`."""
+    qs, rs = zip(*(np.linalg.qr(f) for f in s.factors))
+    small = tucker_reconstruct(TuckerTensor(s.core, list(rs)))
+    return [decomp._lift(t, qs) for t in weighted_hosvd(small, grid, p)]
+
+
 def _source(s, read=None):
-    """The source weighted_hosvd decomposes for the raw sample `s`. For a
-    container that `read` read into `s`, it returns `s` as read, then
-    reads the container into `s` again at each later call, so dgelqf
-    factors `s` in place; `weighted_hosvd` calls it again only after a
-    wide mode-1 unfolding. For a Tucker sample, it returns a new
-    F-ordered build from `tucker_reconstruct` at each call."""
+    """The source weighted_hosvd decomposes for the raw sample `s` on the
+    dense path. For a container that `read` read into `s`, it returns `s`
+    as read, then reads the container into `s` again at each later call,
+    so dgelqf factors `s` in place; `weighted_hosvd` calls it again only
+    after a wide mode-1 unfolding. For a Tucker sample with a rank above
+    its core's size, it returns a new F-ordered build from
+    `tucker_reconstruct` at each call."""
     if read is not None:
         unread = [s]  # the first call's tensor is read already
         return lambda: unread.pop() if unread else read(s)
@@ -529,8 +552,9 @@ def _load_source(cfg):
     """(labels, [(noise_value, raw_samples), ...]) of the run. A data
     directory's manifest is read and checked here; its raw samples are
     `_open_dataset`'s readers, each of which reads its tensor when called.
-    Generated raw samples are Tucker tensors, made dense only inside
-    their decompositions (`_decompose_by_rank`)."""
+    Generated raw samples are Tucker tensors, decomposed from their cores
+    or, for a rank above the core's size, made dense only inside their
+    decompositions (`_decompose_by_rank`)."""
     if cfg.data_dir is not None:
         labels, samples = _open_dataset(cfg.data_dir)
         return labels, [(math.nan, samples)]

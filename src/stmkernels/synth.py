@@ -202,8 +202,9 @@ def generate(cfg, dense=False):
 
     Returns 2 * samples_per_class LabeledSamples, class -1 first. With
     `dense=True` the Tucker forms are contracted to full F-ordered arrays
-    by `tucker_reconstruct` (for the Gaussian-kernel baseline and for
-    dataset export). Deterministic given the config; samples may be
+    by `tucker_reconstruct`, for dataset export and for callers that
+    want arrays; the harness decomposes the Tucker forms themselves, for
+    every kernel. Deterministic given the config; samples may be
     generated in parallel because every stream is pre-split.
     """
     grid = np.linspace(-1.0, 1.0, cfg.mode_size)

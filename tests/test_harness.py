@@ -200,16 +200,21 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("mode", [50, 74])
     def test_round_trip_decomposes_to_the_same_bits(self, tmp_path, mode):
-        # a generated sample decomposes to the same bits in memory and
-        # read back from its F-ordered container; at mode 74, with numpy's
-        # OpenBLAS, a reconstruction in C order differs from the F-ordered
-        # one in the last bit of a few entries, so both paths must read F
+        # a generated sample's container, read back, decomposes to the
+        # same bits as the sample's F-ordered dense build; at mode 74,
+        # with numpy's OpenBLAS, a reconstruction in C order differs from
+        # the F-ordered one in the last bit of a few entries, so both
+        # paths must read F. In memory the sample is decomposed from its
+        # core, which agrees with both to rounding
         from stmkernels import decomp
         from stmkernels.harness import _decompose_by_rank, _open_dataset
         data = generate(tiny_synth(mode_size=mode, r_approx=3,
                                    samples_per_class=2, seed=74))
         save_dataset(data, tmp_path)
+        grid = [(2, 2, 2), (3, 3, 3)]
         with decomp._blas_threads(1):
+            dense = [decomp.weighted_hosvd(decomp.tucker_reconstruct(
+                s.tensor), grid) for s in data]
             in_memory = _decompose_by_rank(
                 [s.tensor for s in data], (2, 3), None, 0.01)
             # a run's readers: the slot buffer and the in-place dgelqf
@@ -217,11 +222,111 @@ class TestDatasetIO:
                 _open_dataset(tmp_path)[1], (2, 3), None, 0.01)
         assert list(in_memory) == list(read_back) == [2, 3]
         for rank in (2, 3):
-            for a, b in zip(in_memory[rank], read_back[rank], strict=True):
-                assert np.array_equal(a.core, b.core)
-                for x, y in zip(a.factors + a.sigmas, b.factors + b.sigmas,
+            for a, b, tk in zip(in_memory[rank], read_back[rank], dense,
                                 strict=True):
-                    assert np.array_equal(x, y)
+                _assert_same_bits(b, tk[rank - 2])
+                _assert_close(a, tk[rank - 2])
+
+
+def _assert_same_bits(a, b):
+    assert a.p == b.p and np.array_equal(a.core, b.core)
+    for x, y in zip(a.factors + a.sigmas, b.factors + b.sigmas, strict=True):
+        assert np.array_equal(x, y)
+
+
+def _assert_close(a, b, rtol=1e-12):
+    """Core, factors and sigmas of `a` within `rtol` of `b`'s, relative
+    to each array's largest magnitude in `b`."""
+    assert a.p == b.p
+    for x, y in zip([a.core] + a.factors + a.sigmas,
+                    [b.core] + b.factors + b.sigmas, strict=True):
+        assert x.shape == y.shape
+        assert np.max(np.abs(x - y)) <= rtol * np.max(np.abs(y))
+
+
+class TestCoreRoute:
+    """A Tucker sample whose core no rank exceeds is decomposed from that
+    core; a grid with a larger rank, and a container, are decomposed
+    dense."""
+
+    @staticmethod
+    def _dense(tuckers, ranks, p=None):
+        from stmkernels import decomp
+        grid = [(r,) * 3 for r in ranks]
+        with decomp._blas_threads(1):
+            return [decomp.weighted_hosvd(decomp.tucker_reconstruct(t), grid, p)
+                    for t in tuckers]
+
+    @pytest.mark.parametrize("mode", [50, 74])
+    @pytest.mark.parametrize("scenario", ["leaf", "core"])
+    def test_generated_samples_agree_with_the_dense_path(self, mode,
+                                                         scenario):
+        from stmkernels import decomp
+        from stmkernels.harness import _decompose_by_rank
+        for theta2 in (0.01, 0.1, 1.0):
+            samples = [s.tensor for s in generate(tiny_synth(
+                scenario=scenario, mode_size=mode, r_exact=3, r_approx=3,
+                noise_variance=theta2, samples_per_class=1))]
+            with decomp._blas_threads(1):
+                got = _decompose_by_rank(samples, (1, 2, 3), None, theta2)
+            for k, tk in enumerate(self._dense(samples, (1, 2, 3))):
+                for rank in (1, 2, 3):
+                    _assert_close(got[rank][k], tk[rank - 1])
+
+    @pytest.mark.parametrize("p", [None, 0.0, 0.5])
+    def test_random_tucker_tensors_agree_with_the_dense_path(self, p):
+        # factors that are neither orthonormal nor of one width, and
+        # cores that are not cubic
+        from stmkernels import decomp
+        from stmkernels.harness import _decompose_by_rank
+        rng = np.random.default_rng(18)
+        for core_shape in ((3, 3, 3), (3, 4, 5), (6, 3, 4)):
+            samples = [sk.TuckerTensor(
+                core=rng.standard_normal(core_shape),
+                factors=[rng.standard_normal((n, r)) * rng.uniform(0.1, 10, r)
+                         for n, r in zip((20, 9, 14), core_shape)])
+                for _ in range(3)]
+            with decomp._blas_threads(1):
+                got = _decompose_by_rank(samples, (1, 2, 3), p, 0.0)
+            for k, tk in enumerate(self._dense(samples, (1, 2, 3), p)):
+                for rank in (1, 2, 3):
+                    _assert_close(got[rank][k], tk[rank - 1])
+
+    def test_rank_above_the_core_keeps_the_dense_bits(self):
+        from stmkernels import decomp
+        from stmkernels.harness import _decompose_by_rank
+        samples = [s.tensor for s in generate(tiny_synth(
+            mode_size=20, r_exact=3, r_approx=3, noise_variance=0.1,
+            samples_per_class=2))]
+        with decomp._blas_threads(1):
+            got = _decompose_by_rank(samples, (2, 4), None, 0.1)
+        assert list(got) == [2, 4]
+        for k, tk in enumerate(self._dense(samples, (2, 4))):
+            _assert_same_bits(got[2][k], tk[0])
+            _assert_same_bits(got[4][k], tk[1])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_core_sized_build_per_sample(self, monkeypatch, threads):
+        from stmkernels import harness
+        from stmkernels.harness import _decompose_by_rank
+        rng = np.random.default_rng(19)
+        samples = [sk.TuckerTensor(
+            core=rng.standard_normal((3, 4, 5)),
+            factors=[rng.standard_normal((n, r))
+                     for n, r in zip((20, 9, 14), (3, 4, 5))])
+            for _ in range(5)]
+        built = []
+        real = harness.tucker_reconstruct
+
+        def recording(t):
+            out = real(t)
+            built.append((id(t.core), out.shape))
+            return out
+
+        monkeypatch.setattr(harness, "tucker_reconstruct", recording)
+        _decompose_by_rank(samples, (1, 3), None, 0.0, threads)
+        assert sorted(built) == sorted((id(s.core), (3, 4, 5))
+                                       for s in samples)
 
 
 class TestStratifiedFolds:
@@ -659,8 +764,8 @@ class TestRunExperiment:
 
     def test_one_decomposition_per_sample_and_noise(self, monkeypatch):
         # every rank of the grid comes out of one weighted_hosvd call per
-        # sample and noise level, which builds the dense sample twice: for
-        # the mode-1 SVD, then for the projections
+        # sample and noise level, on the one small tensor built from the
+        # sample's core (no rank exceeds it): the sample is never dense
         from stmkernels import harness
         calls = Counter()
 
@@ -678,7 +783,7 @@ class TestRunExperiment:
         run_experiment(cfg)
         samples = 2 * cfg.synth.samples_per_class
         assert calls["weighted_hosvd"] == 2 * samples
-        assert calls["tucker_reconstruct"] == 2 * (2 * samples)
+        assert calls["tucker_reconstruct"] == 2 * samples
 
     def test_threads_match_serial(self):
         cfg1 = tiny_experiment(rank_grid=(1, 2), threads=1)
@@ -1210,16 +1315,21 @@ class TestThreads:
                        for b in slots[:i])
         assert texts[1] == texts[2] == texts[4]
 
-    @pytest.mark.parametrize("source", ["synth", "data_dir"])
+    @pytest.mark.parametrize("source", ["synth", "fallback", "data_dir"])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_at_most_threads_dense_arrays_alive(self, tmp_path, monkeypatch,
                                                source, threads):
-        # at every build or read, at most threads - 1 dense arrays of other
-        # samples are alive, not counting the buffer being refilled
+        # at every build or read, at most threads - 1 arrays of other
+        # samples are alive, not counting the buffer being refilled. A
+        # generated sample is built once, at its core's size; with a rank
+        # above its core ("fallback") it is built dense twice, as a
+        # container is read twice
         import threading
 
         from stmkernels import harness
         cfg = tiny_experiment(threads=threads)
+        if source == "fallback":
+            cfg = replace(cfg, rank_grid=(2, 3))  # r_approx is 2
         if source == "data_dir":
             # written before the wrapping: save_dataset builds too
             save_dataset(generate(tiny_synth(), dense=True), tmp_path / "d")
@@ -1241,12 +1351,13 @@ class TestThreads:
             return t
 
         real_build, real_load = harness.tucker_reconstruct, harness.load_tensor
+        # a sample's builds, dense or from its core, all read its core
         monkeypatch.setattr(harness, "tucker_reconstruct", lambda t: tracking(
-            real_build, id(t), t))
+            real_build, id(t.core), t))
         monkeypatch.setattr(harness, "load_tensor", lambda path, out=None:
                             tracking(real_load, path, path, out))
         run_experiment(cfg)
-        assert len(others) == 24  # every sample is made dense twice
+        assert len(others) == (12 if source == "synth" else 24)
         assert max(others) <= threads - 1
 
     @pytest.mark.parametrize("fault", ["weighting", "nan", "both", "missing",
