@@ -22,13 +22,13 @@ take the plain `np.linalg.svd` call.
 The decomposition reads one layout, F order (mode 1 varies fastest, as
 in `matricize` and the tensor container). Its input is a tensor or a
 source, a function that gives the tensor anew, F-ordered, such as a
-Tucker sample's `tucker_reconstruct` or a re-read of a container into
-one buffer. A tensor is held beside a copy of itself only while the
-mode-1 SVD runs: the private copy dgelqf overwrites. A source is called
-once for that SVD, which dgelqf runs in place, and, only when the mode-1
-unfolding is wide, once more for every rank's mode-1 projections, one
-array at a time; np.linalg.svd leaves any other unfolding as it was, so
-the projections read the first array. The projections read an
+re-read of a container into one buffer or a new `tucker_reconstruct`
+build at each call. A tensor is held beside a copy of itself only while
+the mode-1 SVD runs: the private copy dgelqf overwrites. A source is
+called once for that SVD, which dgelqf runs in place, and, only when the
+mode-1 unfolding is wide, once more for every rank's mode-1 projections,
+one array at a time; np.linalg.svd leaves any other unfolding as it
+was, so the projections read the first array. The projections read an
 F-ordered tensor in place, any other through one F-ordered copy, and
 that tensor is dropped before any rank's modes 2...M run.
 
@@ -379,17 +379,16 @@ def weighted_hosvd(t, ranks, p=None):
 
     `t` is a tensor or a source: a function `t()` that returns the tensor
     in an F-ordered array nobody reads until its next call, as dgelqf
-    overwrites it. That array may be new on each call (a Tucker sample's
-    builds) or one buffer filled anew (a `data_dir` sample's container,
-    read again). A source is called once for the mode-1 SVD. Only when
-    the mode-1 unfolding is wide (dgelqf's route, `_wide`) is it called
-    once more for the mode-1 projections, after the first array is
-    dropped; otherwise the projections read the first array, which
-    np.linalg.svd left as it was. Either way the tensor is held dense
-    once at a time. A tensor is held beside the
-    private copy that dgelqf overwrites while the mode-1 SVD runs, and the
-    projections read it in place when F-ordered, else through one
-    F-ordered copy.
+    overwrites it. That array may be one buffer filled anew (a `data_dir`
+    sample's container, read again) or new on each call (a
+    `tucker_reconstruct` build). A source is called once for the mode-1
+    SVD. Only when the mode-1 unfolding is wide (dgelqf's route, `_wide`)
+    is it called once more for the mode-1 projections, after the first
+    array is dropped; otherwise the projections read the first array,
+    which np.linalg.svd left as it was. Either way the tensor is held
+    dense once at a time. A tensor is held beside the private copy that
+    dgelqf overwrites while the mode-1 SVD runs, and the projections read
+    it in place when F-ordered, else through one F-ordered copy.
 
     `ranks` is either one per-mode rank tuple, which returns one
     TuckerTensor, or a sequence of such tuples, which returns a list with

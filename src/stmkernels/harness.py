@@ -11,10 +11,9 @@ container is read and checked once more for the mode-1 projections;
 otherwise the projections read the buffer as first read. The slots'
 buffers serve sample after sample and are dropped when the noise level's
 decompositions end. A generated sample, an exact Tucker tensor, is
-decomposed from its core and never built dense when no rank of the grid
-exceeds that core (`_decompose_from_core`); otherwise it is built dense
-by its decomposition, for the mode-1 SVD and, after a wide unfolding,
-once more for the projections, one build alive at a time.
+decomposed from its core and never built dense (`_decompose_from_core`);
+a rank above that core decomposes at the core's size, and its row keeps
+the requested rank.
 
 Protocol per (kernel, rank, noise) cell: every sample is decomposed once
 per noise level, by one call for all feasible ranks that shares the
@@ -351,10 +350,9 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
     the two kinds `_load_source` makes: Tucker samples, or a data
     directory's readers (`_read_tensors`). Each sample is decomposed by
     one weighted_hosvd call for all ranks (which computes its mode-1 SVD
-    once). A Tucker sample whose core no rank exceeds is decomposed from
-    that core (`_decompose_from_core`) and is never built dense; a
-    reader's container, and a Tucker sample with a rank above its core's
-    size, are decomposed dense, from the source `_source` makes of them.
+    once). A Tucker sample is decomposed from its core
+    (`_decompose_from_core`) and is never built dense; a reader's
+    container is decomposed dense, from the source `_source` makes of it.
     Sample k takes decomposition slot k % `threads`, and a reader reads
     its container into its slot's F-ordered buffer, in the calling
     thread: the slot's last sample was decomposed by then, so at most
@@ -416,7 +414,7 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
                 out = {rank: [] for rank in ranks if rank <= min(s.shape)}
             if out:
                 grid = [(rank,) * len(s.shape) for rank in out]
-                if read is None and max(out) <= min(s.ranks):
+                if read is None:
                     job = functools.partial(_decompose_from_core, s, grid, p)
                 else:
                     job = functools.partial(weighted_hosvd, _source(s, read),
@@ -428,30 +426,29 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
 
 
 def _decompose_from_core(s, grid, p):
-    """weighted_hosvd(tucker_reconstruct(s), grid, p), to rounding, for a
-    Tucker sample `s` whose core no rank of `grid` exceeds, without a
-    dense `s`. With each factor QR-factored, F_m = Q_m R_m, `s` is the
-    small tensor Y = core x_1 R_1 ... x_M R_M, which `tucker_reconstruct`
-    builds at the core's size, multiplied by the orthonormal Q_m. So one
-    weighted_hosvd call decomposes Y for the whole grid, and each result
-    lifted by the Q_m (`decomp._lift`) is the decomposition of `s`."""
+    """The decompositions of the Tucker sample `s` at each rank tuple of
+    `grid`, each capped per mode at the size of the folded core below,
+    without a dense `s`. With each factor QR-factored, F_m = Q_m R_m, `s`
+    is the small tensor Y = core x_1 R_1 ... x_M R_M, which
+    `tucker_reconstruct` builds at the core's size, multiplied by the
+    orthonormal Q_m. So one weighted_hosvd call decomposes Y for the
+    whole capped grid, and each result lifted by the Q_m (`decomp._lift`)
+    is weighted_hosvd(tucker_reconstruct(s), capped ranks, p) to rounding.
+    Y holds all of `s`, so a rank above Y's size adds only directions of
+    zero singular value: it gives the decomposition at Y's size."""
     qs, rs = zip(*(np.linalg.qr(f) for f in s.factors))
     small = tucker_reconstruct(TuckerTensor(s.core, list(rs)))
+    grid = [tuple(map(min, ranks, small.shape)) for ranks in grid]
     return [decomp._lift(t, qs) for t in weighted_hosvd(small, grid, p)]
 
 
-def _source(s, read=None):
-    """The source weighted_hosvd decomposes for the raw sample `s` on the
-    dense path. For a container that `read` read into `s`, it returns `s`
-    as read, then reads the container into `s` again at each later call,
-    so dgelqf factors `s` in place; `weighted_hosvd` calls it again only
-    after a wide mode-1 unfolding. For a Tucker sample with a rank above
-    its core's size, it returns a new F-ordered build from
-    `tucker_reconstruct` at each call."""
-    if read is not None:
-        unread = [s]  # the first call's tensor is read already
-        return lambda: unread.pop() if unread else read(s)
-    return functools.partial(tucker_reconstruct, s)
+def _source(s, read):
+    """The source weighted_hosvd decomposes for the container that `read`
+    read into `s`: it returns `s` as read, then reads the container into
+    `s` again at each later call, so dgelqf factors `s` in place;
+    `weighted_hosvd` calls it again only after a wide mode-1 unfolding."""
+    unread = [s]  # the first call's tensor is read already
+    return lambda: unread.pop() if unread else read(s)
 
 
 class _CPExpansions:
@@ -552,9 +549,8 @@ def _load_source(cfg):
     """(labels, [(noise_value, raw_samples), ...]) of the run. A data
     directory's manifest is read and checked here; its raw samples are
     `_open_dataset`'s readers, each of which reads its tensor when called.
-    Generated raw samples are Tucker tensors, decomposed from their cores
-    or, for a rank above the core's size, made dense only inside their
-    decompositions (`_decompose_by_rank`)."""
+    Generated raw samples are Tucker tensors, each decomposed from its
+    core and never made dense (`_decompose_by_rank`)."""
     if cfg.data_dir is not None:
         labels, samples = _open_dataset(cfg.data_dir)
         return labels, [(math.nan, samples)]

@@ -245,8 +245,8 @@ def _assert_close(a, b, rtol=1e-12):
 
 
 class TestCoreRoute:
-    """A Tucker sample whose core no rank exceeds is decomposed from that
-    core; a grid with a larger rank, and a container, are decomposed
+    """A Tucker sample is decomposed from its core at every rank, a rank
+    above the core at the core's size; a container is decomposed
     dense."""
 
     @staticmethod
@@ -292,7 +292,8 @@ class TestCoreRoute:
                 for rank in (1, 2, 3):
                     _assert_close(got[rank][k], tk[rank - 1])
 
-    def test_rank_above_the_core_keeps_the_dense_bits(self):
+    def test_rank_above_the_core_decomposes_at_the_core_size(self):
+        # the grid's other ranks change no bit of a rank's decomposition
         from stmkernels import decomp
         from stmkernels.harness import _decompose_by_rank
         samples = [s.tensor for s in generate(tiny_synth(
@@ -300,10 +301,13 @@ class TestCoreRoute:
             samples_per_class=2))]
         with decomp._blas_threads(1):
             got = _decompose_by_rank(samples, (2, 4), None, 0.1)
+            within = _decompose_by_rank(samples, (2, 3), None, 0.1)
         assert list(got) == [2, 4]
-        for k, tk in enumerate(self._dense(samples, (2, 4))):
-            _assert_same_bits(got[2][k], tk[0])
-            _assert_same_bits(got[4][k], tk[1])
+        for k, tk in enumerate(self._dense(samples, (3,))):
+            assert got[4][k].core.shape == (3, 3, 3)
+            _assert_same_bits(got[2][k], within[2][k])
+            _assert_same_bits(got[4][k], within[3][k])
+            _assert_close(got[4][k], tk[0])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_core_sized_build_per_sample(self, monkeypatch, threads):
@@ -762,10 +766,29 @@ class TestRunExperiment:
         bad = [r for r in together if r.rank == 13]
         assert len(bad) == 2 and all(math.isnan(r.mean_acc) for r in bad)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rank_rows_independent_of_a_rank_above_the_core(self, threads):
+        # a rank's rows are the same with or without the next rank in the
+        # grid, and a rank above the samples' core (r_approx 2) reads as
+        # the core's size. The g = 2**-4 `wsek` Grams are near the
+        # identity, so their selection moves with the factors' rounding
+        cfg = tiny_experiment(synth=tiny_synth(scenario="core", mode_size=10),
+                              noise_grid=(0.2, 1.0),
+                              kernels=("subspace", "wsek", "dusk"),
+                              g_grid=(2.0 ** -4, 0.5, 2.0, 8.0),
+                              threads=threads)
+        for r in (1, 2):
+            alone = run_experiment(replace(cfg, rank_grid=(r,))).rows
+            both = run_experiment(replace(cfg, rank_grid=(r, r + 1))).rows
+            assert [row for row in both if row.rank == r] == alone
+            if r == 2:
+                above = [row for row in both if row.rank == r + 1]
+                assert [replace(row, rank=r) for row in above] == alone
+
     def test_one_decomposition_per_sample_and_noise(self, monkeypatch):
         # every rank of the grid comes out of one weighted_hosvd call per
         # sample and noise level, on the one small tensor built from the
-        # sample's core (no rank exceeds it): the sample is never dense
+        # sample's core: the sample is never dense
         from stmkernels import harness
         calls = Counter()
 
@@ -1315,20 +1338,19 @@ class TestThreads:
                        for b in slots[:i])
         assert texts[1] == texts[2] == texts[4]
 
-    @pytest.mark.parametrize("source", ["synth", "fallback", "data_dir"])
+    @pytest.mark.parametrize("source", ["synth", "above_core", "data_dir"])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_at_most_threads_dense_arrays_alive(self, tmp_path, monkeypatch,
                                                source, threads):
         # at every build or read, at most threads - 1 arrays of other
         # samples are alive, not counting the buffer being refilled. A
-        # generated sample is built once, at its core's size; with a rank
-        # above its core ("fallback") it is built dense twice, as a
-        # container is read twice
+        # generated sample is built once, at its core's size, also with a
+        # rank above its core ("above_core"); a container is read twice
         import threading
 
         from stmkernels import harness
         cfg = tiny_experiment(threads=threads)
-        if source == "fallback":
+        if source == "above_core":
             cfg = replace(cfg, rank_grid=(2, 3))  # r_approx is 2
         if source == "data_dir":
             # written before the wrapping: save_dataset builds too
@@ -1338,6 +1360,7 @@ class TestThreads:
         lock = threading.Lock()
         made = []  # (sample, weakref) per array made, oldest first
         others = []  # per build or read, other samples' arrays alive
+        shapes = []  # per build or read, the array's shape
 
         def tracking(real, sample, arg, out=None):
             with lock:
@@ -1348,17 +1371,22 @@ class TestThreads:
             t = real(arg) if out is None else real(arg, out=out)
             with lock:
                 made.append((sample, weakref.ref(t)))
+                shapes.append(t.shape)
             return t
 
         real_build, real_load = harness.tucker_reconstruct, harness.load_tensor
-        # a sample's builds, dense or from its core, all read its core
+        # a generated sample's build reads its core
         monkeypatch.setattr(harness, "tucker_reconstruct", lambda t: tracking(
             real_build, id(t.core), t))
         monkeypatch.setattr(harness, "load_tensor", lambda path, out=None:
                             tracking(real_load, path, path, out))
         run_experiment(cfg)
-        assert len(others) == (12 if source == "synth" else 24)
+        assert len(others) == (24 if source == "data_dir" else 12)
         assert max(others) <= threads - 1
+        # mode 12 containers; generated samples built at their r_approx 2
+        # cores only, never at mode 12
+        size = (12, 12, 12) if source == "data_dir" else (2, 2, 2)
+        assert set(shapes) == {size}
 
     @pytest.mark.parametrize("fault", ["weighting", "nan", "both", "missing",
                                        "missing-both"])
