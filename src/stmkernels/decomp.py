@@ -32,6 +32,13 @@ was, so the projections read the first array. The projections read an
 F-ordered tensor in place, any other through one F-ordered copy, and
 that tensor is dropped before any rank's modes 2...M run.
 
+A batch of tensors of one shape, stacked on a leading sample axis, is
+decomposed by the same steps, each on all samples at once: the ST-HOSVD
+helpers take an optional leading sample axis, each sample's matrices are
+laid out as a decomposition of that tensor alone lays them out, and
+stacked SVDs and matrix products run LAPACK and BLAS on each sample as
+the single calls do, so every sample gets the bits of its own call.
+
 This is the one module that reaches numpy's native libraries, all
 through `_numpy_symbol`, a lookup in numpy's linalg extension that finds
 the LAPACK and BLAS `np.linalg` calls, on any OS: it binds dgelqf, and
@@ -185,27 +192,30 @@ class TTTensor:
 # ---------------------------------------------------------------------------
 
 def _column_signs(u):
-    pivot_rows = np.argmax(np.abs(u), axis=0)
-    pivots = u[pivot_rows, np.arange(u.shape[1])]
-    return np.where(pivots < 0, -1.0, 1.0)
+    """Per column of `u` (of each matrix of a stack), -1 where its
+    max-magnitude entry, the first of ties, is negative, else +1."""
+    pivot_rows = np.argmax(np.abs(u), axis=-2)
+    pivots = np.take_along_axis(u, pivot_rows[..., None, :], axis=-2)
+    return np.where(pivots[..., 0, :] < 0, -1.0, 1.0)
 
 
 def fix_signs(u):
     """Flip each column of `u` so its max-magnitude entry is positive.
 
     Ties take the smallest row index; an exactly zero pivot leaves the
-    column unchanged. Idempotent and deterministic.
+    column unchanged. Idempotent and deterministic. A stack of matrices
+    (leading axes before the last two) is fixed matrix by matrix.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.size == 0:
         return u.copy()
-    return u * _column_signs(u)[None, :]
+    return u * _column_signs(u)[..., None, :]
 
 
 def _tiny_mask(sigmas):
-    if sigmas.size == 0:
-        return np.zeros(0, dtype=bool)
-    return sigmas < SIGMA_FLOOR * sigmas[0]
+    """Along the last axis, the singular values below SIGMA_FLOOR times
+    the first (the largest)."""
+    return sigmas < SIGMA_FLOOR * sigmas[..., :1]
 
 
 def _sigma_weights(sigmas, p):
@@ -214,6 +224,13 @@ def _sigma_weights(sigmas, p):
     keep = ~_tiny_mask(sigmas)
     w[keep] = sigmas[keep] ** p
     return w
+
+
+def _along(w, m, order):
+    """`w`, one entry per index of mode m+1 on its last axis (after any
+    sample axis), shaped to scale that mode of an order-`order` tensor."""
+    return w.reshape(w.shape[:-1] + (1,) * m + (w.shape[-1],)
+                     + (1,) * (order - m - 1))
 
 
 def khatri_rao(mats):
@@ -362,7 +379,17 @@ def _left_svd(g, m, build=None):
     return u, s
 
 
-def weighted_hosvd(t, ranks, p=None):
+class _Refused(ValueError):
+    """A batch's refusal of one sample: `index` names the sample, and
+    `reason` is the ValueError a call on that sample alone raises."""
+
+    def __init__(self, index, reason):
+        super().__init__(f"sample {index}: {reason}")
+        self.index = index
+        self.reason = reason
+
+
+def weighted_hosvd(t, ranks, p=None, *, batch=False):
     """Sequentially truncated HOSVD with sigma**p weighted factors.
 
     Mode by mode, the leading `ranks[m]` left singular vectors of the
@@ -370,12 +397,13 @@ def weighted_hosvd(t, ranks, p=None):
     together with their singular values; the tensor is then projected onto
     that subspace. This p = 0 ST-HOSVD has its core zeroed along the
     numerically zero directions (sigma < SIGMA_FLOOR * sigma_1) and is
-    then moved to power p by `reweight`: each factor is scaled by
-    diag(sigma**p) and the core inversely, so the contraction of core and
-    factors equals the rank-(R_1,...,R_M) sequential truncation of `t`
-    (without the dropped directions) for every p. The retained subspaces do
-    not depend on p, and `reweight(weighted_hosvd(t, r, 0.0), p)` is
-    bitwise equal to `weighted_hosvd(t, r, p)`. Default p is 1/M.
+    then moved to power p by `reweight`'s arithmetic: each factor is
+    scaled by diag(sigma**p) and the core inversely, so the contraction
+    of core and factors equals the rank-(R_1,...,R_M) sequential
+    truncation of `t` (without the dropped directions) for every p. The
+    retained subspaces do not depend on p, and `reweight(weighted_hosvd(t,
+    r, 0.0), p)` is bitwise equal to `weighted_hosvd(t, r, p)`. Default p
+    is 1/M.
 
     `t` is a tensor or a source: a function `t()` that returns the tensor
     in an F-ordered array nobody reads until its next call, as dgelqf
@@ -399,6 +427,18 @@ def weighted_hosvd(t, ranks, p=None):
     dropped before modes 2...M run; each entry is bitwise equal to a
     separate call with that tuple.
 
+    With `batch=True`, `t` is an array (never a source) whose leading
+    axis indexes samples of one shape, and the result is a list with
+    what `weighted_hosvd(t[k], ranks, p)` returns for each sample k, bit
+    for bit: the samples are decomposed together, each step on all of
+    them at once (one stacked np.linalg.svd per mode and entry, whose U
+    and sigma are the bits of `_left_svd`'s routes by construction). `p`
+    defaults to 1/M with M the samples' order. The first sample in order
+    that a call of its own would refuse, all-zero or with sigma**p that
+    float64 cannot hold, is refused by a ValueError whose `index` names
+    it and whose `reason` is that call's error. Without `batch`, no input
+    changes meaning: a nested sequence is still one tensor.
+
     Requested ranks are additionally capped by the column count of each
     unfolding (directions beyond it carry zero singular values). The SVDs
     run on the caller's BLAS threads, and a multi-threaded SVD rounds
@@ -406,69 +446,143 @@ def weighted_hosvd(t, ranks, p=None):
     at mode 100, not at 64) unless the caller pins one thread, as
     `run_experiment` does with `_blas_threads(1)`.
     """
-    build = t if callable(t) else None
+    build = t if callable(t) and not batch else None
     g = build() if build else np.asarray(t, dtype=np.float64)
+    lead = int(batch)  # the sample axis, when there is one
     ranks = list(ranks)
     single = len(ranks) == 0 or np.ndim(ranks[0]) == 0
-    grid = [_checked_ranks(g.shape, r) for r in ([ranks] if single else ranks)]
+    grid = [_checked_ranks(g.shape[lead:], r)
+            for r in ([ranks] if single else ranks)]
     if p is None:
-        p = 1.0 / g.ndim
-    if not g.any():
-        raise ValueError("cannot decompose an all-zero tensor")
+        p = 1.0 / (g.ndim - lead)
+    nonzero = np.any(g, axis=tuple(range(lead, g.ndim))).reshape(-1)
+    live = len(nonzero) if nonzero.all() else int(np.argmin(nonzero))
 
-    u, s = _left_svd(g, 0, build)
-    if not build or _wide(len(g), g.size // len(g)):
-        del g  # dgelqf may have overwritten a build
-        g = build() if build else np.asfortranarray(t, dtype=np.float64)
-    heads = [_project(g, u, s, r[0], 0) for r in grid]
-    del g  # only the mode-1 projections read it
-    out = [_truncate(*head, r, p) for head, r in zip(heads, grid)]
-    return out[0] if single else out
+    stages = []  # per entry, _truncate's arrays for the samples before `live`
+    if live:
+        if batch:
+            # each sample F-ordered, as a tensor of its own is projected
+            g = np.moveaxis(np.asfortranarray(np.moveaxis(g[:live], 0, -1)),
+                            -1, 0)
+        u, s = _left_svds(g, 0, lead, build)
+        if not batch and (not build or _wide(len(g), g.size // len(g))):
+            del g  # dgelqf may have overwritten a build
+            g = build() if build else np.asfortranarray(t, dtype=np.float64)
+        heads = [_project(g, u, s, r[0], 0) for r in grid]
+        del g  # only the mode-1 projections read it
+        stages = [_truncate(*head, r, p) for head, r in zip(heads, grid)]
+
+    picks = [(k,) for k in range(len(nonzero))] if batch else [()]
+    out = []
+    for k, pick in enumerate(picks):
+        try:
+            if k == live:
+                raise ValueError("cannot decompose an all-zero tensor")
+            tuckers = []
+            for core, factors, sigmas, held in stages:
+                if not held[pick]:
+                    raise _unrepresentable(p)
+                tuckers.append(TuckerTensor(
+                    core=core[pick], factors=[f[pick] for f in factors],
+                    sigmas=[s[pick] for s in sigmas], p=float(p)))
+        except ValueError as err:
+            if batch:
+                raise _Refused(k, err) from err
+            raise
+        out.append(tuckers[0] if single else tuckers)
+    return out if batch else out[0]
+
+
+def _unfold(g, m, lead):
+    """matricize(g, m + 1) of the tensor `g` (`lead` 0), or of each
+    tensor of the batch `g` (`lead` 1, a leading sample axis) as one
+    (samples, I_m, N) stack whose matrices are laid out as matricize lays
+    out each one's: a view of each F-ordered sample at m = 0, else an
+    F-ordered copy."""
+    if not lead:
+        return matricize(g, m + 1)
+    # the samples as the last, slowest-varying, columns of one unfolding
+    x = matricize(np.moveaxis(g, 0, -1), m + 1)
+    return np.moveaxis(x.reshape(len(x), -1, len(g), order="F"), -1, 0)
+
+
+def _fold(y, m, shape):
+    """Inverse of `_unfold`: the tensor of `shape` from its mode-(m+1)
+    unfolding `y`, or, when `y` stacks unfoldings, the batch of such
+    tensors; a view of `y`, laid out for each sample as `fold` lays out
+    one tensor."""
+    if y.ndim == 2:
+        return fold(y, m + 1, shape)
+    x = np.moveaxis(y, 0, -1).reshape(
+        (shape[m],) + shape[:m] + shape[m + 1:] + (len(y),), order="F")
+    return np.moveaxis(x, (0, -1), (m + 1, 0))
+
+
+def _left_svds(g, m, lead, build=None):
+    """`_left_svd` of the tensor `g` (`lead` 0), or of each tensor of the
+    batch `g` (`lead` 1) stacked on a leading axis: one stacked
+    np.linalg.svd, the bits `_left_svd` gives for each tensor."""
+    if not lead:
+        return _left_svd(g, m, build)
+    u, s, _ = np.linalg.svd(_unfold(g, m, lead), full_matrices=False)
+    return u, s
 
 
 def _project(g, u, s, r, m):
     """One ST-HOSVD step: the leading `r` (capped) sign-fixed columns of
     the mode-(m+1) SVD (u, s), their sigmas, and `g` projected onto them,
     on its unfolding: a view of an F-ordered `g` at m = 0, which
-    `mode_product` would copy to C order."""
-    u = fix_signs(u[:, :min(r, u.shape[1])])
-    shape = g.shape[:m] + (u.shape[1],) + g.shape[m + 1:]
-    return u, s[:u.shape[1]], fold(u.T @ matricize(g, m + 1), m + 1, shape)
+    `mode_product` would copy to C order. When `u` stacks the SVDs of a
+    batch's samples, `g` is that batch on a leading sample axis, and each
+    sample's step is the one its tensor alone would take."""
+    u = fix_signs(u[..., :min(r, u.shape[-1])])
+    lead = u.ndim - 2
+    shape = g.shape[lead:]
+    shape = shape[:m] + (u.shape[-1],) + shape[m + 1:]
+    y = np.swapaxes(u, -1, -2) @ _unfold(g, m, lead)
+    return u, s[..., :u.shape[-1]], _fold(y, m, shape)
 
 
 def _truncate(u, s, g, ranks, p):
     """ST-HOSVD at `ranks` from its mode-1 step (u, s, g), modes 2...M,
-    reweighted from p = 0 to `p`."""
+    its core zeroed along the tiny sigmas and reweighted from p = 0 to
+    `p`, on a leading sample axis when `u` has one: (core, factors,
+    sigmas, held), `held` telling for each sample whether float64 holds
+    its weighting (see `_rescaled`)."""
+    lead = u.ndim - 2
     basis = [u]
     sigmas = [s]
-    for m in range(1, g.ndim):
-        u, s, g = _project(g, *_left_svd(g, m), ranks[m], m)
+    for m in range(1, len(ranks)):
+        u, s, g = _project(g, *_left_svds(g, m, lead), ranks[m], m)
         basis.append(u)
         sigmas.append(s)
     for m, s in enumerate(sigmas):
-        bshape = [1] * g.ndim
-        bshape[m] = len(s)
-        g = g * ~_tiny_mask(s).reshape(bshape)
-    return reweight(TuckerTensor(core=g, factors=basis, sigmas=sigmas), p)
+        g = g * _along(~_tiny_mask(s), m, len(ranks))
+    core, factors, held = _rescaled(g, basis, sigmas, 0.0, p)
+    return core, factors, sigmas, held
 
 
-def _lift(tt, bases):
-    """`tt` with factor m lifted to bases[m] @ factors[m] and sign-fixed
-    by `fix_signs`'s rule, each flipped column's core slice flipped with
-    it; sigmas and p are kept. When the columns of each bases[m] are
-    orthonormal and `tt` decomposes the tensor Y, the result decomposes
-    Y x_1 bases[0] ... x_M bases[M-1]: it is that tensor's
-    `weighted_hosvd` at the same ranks and p, to rounding."""
-    core = tt.core
+def _lift(tts, bases):
+    """The decompositions `tts` of a batch's samples, sample k's factor m
+    lifted to bases[m][k] @ factors[m] and sign-fixed by `fix_signs`'s
+    rule, each flipped column's core slice flipped with it; sigmas and p
+    are kept. `bases[m]` stacks the samples' bases on a leading axis.
+    When the columns of each basis are orthonormal and tts[k] decomposes
+    the tensor Y, the result decomposes Y x_1 bases[0][k] ... x_M
+    bases[M-1][k]: it is that tensor's `weighted_hosvd` at the same ranks
+    and p, to rounding. Each array is computed, and laid out, as a lift
+    of that sample alone would make it."""
+    order = len(bases)
+    # each sample's core F-ordered, as its decomposition made it
+    core = np.stack([t.core.T for t in tts]).transpose(0, *range(order, 0, -1))
     factors = []
-    for m, (q, f) in enumerate(zip(bases, tt.factors)):
-        f = q @ f
+    for m, q in enumerate(bases):
+        f = q @ np.stack([t.factors[m] for t in tts])
         signs = _column_signs(f)
-        factors.append(f * signs[None, :])
-        bshape = [1] * tt.order
-        bshape[m] = len(signs)
-        core = core * signs.reshape(bshape)
-    return TuckerTensor(core=core, factors=factors, sigmas=tt.sigmas, p=tt.p)
+        factors.append(f * signs[:, None, :])
+        core = core * _along(signs, m, order)
+    return [TuckerTensor(core=core[k], factors=[f[k] for f in factors],
+                         sigmas=t.sigmas, p=t.p) for k, t in enumerate(tts)]
 
 
 def tucker_reconstruct(tt):
@@ -500,8 +614,9 @@ def reweight(tt, p):
     Pure rescaling of factors and core; the represented tensor and the
     underlying subspaces are unchanged. Requires sigma vectors, which the
     result shares with `tt`. The only code that applies and removes
-    sigma**p, exactly at both ends: factor columns are divided by the old
-    weight, then multiplied by the new.
+    sigma**p (`_rescaled`, which `weighted_hosvd` runs too), exactly at
+    both ends: factor columns are divided by the old weight, then
+    multiplied by the new.
 
     Raises ValueError, naming p, when float64 cannot hold the result: the
     core or a factor gets a non-finite entry, or one that had a nonzero
@@ -511,24 +626,43 @@ def reweight(tt, p):
         if p == tt.p:
             return tt
         raise ValueError("cannot reweight without sigma vectors")
-    core = tt.core
-    factors = []
-    with np.errstate(all="ignore"):
-        for m, (f, s) in enumerate(zip(tt.factors, tt.sigmas)):
-            w_old = _sigma_weights(s, tt.p)
-            w_new = _sigma_weights(s, p)
-            factors.append(f / w_old[None, :] * w_new[None, :])
-            bshape = [1] * tt.order
-            bshape[m] = len(s)
-            core = core * (w_old / w_new).reshape(bshape)
-    tiny = np.finfo(np.float64).tiny
-    for old, new in zip([tt.core] + tt.factors, [core] + factors):
-        lost = old.any() and not np.max(np.abs(new), initial=0.0) >= tiny
-        if lost or not np.isfinite(new).all():
-            raise ValueError(f"weighting power p = {p} over- or underflows "
-                             "the core or a factor of this tensor")
+    core, factors, held = _rescaled(tt.core, tt.factors, tt.sigmas, tt.p, p)
+    if not held:
+        raise _unrepresentable(p)
     return TuckerTensor(core=core, factors=factors, sigmas=tt.sigmas,
                         p=float(p))
+
+
+def _rescaled(core, factors, sigmas, p_old, p_new):
+    """(core, factors, held): the Tucker arrays moved from weighting
+    power `p_old` to `p_new`, and whether float64 holds them, on a
+    leading sample axis when the arrays have one (`held` then per
+    sample). It does not: a non-finite entry, or an array that had a
+    nonzero entry whose largest magnitude falls below the smallest
+    normal float."""
+    order = len(factors)
+    lead = core.ndim - order
+    scaled = core
+    out = []
+    with np.errstate(all="ignore"):
+        for m, (f, s) in enumerate(zip(factors, sigmas)):
+            w_old = _sigma_weights(s, p_old)
+            w_new = _sigma_weights(s, p_new)
+            out.append(f / w_old[..., None, :] * w_new[..., None, :])
+            scaled = scaled * _along(w_old / w_new, m, order)
+    tiny = np.finfo(np.float64).tiny
+    held = True
+    for old, new in zip([core] + list(factors), [scaled] + out):
+        axes = tuple(range(lead, new.ndim))
+        kept = np.max(np.abs(new), axis=axes, initial=0.0) >= tiny
+        held = held & np.isfinite(new).all(axis=axes) & (
+            kept | ~old.any(axis=axes))
+    return scaled, out, held
+
+
+def _unrepresentable(p):
+    return ValueError(f"weighting power p = {p} over- or underflows the "
+                      "core or a factor of this tensor")
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,16 @@ mode-1 unfolding is wide, dgelqf overwrites that buffer, and the
 container is read and checked once more for the mode-1 projections;
 otherwise the projections read the buffer as first read. The slots'
 buffers serve sample after sample and are dropped when the noise level's
-decompositions end. A generated sample, an exact Tucker tensor, is
-decomposed from its core and never built dense (`_decompose_from_core`);
-a rank above that core decomposes at the core's size, and its row keeps
-the requested rank.
+decompositions end. Generated samples, exact Tucker tensors, are never
+built dense: a noise level's samples are decomposed together, as one
+batch, from their cores (`_decompose_cores`); a rank above that core
+decomposes at the core's size, shares the core-size decomposition with
+every other such rank, and its row keeps the requested rank.
 
 Protocol per (kernel, rank, noise) cell: every sample is decomposed once
 per noise level, by one call for all feasible ranks that shares the
-mode-1 SVD, and each rank's decomposition is reused across the whole
+mode-1 SVD (one call for all of a noise level's generated samples), and
+each rank's decomposition is reused across the whole
 (C, g) grid, at the configured `p` or, when none is set, at
 `weighted_hosvd`'s default 1/order; a cell's errors name the `p` its
 decompositions carry. The cell's Grams for every g come from one
@@ -44,10 +46,14 @@ A run computes on one BLAS thread (`decomp._blas_threads`), so that every
 report is independent of the host's core count; at the mode sizes of the
 benchmark's workloads (50 to 100) the small per-sample SVDs are also as
 fast or faster on one thread. `threads` above 1 puts more cores to work
-by decomposing up to that many samples at once on a standard thread pool
-(LAPACK and BLAS release the GIL), which starts threads only as jobs need
-them, at most `threads`; each job computes on one BLAS thread, so the
-report does not depend on `threads`. The cross-validation runs serially.
+on a data directory by decomposing up to that many containers at once on
+a standard thread pool (LAPACK and BLAS release the GIL for the dense
+SVDs), which starts threads only as jobs need them, at most `threads`;
+each job computes on one BLAS thread, so the report does not depend on
+`threads`. Generated samples ignore `threads`: their batch from the
+cores is a few small, GIL-bound numpy calls, which a pool only slowed
+down, so it runs in the calling thread and starts no thread. The
+cross-validation runs serially.
 """
 
 from __future__ import annotations
@@ -92,11 +98,13 @@ class ExperimentConfig:
     synthetic config stores the resolved grid, so `dataclasses.replace(cfg,
     synth=None, data_dir=d)` needs `noise_grid=None` too; the field is not
     left None, as synthetic summaries would then echo `null` and change.
-    `threads` is how many samples are decomposed at once, on a standard
-    thread pool that starts threads only as jobs need them, at most
-    `threads`, each job on one BLAS thread (see `run_experiment`); it
-    changes no byte of the report but the config's echo of it. The cross-
-    validation runs serially.
+    `threads` is how many of a data directory's containers are decomposed
+    at once, on a standard thread pool that starts threads only as jobs
+    need them, at most `threads`, each job on one BLAS thread (see
+    `run_experiment`); generated samples are decomposed as one batch in
+    the calling thread, whatever it says. It changes no byte of the
+    report but the config's echo of it. The cross-validation runs
+    serially.
     """
 
     synth: synth.SynthConfig | None = None
@@ -346,31 +354,45 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
     no mode size of the first sample is below (all samples share its
     shape).
 
-    `raw_samples` is iterated once, by one `for` loop; its entries are
-    the two kinds `_load_source` makes: Tucker samples, or a data
-    directory's readers (`_read_tensors`). Each sample is decomposed by
-    one weighted_hosvd call for all ranks (which computes its mode-1 SVD
-    once). A Tucker sample is decomposed from its core
-    (`_decompose_from_core`) and is never built dense; a reader's
-    container is decomposed dense, from the source `_source` makes of it.
-    Sample k takes decomposition slot k % `threads`, and a reader reads
-    its container into its slot's F-ordered buffer, in the calling
-    thread: the slot's last sample was decomposed by then, so at most
-    `threads` buffers exist, and they are dropped when the call returns. With `threads`
-    above 1, the loop runs inside one `with` of a `ThreadPoolExecutor`,
-    which starts threads only as jobs need them, at most `threads`, so up
-    to `threads` are decomposed at once, and which is shut down when the
-    loop ends or raises; the next sample is taken only when a slot frees,
-    and results and errors are taken in sample order, so the output does
-    not depend on `threads`. With `threads` None or 1 the `with` holds no
+    `raw_samples` is iterated once; its entries are the two kinds
+    `_load_source` makes: Tucker samples, or a data directory's readers
+    (`_read_tensors`). Tucker samples are decomposed together, in the
+    calling thread, from their cores (`_decompose_cores`), and never
+    built dense; `threads` does not apply to them. A reader's container
+    is decomposed dense (`_decompose_containers`), on up to `threads`
+    threads.
+    """
+    samples = list(raw_samples)
+    if samples and not callable(samples[0]):
+        return _decompose_cores(samples, ranks, p, noise)
+    return _decompose_containers(samples, ranks, p, noise, threads)
+
+
+def _decompose_containers(readers, ranks, p, noise, threads=None):
+    """`_decompose_by_rank` of a data directory's readers.
+
+    Each container is decomposed by one weighted_hosvd call for all
+    ranks (which computes its mode-1 SVD once), from the source `_source`
+    makes of it. Sample k takes decomposition slot k % `threads`, and its
+    reader reads the container into its slot's F-ordered buffer, in the
+    calling thread: the slot's last sample was decomposed by then, so at
+    most `threads` buffers exist, and they are dropped when the call
+    returns. With `threads` above 1, the loop runs inside one `with` of a
+    `ThreadPoolExecutor`, which starts threads only as jobs need them, at
+    most `threads`, so up to `threads` are decomposed at once, and which
+    is shut down when the loop ends or raises; the next sample is taken
+    only when a slot frees, and results and errors are taken in sample
+    order, so the output does not depend on `threads`. Dense SVDs of
+    this size release the GIL for most of their time, which is what the
+    threads put to work. With `threads` None or 1 the `with` holds no
     pool, and each sample is decomposed in the calling thread before the
     next is read.
     A refused decomposition is re-raised naming the sample (its index in
-    generation or manifest order) and the noise level; a sample the
-    reader refuses, at either of its reads, is reported with
-    `load_dataset`'s message once the samples before it were decomposed,
-    and an error leaves no pool thread running. With no rank feasible
-    every sample is still read, so a bad one is still refused.
+    manifest order) and the noise level; a sample the reader refuses, at
+    either of its reads, is reported with `load_dataset`'s message once
+    the samples before it were decomposed, and an error leaves no pool
+    thread running. With no rank feasible every sample is still read, so
+    a bad one is still refused.
     """
     out = {}
     width = threads or 1
@@ -399,47 +421,66 @@ def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
     else:
         context = contextlib.nullcontext()
     with context as pool:
-        for k, s in enumerate(raw_samples):
+        for k, read in enumerate(readers):
             if len(flight) == width:
                 collect()
-            read = s if callable(s) else None
-            if read:
-                try:
-                    s = buffers[k % width] = read(buffers[k % width])
-                except Exception:
-                    while flight:  # an earlier sample's refusal comes first
-                        collect()
-                    raise
+            try:
+                s = buffers[k % width] = read(buffers[k % width])
+            except Exception:
+                while flight:  # an earlier sample's refusal comes first
+                    collect()
+                raise
             if k == 0:
                 out = {rank: [] for rank in ranks if rank <= min(s.shape)}
             if out:
-                grid = [(rank,) * len(s.shape) for rank in out]
-                if read is None:
-                    job = functools.partial(_decompose_from_core, s, grid, p)
-                else:
-                    job = functools.partial(weighted_hosvd, _source(s, read),
-                                            grid, p)
+                grid = [(rank,) * s.ndim for rank in out]
+                job = functools.partial(weighted_hosvd, _source(s, read),
+                                        grid, p)
                 flight.append((k, pool.submit(job).result if pool else job))
         while flight:
             collect()
     return out
 
 
-def _decompose_from_core(s, grid, p):
-    """The decompositions of the Tucker sample `s` at each rank tuple of
-    `grid`, each capped per mode at the size of the folded core below,
-    without a dense `s`. With each factor QR-factored, F_m = Q_m R_m, `s`
-    is the small tensor Y = core x_1 R_1 ... x_M R_M, which
-    `tucker_reconstruct` builds at the core's size, multiplied by the
-    orthonormal Q_m. So one weighted_hosvd call decomposes Y for the
-    whole capped grid, and each result lifted by the Q_m (`decomp._lift`)
-    is weighted_hosvd(tucker_reconstruct(s), capped ranks, p) to rounding.
-    Y holds all of `s`, so a rank above Y's size adds only directions of
-    zero singular value: it gives the decomposition at Y's size."""
-    qs, rs = zip(*(np.linalg.qr(f) for f in s.factors))
-    small = tucker_reconstruct(TuckerTensor(s.core, list(rs)))
-    grid = [tuple(map(min, ranks, small.shape)) for ranks in grid]
-    return [decomp._lift(t, qs) for t in weighted_hosvd(small, grid, p)]
+def _decompose_cores(samples, ranks, p, noise):
+    """`_decompose_by_rank` of Tucker samples of one shape and core
+    shape, as one batch, without a dense sample.
+
+    With each factor QR-factored, F_m = Q_m R_m (one stacked
+    np.linalg.qr per mode over all samples), sample k is the small tensor
+    Y_k = core_k x_1 R_1 ... x_M R_M, which `tucker_reconstruct` builds at
+    the core's size, multiplied by the orthonormal Q_m. One weighted_hosvd
+    call decomposes every Y_k (`batch=True`) at each distinct rank tuple
+    of the grid, each rank capped per mode at Y's size; each result lifted
+    by its Q_m (`decomp._lift`) is weighted_hosvd(tucker_reconstruct(s),
+    capped ranks, p) to rounding, and bit for bit what a decomposition of
+    that sample alone from its core gives. Y holds all of a sample, so a
+    rank above Y's size adds only directions of zero singular value: it
+    gives the decomposition at Y's size, and every rank that caps to the
+    same tuple gets the same TuckerTensor objects. Each Y_k is copied
+    into the batch as it is built, so at most one is held apart from it.
+    A refused sample is named by its index in generation order and the
+    noise level.
+    """
+    feasible = [rank for rank in ranks if rank <= min(samples[0].shape)]
+    if not feasible:
+        return {}
+    qs, rs = zip(*(np.linalg.qr(np.stack([s.factors[m] for s in samples]))
+                   for m in range(samples[0].order)))
+    cores = np.empty((len(samples),) + tuple(r.shape[1] for r in rs))
+    for k, s in enumerate(samples):
+        cores[k] = tucker_reconstruct(TuckerTensor(s.core, [r[k] for r in rs]))
+    capped = {rank: tuple(min(rank, n) for n in cores.shape[1:])
+              for rank in feasible}
+    grid = list(dict.fromkeys(capped.values()))
+    try:
+        decomposed = weighted_hosvd(cores, grid, p, batch=True)
+    except decomp._Refused as err:
+        raise ValueError(f"sample {err.index} at noise {noise}: "
+                         f"{err.reason}") from err.reason
+    lifted = {ranks: decomp._lift([d[i] for d in decomposed], qs)
+              for i, ranks in enumerate(grid)}
+    return {rank: lifted[capped[rank]] for rank in feasible}
 
 
 def _source(s, read):
@@ -549,8 +590,8 @@ def _load_source(cfg):
     """(labels, [(noise_value, raw_samples), ...]) of the run. A data
     directory's manifest is read and checked here; its raw samples are
     `_open_dataset`'s readers, each of which reads its tensor when called.
-    Generated raw samples are Tucker tensors, each decomposed from its
-    core and never made dense (`_decompose_by_rank`)."""
+    Generated raw samples are Tucker tensors, decomposed as one batch from
+    their cores and never made dense (`_decompose_by_rank`)."""
     if cfg.data_dir is not None:
         labels, samples = _open_dataset(cfg.data_dir)
         return labels, [(math.nan, samples)]
@@ -571,9 +612,11 @@ def run_experiment(cfg):
     The (noise, rank) groups run serially in a deterministic order, and
     the whole run computes with numpy's BLAS on one thread: a multi-
     threaded SVD rounds differently, so the report would follow the
-    host's core count. Up to `threads` samples are decomposed at once
-    (`_decompose_by_rank`), each on one BLAS thread, and the results are
-    taken in sample order, so the report is the same for any `threads`.
+    host's core count. Up to `threads` containers of a data directory are
+    decomposed at once (`_decompose_by_rank`), each on one BLAS thread,
+    and the results are taken in sample order; a noise level's generated
+    samples are decomposed as one batch in the calling thread. So the
+    report is the same for any `threads`.
     Raises ValueError before any tensor is read or decomposed
     when a class is too small for `folds`: fewer than `folds` samples in
     the largest class leaves a fold empty, and a class of fewer than 2

@@ -376,6 +376,87 @@ class TestWeightedHosvd:
             assert np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-10)
 
 
+class TestBatch:
+    """weighted_hosvd(batch=True): result k is the call on tensor k
+    alone, bit for bit, and a refusal names the first refused sample."""
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert a.p == b.p
+        assert a.core.shape == b.core.shape and np.array_equal(a.core, b.core)
+        for x, y in zip(a.factors + a.sigmas, b.factors + b.sigmas,
+                        strict=True):
+            assert x.shape == y.shape and np.array_equal(x, y)
+
+    # (tensor shape, exact Tucker rank or None, grid). Rank 1 leaves the
+    # unfoldings after mode 1 tall; (6, 6, 6) at Tucker rank 2 has tiny
+    # sigmas at rank 4; (8, 2, 2)'s mode-1 unfolding is tall; grids name
+    # ranks above an unfolding's column count, which are capped
+    CASES = [
+        ((6, 5), None, [(1, 1), (2, 3), (6, 5), (4, 2)]),
+        ((1, 1, 1), None, [(1, 1, 1)]),
+        ((3, 3, 3), None, [(1, 1, 1), (2, 3, 1), (3, 3, 3)]),
+        ((6, 6, 6), (2, 2, 2), [(1, 1, 1), (2, 2, 2), (4, 4, 4)]),
+        ((8, 2, 2), None, [(1, 1, 1), (8, 2, 2), (3, 2, 1)]),
+        ((2, 3, 10), None, [(2, 3, 10), (1, 1, 5), (2, 2, 2)]),
+        ((3, 4, 2, 5), None, [(1, 1, 1, 1), (3, 4, 2, 5), (2, 3, 1, 4)]),
+    ]
+
+    @pytest.mark.parametrize("p", [None, 0.0, 1 / 3, 2.0])
+    @pytest.mark.parametrize("shape, exact, grid", CASES)
+    def test_each_result_is_the_single_call(self, shape, exact, grid, p):
+        rng = np.random.default_rng(len(shape) * 100 + shape[0])
+        if exact is None:
+            tensors = rng.standard_normal((5,) + shape)
+        else:
+            tensors = np.stack([random_tucker_tensor(rng, shape, exact)
+                                for _ in range(5)])
+        many = weighted_hosvd(tensors, grid, p, batch=True)
+        one = weighted_hosvd(tensors, grid[-1], p, batch=True)
+        assert len(many) == len(one) == 5
+        for k, t in enumerate(tensors):
+            alone = weighted_hosvd(t, grid, p)
+            assert len(many[k]) == len(grid)
+            for a, b in zip(many[k], alone, strict=True):
+                self._assert_same(a, b)
+            self._assert_same(one[k], alone[-1])
+        # C- and F-ordered batches, and one of a single sample, alike
+        for same in (np.asfortranarray(tensors), tensors[2:3]):
+            got = weighted_hosvd(same, grid, p, batch=True)
+            for a, b in zip(got[-1], many[-1 if len(same) == 5 else 2]):
+                self._assert_same(a, b)
+
+    def test_first_refused_sample_named(self):
+        # sample 3 is all-zero; at p = 5, sample 1's sigma**5 underflows
+        rng = np.random.default_rng(71)
+        tensors = rng.standard_normal((5, 4, 4, 4))
+        tensors[3] = 0.0
+        with pytest.raises(ValueError, match=(
+                "^sample 3: cannot decompose an all-zero tensor$")) as err:
+            weighted_hosvd(tensors, [(2, 2, 2), (4, 4, 4)], batch=True)
+        assert err.value.index == 3
+        assert str(err.value.reason) == "cannot decompose an all-zero tensor"
+        tensors[1] *= 1e-170
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                    "^sample 1: weighting power p = 5.0 over- or "
+                    "underflows")) as err:
+                weighted_hosvd(tensors, (4, 4, 4), 5.0, batch=True)
+        assert err.value.index == 1
+        with pytest.raises(ValueError, match="^sample 0: cannot decompose"):
+            weighted_hosvd(np.zeros((2, 3, 3, 3)), (1, 1, 1), batch=True)
+
+    def test_without_batch_a_stack_is_one_tensor(self):
+        # the leading axis is a mode of one tensor unless batch is set
+        tensors = np.random.default_rng(72).standard_normal((3, 4, 5))
+        listed = weighted_hosvd(list(tensors), (2, 2, 2))
+        self._assert_same(listed, weighted_hosvd(tensors, (2, 2, 2)))
+        assert listed.core.shape == (2, 2, 2)
+        assert weighted_hosvd(tensors, (2, 2), batch=True)[0].core.shape == (
+            2, 2)
+
+
 def _plain_contraction(tt):
     """Core and factors contracted by one `mode_product` per mode."""
     out = tt.core

@@ -309,6 +309,31 @@ class TestCoreRoute:
             _assert_same_bits(got[4][k], within[3][k])
             _assert_close(got[4][k], tk[0])
 
+    def test_ranks_capped_alike_share_one_decomposition(self, monkeypatch):
+        # ranks 2, 3 and 4 on r_approx 2 all cap to (2, 2, 2): the batch
+        # runs one ST-HOSVD pass for them, and they get the same objects,
+        # bit for bit rank 2's decompositions in a grid of its own
+        from stmkernels import decomp, harness
+        from stmkernels.harness import _decompose_by_rank
+        grids = []
+        real = harness.weighted_hosvd
+
+        def recording(t, grid, p, **kwargs):
+            grids.append(list(grid))
+            return real(t, grid, p, **kwargs)
+
+        monkeypatch.setattr(harness, "weighted_hosvd", recording)
+        samples = [s.tensor for s in generate(tiny_synth(mode_size=10))]
+        with decomp._blas_threads(1):
+            got = _decompose_by_rank(samples, (1, 2, 3, 4), None, 0.01)
+            alone = _decompose_by_rank(samples, (2,), None, 0.01)
+        assert grids[0] == [(1, 1, 1), (2, 2, 2)]
+        assert list(got) == [1, 2, 3, 4]
+        for k in range(len(samples)):
+            assert got[2][k] is got[3][k] is got[4][k]
+            assert got[1][k] is not got[2][k]
+            _assert_same_bits(got[2][k], alone[2][k])
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_one_core_sized_build_per_sample(self, monkeypatch, threads):
         from stmkernels import harness
@@ -786,17 +811,21 @@ class TestRunExperiment:
                 assert [replace(row, rank=r) for row in above] == alone
 
     def test_one_decomposition_per_sample_and_noise(self, monkeypatch):
-        # every rank of the grid comes out of one weighted_hosvd call per
-        # sample and noise level, on the one small tensor built from the
-        # sample's core: the sample is never dense
+        # every sample of a noise level, at every rank of the grid, comes
+        # out of one weighted_hosvd call on the batch of small tensors
+        # built from the samples' cores, one build per sample: no sample
+        # is ever dense
         from stmkernels import harness
         calls = Counter()
+        batches = []
 
         def counting(name):
             real = getattr(harness, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "weighted_hosvd":
+                    batches.append((args[0].shape, kwargs))
                 return real(*args, **kwargs)
             return wrapper
 
@@ -805,7 +834,8 @@ class TestRunExperiment:
         cfg = tiny_experiment(noise_grid=(0.01, 0.1), rank_grid=(1, 2, 13))
         run_experiment(cfg)
         samples = 2 * cfg.synth.samples_per_class
-        assert calls["weighted_hosvd"] == 2 * samples
+        assert calls["weighted_hosvd"] == 2
+        assert batches == [((samples, 2, 2, 2), {"batch": True})] * 2
         assert calls["tucker_reconstruct"] == 2 * samples
 
     def test_threads_match_serial(self):
@@ -1173,23 +1203,38 @@ def _openblas_or_skip():
         pytest.skip("numpy's BLAS is not a mapped OpenBLAS")
 
 
+def _blas_threads_seen(monkeypatch, cfg):
+    """BLAS thread count at each weighted_hosvd call of a run of `cfg`
+    under a caller's pin of 2, which the run restores."""
+    from stmkernels import decomp, harness
+    seen = []
+    real = harness.weighted_hosvd
+
+    def recording(*args, **kwargs):
+        seen.append(_linalg_blas_threads())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "weighted_hosvd", recording)
+    with decomp._blas_threads(2):
+        run_experiment(cfg)
+        assert _linalg_blas_threads() == 2
+    return seen
+
+
 class TestBlasThreads:
     def test_run_computes_on_one_blas_thread(self, monkeypatch):
+        # one weighted_hosvd call decomposes a noise level's generated
+        # samples
         _openblas_or_skip()
-        from stmkernels import decomp, harness
-        seen = []
-        real = harness.weighted_hosvd
+        assert _blas_threads_seen(monkeypatch, tiny_experiment()) == [1]
 
-        def recording(*args, **kwargs):
-            seen.append(_linalg_blas_threads())
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "weighted_hosvd", recording)
-        with decomp._blas_threads(2):
-            run_experiment(tiny_experiment())
-            assert _linalg_blas_threads() == 2
-        assert len(seen) == 12
-        assert all(threads == 1 for threads in seen)
+    def test_data_dir_run_computes_on_one_blas_thread(self, tmp_path,
+                                                      monkeypatch):
+        # one weighted_hosvd call per container, 12 in all
+        _openblas_or_skip()
+        save_dataset(generate(tiny_synth(), dense=True), tmp_path)
+        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path))
+        assert _blas_threads_seen(monkeypatch, cfg) == [1] * 12
 
     def test_caller_threads_restored_after_raise(self, monkeypatch):
         _openblas_or_skip()
@@ -1252,16 +1297,20 @@ class TestBlasThreads:
 
 
 class TestThreads:
-    """`threads` samples are decomposed at once; the reports, and every
-    refusal, are those of a serial run."""
+    """`threads` containers are decomposed at once, and a generated run
+    starts no thread; the reports, and every refusal, are those of a
+    serial run."""
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_threads_samples_decomposed_at_once(self, monkeypatch, threads):
-        # each call waits at a barrier for `threads` calls in all, which a
-        # serial run never reaches; a counter sees no more in flight
+    def test_threads_samples_decomposed_at_once(self, tmp_path, monkeypatch,
+                                                threads):
+        # each container's call waits at a barrier for `threads` calls in
+        # all, which a serial run never reaches; a counter sees no more in
+        # flight
         import threading
 
         from stmkernels import harness
+        save_dataset(generate(tiny_synth(), dense=True), tmp_path)
         barrier = threading.Barrier(threads, timeout=30)
         lock = threading.Lock()
         busy = [0, 0]  # now, most
@@ -1280,8 +1329,9 @@ class TestThreads:
 
         monkeypatch.setattr(harness, "weighted_hosvd", meeting)
         before = threading.enumerate()
-        # 12 samples per noise level, a multiple of 2 and of 3
-        run_experiment(tiny_experiment(threads=threads))
+        # 12 containers, a multiple of 2 and of 3
+        run_experiment(tiny_experiment(synth=None, data_dir=str(tmp_path),
+                                       threads=threads))
         assert busy == [0, threads]
         assert threading.enumerate() == before
 
@@ -1302,6 +1352,30 @@ class TestThreads:
             texts[n] = ((out / "report.csv").read_bytes(),
                         summary.replace(f'"threads": {n}', '"threads": 1'))
         assert texts[1] == texts[2] == texts[4]
+
+    def test_generated_run_starts_no_thread(self, tmp_path, monkeypatch):
+        # a generated run decomposes in the calling thread whatever
+        # `threads` says: at 4 it starts no thread, and its bytes are
+        # those of a run at 1
+        import threading
+
+        cfg = tiny_experiment(noise_grid=(0.01, 0.1), rank_grid=(1, 2, 3))
+        emit_report(run_experiment(replace(cfg, threads=1)), tmp_path / "t1")
+
+        def no_start(thread):
+            raise AssertionError("a generated run started a thread")
+
+        with monkeypatch.context() as m:
+            m.setattr(threading.Thread, "start", no_start)
+            report = run_experiment(replace(cfg, threads=4))
+        emit_report(report, tmp_path / "t4")
+        csv1, csv4 = ((tmp_path / t / "report.csv").read_bytes()
+                      for t in ("t1", "t4"))
+        json1, json4 = ((tmp_path / t / "summary.json").read_text()
+                        for t in ("t1", "t4"))
+        assert csv1 == csv4
+        assert json4.count('"threads": 4') == 1
+        assert json4.replace('"threads": 4', '"threads": 1') == json1
 
     def test_data_dir_reads_each_sample_into_its_slot(self, tmp_path,
                                                       monkeypatch):
@@ -1436,23 +1510,26 @@ class TestThreads:
             assert messages[0].startswith("sample 5 at noise nan: weighting "
                                           "power p = 200.0")
 
-    def test_more_workers_than_cores_under_fast_switching(self):
-        # 5 workers hand 40 samples back and forth while the interpreter
-        # switches threads every microsecond: every decomposition lands at
-        # its sample's index, bit for bit the serial one
+    def test_more_workers_than_cores_under_fast_switching(self, tmp_path):
+        # 5 workers hand 40 containers back and forth while the
+        # interpreter switches threads every microsecond: every
+        # decomposition lands at its sample's index, bit for bit the
+        # serial one
         import sys
 
-        from stmkernels.harness import _decompose_by_rank
+        from stmkernels.harness import _decompose_by_rank, _open_dataset
         rng = np.random.default_rng(70)
-        samples = [sk.TuckerTensor(core=rng.standard_normal((3, 3, 3)),
-                                   factors=[rng.standard_normal((i, 3))
-                                            for i in (6, 7, 5)])
-                   for _ in range(40)]
-        serial = _decompose_by_rank(samples, (1, 2), None, 0.5)
+        save_dataset([sk.LabeledSample(sk.tucker_reconstruct(sk.TuckerTensor(
+            core=rng.standard_normal((3, 3, 3)),
+            factors=[rng.standard_normal((i, 3)) for i in (6, 7, 5)])),
+            (-1) ** k) for k in range(40)], tmp_path)
+        serial = _decompose_by_rank(_open_dataset(tmp_path)[1], (1, 2), None,
+                                    0.5)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = _decompose_by_rank(iter(samples), (1, 2), None, 0.5, 5)
+            pooled = _decompose_by_rank(iter(_open_dataset(tmp_path)[1]),
+                                        (1, 2), None, 0.5, 5)
         finally:
             sys.setswitchinterval(interval)
         assert list(pooled) == [1, 2]
@@ -1499,11 +1576,15 @@ class TestThreads:
                                     b.factors + b.sigmas, strict=True):
                         assert np.array_equal(x, y)
 
-    def test_pool_jobs_compute_on_one_blas_thread(self, monkeypatch):
+    def test_pool_jobs_compute_on_one_blas_thread(self, tmp_path,
+                                                  monkeypatch):
+        # the pool decomposes containers; each of the 12 jobs runs off the
+        # main thread on one BLAS thread
         _openblas_or_skip()
         import threading
 
         from stmkernels import decomp, harness
+        save_dataset(generate(tiny_synth(), dense=True), tmp_path)
         seen = []
         real = harness.weighted_hosvd
 
@@ -1514,7 +1595,8 @@ class TestThreads:
 
         monkeypatch.setattr(harness, "weighted_hosvd", recording)
         with decomp._blas_threads(2):
-            run_experiment(tiny_experiment(threads=2))
+            run_experiment(tiny_experiment(synth=None, data_dir=str(tmp_path),
+                                           threads=2))
             assert _linalg_blas_threads() == 2
         assert seen == [(1, False)] * 12
 
@@ -1523,7 +1605,8 @@ class TestThreads:
                                             source):
         # 8 threads for 6 samples per noise level: the report is the
         # serial one, the pool starts no thread that no job needs, and it
-        # leaves none behind
+        # leaves none behind. A generated run's one call per noise level
+        # decomposes all 6 in the calling thread, and starts no thread
         import threading
 
         from stmkernels import harness
@@ -1552,9 +1635,12 @@ class TestThreads:
                         summary.replace(f'"threads": {n}', '"threads": 1'))
             assert threading.enumerate() == before
         assert texts[1] == texts[8]
-        samples = 6 * (2 if source == "synth" else 1)
-        assert len(seen) == 2 * samples
-        assert max(seen) <= len(before) + 6
+        if source == "synth":
+            assert len(seen) == 2 * 2  # per noise level, at threads 1 and 8
+            assert max(seen) == len(before)
+        else:
+            assert len(seen) == 2 * 6
+            assert max(seen) <= len(before) + 6
 
 
 class TestReports:
