@@ -185,10 +185,9 @@ def build_parser():
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--threads", type=int, default=None,
-                       help="data_dir containers decomposed at once "
-                            "(default 1); generated samples are decomposed "
-                            "as one batch in the calling thread, and the "
-                            "cross-validation runs serially")
+                       help="accepted and checked (at least 1) but changes "
+                            "no byte: every run computes in the calling "
+                            "thread")
     p_run.add_argument("--output", default=None)
     p_run.set_defaults(func=_cmd_run)
 

@@ -2,19 +2,19 @@
 noise level for all ranks, grid search over (C, g) with repeated
 stratified k-fold cross-validation, and deterministic CSV/JSON reporting.
 
-A run holds at most one dense sample per decomposition in flight, so at
-most `threads` of them (one by default): a data directory's manifest is
-read first (labels and their checks), and each container is then read and
-checked into the one buffer of its decomposition slot. When the sample's
-mode-1 unfolding is wide, dgelqf overwrites that buffer, and the
-container is read and checked once more for the mode-1 projections;
-otherwise the projections read the buffer as first read. The slots'
-buffers serve sample after sample and are dropped when the noise level's
-decompositions end. Generated samples, exact Tucker tensors, are never
-built dense: a noise level's samples are decomposed together, as one
-batch, from their cores (`_decompose_cores`); a rank above that core
-decomposes at the core's size, shares the core-size decomposition with
-every other such rank, and its row keeps the requested rank.
+A run holds at most one dense sample at a time: a data directory's
+manifest is read first (labels and their checks), and each container is
+then read and checked into one buffer, and decomposed, before the next
+is read. When the sample's mode-1 unfolding is wide, dgelqf overwrites
+that buffer, and the container is read and checked once more for the
+mode-1 projections; otherwise the projections read the buffer as first
+read. The buffer serves sample after sample and is dropped when the
+noise level's decompositions end. Generated samples, exact Tucker
+tensors, are never built dense: a noise level's samples are decomposed
+together, as one batch, from their cores (`_decompose_cores`); a rank
+above that core decomposes at the core's size, shares the core-size
+decomposition with every other such rank, and its row keeps the
+requested rank.
 
 Protocol per (kernel, rank, noise) cell: every sample is decomposed once
 per noise level, by one call for all feasible ranks that shares the
@@ -45,21 +45,13 @@ normal approximation 95% half-width 1.96 * std / sqrt(repeats).
 A run computes on one BLAS thread (`decomp._blas_threads`), so that every
 report is independent of the host's core count; at the mode sizes of the
 benchmark's workloads (50 to 100) the small per-sample SVDs are also as
-fast or faster on one thread. `threads` above 1 puts more cores to work
-on a data directory by decomposing up to that many containers at once on
-a standard thread pool (LAPACK and BLAS release the GIL for the dense
-SVDs), which starts threads only as jobs need them, at most `threads`;
-each job computes on one BLAS thread, so the report does not depend on
-`threads`. Generated samples ignore `threads`: their batch from the
-cores is a few small, GIL-bound numpy calls, which a pool only slowed
-down, so it runs in the calling thread and starts no thread. The
-cross-validation runs serially.
+fast or faster on one thread. Every run computes in the calling thread
+and starts no thread: `threads` is accepted, checked and echoed in the
+report's config, and changes no other byte.
 """
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import dataclasses
 import functools
 import json
@@ -98,13 +90,9 @@ class ExperimentConfig:
     synthetic config stores the resolved grid, so `dataclasses.replace(cfg,
     synth=None, data_dir=d)` needs `noise_grid=None` too; the field is not
     left None, as synthetic summaries would then echo `null` and change.
-    `threads` is how many of a data directory's containers are decomposed
-    at once, on a standard thread pool that starts threads only as jobs
-    need them, at most `threads`, each job on one BLAS thread (see
-    `run_experiment`); generated samples are decomposed as one batch in
-    the calling thread, whatever it says. It changes no byte of the
-    report but the config's echo of it. The cross-validation runs
-    serially.
+    `threads` is accepted and checked (an integer, at least 1), and
+    changes no byte of the report but the config's echo of it: every run
+    computes in the calling thread (see `run_experiment`).
     """
 
     synth: synth.SynthConfig | None = None
@@ -349,96 +337,55 @@ def _fold_splits(labels, cfg):
     return splits
 
 
-def _decompose_by_rank(raw_samples, ranks, p, noise, threads=None):
+def _decompose_by_rank(raw_samples, ranks, p, noise):
     """{rank: one TuckerTensor per sample} for every rank in `ranks` that
     no mode size of the first sample is below (all samples share its
     shape).
 
     `raw_samples` is iterated once; its entries are the two kinds
     `_load_source` makes: Tucker samples, or a data directory's readers
-    (`_read_tensors`). Tucker samples are decomposed together, in the
-    calling thread, from their cores (`_decompose_cores`), and never
-    built dense; `threads` does not apply to them. A reader's container
-    is decomposed dense (`_decompose_containers`), on up to `threads`
-    threads.
+    (`_read_tensors`). Tucker samples are decomposed together from their
+    cores (`_decompose_cores`), and never built dense. A reader's
+    container is decomposed dense (`_decompose_containers`). Both run in
+    the calling thread.
     """
     samples = list(raw_samples)
     if samples and not callable(samples[0]):
         return _decompose_cores(samples, ranks, p, noise)
-    return _decompose_containers(samples, ranks, p, noise, threads)
+    return _decompose_containers(samples, ranks, p, noise)
 
 
-def _decompose_containers(readers, ranks, p, noise, threads=None):
+def _decompose_containers(readers, ranks, p, noise):
     """`_decompose_by_rank` of a data directory's readers.
 
-    Each container is decomposed by one weighted_hosvd call for all
-    ranks (which computes its mode-1 SVD once), from the source `_source`
-    makes of it. Sample k takes decomposition slot k % `threads`, and its
-    reader reads the container into its slot's F-ordered buffer, in the
-    calling thread: the slot's last sample was decomposed by then, so at
-    most `threads` buffers exist, and they are dropped when the call
-    returns. With `threads` above 1, the loop runs inside one `with` of a
-    `ThreadPoolExecutor`, which starts threads only as jobs need them, at
-    most `threads`, so up to `threads` are decomposed at once, and which
-    is shut down when the loop ends or raises; the next sample is taken
-    only when a slot frees, and results and errors are taken in sample
-    order, so the output does not depend on `threads`. Dense SVDs of
-    this size release the GIL for most of their time, which is what the
-    threads put to work. With `threads` None or 1 the `with` holds no
-    pool, and each sample is decomposed in the calling thread before the
-    next is read.
-    A refused decomposition is re-raised naming the sample (its index in
-    manifest order) and the noise level; a sample the reader refuses, at
-    either of its reads, is reported with `load_dataset`'s message once
-    the samples before it were decomposed, and an error leaves no pool
-    thread running. With no rank feasible every sample is still read, so
-    a bad one is still refused.
+    The containers are taken in manifest order. Each one's reader reads
+    it into one F-ordered buffer, which serves sample after sample and is
+    dropped when the call returns, and it is decomposed by one
+    weighted_hosvd call for all ranks (which computes its mode-1 SVD
+    once), from the source `_source` makes of it, before the next is
+    read. A refused decomposition is re-raised naming the sample (its
+    index in manifest order) and the noise level; a sample the reader
+    refuses, at either of its reads, is reported with `load_dataset`'s
+    message. With no rank feasible every sample is still read, so a bad
+    one is still refused.
     """
     out = {}
-    width = threads or 1
-    flight = collections.deque()  # (index, outcome) per sample, oldest first
-    buffers = [None] * width  # per slot, the last container read into it
-
-    def collect():
-        k, outcome = flight.popleft()
+    s = None  # the buffer each container is read into
+    for k, read in enumerate(readers):
+        s = read(s)
+        if k == 0:
+            out = {rank: [] for rank in ranks if rank <= min(s.shape)}
+        if not out:
+            continue
+        grid = [(rank,) * s.ndim for rank in out]
         try:
-            decomposed = outcome()
+            decomposed = weighted_hosvd(_source(s, read), grid, p)
         except _Unreadable:
             raise  # the container changed after its first read
         except ValueError as err:
             raise ValueError(f"sample {k} at noise {noise}: {err}") from err
         for tuckers, tk in zip(out.values(), decomposed):
             tuckers.append(tk)
-
-    if width > 1:
-        import concurrent.futures
-
-        # its threads live until shutdown, so one malloc arena serves
-        # every job a thread runs: with a thread per job, a new thread
-        # could get a fresh arena while a finished one's was not yet
-        # released, and peak RSS then moved by a dense tensor
-        context = concurrent.futures.ThreadPoolExecutor(width)
-    else:
-        context = contextlib.nullcontext()
-    with context as pool:
-        for k, read in enumerate(readers):
-            if len(flight) == width:
-                collect()
-            try:
-                s = buffers[k % width] = read(buffers[k % width])
-            except Exception:
-                while flight:  # an earlier sample's refusal comes first
-                    collect()
-                raise
-            if k == 0:
-                out = {rank: [] for rank in ranks if rank <= min(s.shape)}
-            if out:
-                grid = [(rank,) * s.ndim for rank in out]
-                job = functools.partial(weighted_hosvd, _source(s, read),
-                                        grid, p)
-                flight.append((k, pool.submit(job).result if pool else job))
-        while flight:
-            collect()
     return out
 
 
@@ -612,11 +559,10 @@ def run_experiment(cfg):
     The (noise, rank) groups run serially in a deterministic order, and
     the whole run computes with numpy's BLAS on one thread: a multi-
     threaded SVD rounds differently, so the report would follow the
-    host's core count. Up to `threads` containers of a data directory are
-    decomposed at once (`_decompose_by_rank`), each on one BLAS thread,
-    and the results are taken in sample order; a noise level's generated
-    samples are decomposed as one batch in the calling thread. So the
-    report is the same for any `threads`.
+    host's core count. The run starts no thread: a data directory's
+    containers are decomposed one at a time, and a noise level's
+    generated samples as one batch (`_decompose_by_rank`), in the calling
+    thread, so the report is the same for any `threads`.
     Raises ValueError before any tensor is read or decomposed
     when a class is too small for `folds`: fewer than `folds` samples in
     the largest class leaves a fold empty, and a class of fewer than 2
@@ -640,8 +586,7 @@ def run_experiment(cfg):
     splits = _fold_splits(labels, cfg)
     rows = []
     for noise, raw_samples in datasets:
-        by_rank = _decompose_by_rank(raw_samples, cfg.rank_grid, cfg.p,
-                                     noise, cfg.threads)
+        by_rank = _decompose_by_rank(raw_samples, cfg.rank_grid, cfg.p, noise)
         for rank in cfg.rank_grid:
             for kind in cfg.kernels:
                 if rank not in by_rank:

@@ -83,7 +83,7 @@ class TestDatasetIO:
         assert np.array_equal(ts.labels, [s.label for s in data])
 
     def test_loaded_samples_share_no_memory(self, tmp_path):
-        # a run reads every container into its slot's buffer; load_dataset
+        # a run reads every container into one buffer; load_dataset
         # gives each sample an array of its own
         save_dataset(generate(tiny_synth(samples_per_class=3), dense=True),
                      tmp_path)
@@ -217,7 +217,7 @@ class TestDatasetIO:
                 s.tensor), grid) for s in data]
             in_memory = _decompose_by_rank(
                 [s.tensor for s in data], (2, 3), None, 0.01)
-            # a run's readers: the slot buffer and the in-place dgelqf
+            # a run's readers: the one buffer and the in-place dgelqf
             read_back = _decompose_by_rank(
                 _open_dataset(tmp_path)[1], (2, 3), None, 0.01)
         assert list(in_memory) == list(read_back) == [2, 3]
@@ -334,8 +334,7 @@ class TestCoreRoute:
             assert got[1][k] is not got[2][k]
             _assert_same_bits(got[2][k], alone[2][k])
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_one_core_sized_build_per_sample(self, monkeypatch, threads):
+    def test_one_core_sized_build_per_sample(self, monkeypatch):
         from stmkernels import harness
         from stmkernels.harness import _decompose_by_rank
         rng = np.random.default_rng(19)
@@ -353,9 +352,38 @@ class TestCoreRoute:
             return out
 
         monkeypatch.setattr(harness, "tucker_reconstruct", recording)
-        _decompose_by_rank(samples, (1, 3), None, 0.0, threads)
+        _decompose_by_rank(samples, (1, 3), None, 0.0)
         assert sorted(built) == sorted((id(s.core), (3, 4, 5))
                                        for s in samples)
+
+    @pytest.mark.parametrize("source", ["synth", "above_core"])
+    def test_one_core_sized_array_alive_at_a_time(self, monkeypatch, source):
+        # at every build no array of another sample is alive. A generated
+        # sample is built once, at its core's size, also with a rank above
+        # its core ("above_core")
+        from stmkernels import harness
+        cfg = tiny_experiment()
+        if source == "above_core":
+            cfg = replace(cfg, rank_grid=(2, 3))  # r_approx is 2
+        made = []  # (sample, weakref) per array built, oldest first
+        others = []  # per build, other samples' arrays alive
+        shapes = []  # per build, the array's shape
+        real = harness.tucker_reconstruct
+
+        def tracking(t):
+            # a generated sample's build reads its core
+            others.append(sum(ref() is not None and key != id(t.core)
+                              for key, ref in made))
+            out = real(t)
+            made.append((id(t.core), weakref.ref(out)))
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(harness, "tucker_reconstruct", tracking)
+        run_experiment(cfg)
+        assert others == [0] * 12
+        # built at the r_approx 2 cores only, never at mode 12
+        assert set(shapes) == {(2, 2, 2)}
 
 
 class TestStratifiedFolds:
@@ -894,10 +922,11 @@ class TestRunExperiment:
                 r"without one class with folds = 2")):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("threads", [1, 4])
     def test_data_dir_holds_one_dense_sample_at_a_time(self, tmp_path,
-                                                       monkeypatch):
-        # at threads 1 each sample is read twice, and every read lands in
-        # the first one's array; no other sample array is alive at a read
+                                                       monkeypatch, threads):
+        # at any `threads` each sample is read twice, and every read lands
+        # in the first one's array; no other sample array is alive at a read
         from stmkernels import harness
         data = generate(tiny_synth(), dense=True)
         save_dataset(data, tmp_path)
@@ -913,7 +942,8 @@ class TestRunExperiment:
             return t
 
         monkeypatch.setattr(harness, "load_tensor", tracking_load)
-        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path))
+        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path),
+                              threads=threads)
         rows = run_experiment(cfg).rows
         assert alive_at_load == [0] * (2 * len(data))
         assert in_first == [True] * (2 * len(data))
@@ -1297,43 +1327,9 @@ class TestBlasThreads:
 
 
 class TestThreads:
-    """`threads` containers are decomposed at once, and a generated run
-    starts no thread; the reports, and every refusal, are those of a
-    serial run."""
-
-    @pytest.mark.parametrize("threads", [2, 3])
-    def test_threads_samples_decomposed_at_once(self, tmp_path, monkeypatch,
-                                                threads):
-        # each container's call waits at a barrier for `threads` calls in
-        # all, which a serial run never reaches; a counter sees no more in
-        # flight
-        import threading
-
-        from stmkernels import harness
-        save_dataset(generate(tiny_synth(), dense=True), tmp_path)
-        barrier = threading.Barrier(threads, timeout=30)
-        lock = threading.Lock()
-        busy = [0, 0]  # now, most
-        real = harness.weighted_hosvd
-
-        def meeting(*args, **kwargs):
-            with lock:
-                busy[0] += 1
-                busy[1] = max(busy)
-            barrier.wait()
-            try:
-                return real(*args, **kwargs)
-            finally:
-                with lock:
-                    busy[0] -= 1
-
-        monkeypatch.setattr(harness, "weighted_hosvd", meeting)
-        before = threading.enumerate()
-        # 12 containers, a multiple of 2 and of 3
-        run_experiment(tiny_experiment(synth=None, data_dir=str(tmp_path),
-                                       threads=threads))
-        assert busy == [0, threads]
-        assert threading.enumerate() == before
+    """`threads` is accepted and echoed, and a run starts no thread at
+    any value of it; the reports, and every refusal, are those of a run
+    at 1."""
 
     @pytest.mark.parametrize("source", ["synth", "data_dir"])
     def test_reports_byte_identical_at_any_threads(self, tmp_path, source):
@@ -1353,114 +1349,37 @@ class TestThreads:
                         summary.replace(f'"threads": {n}', '"threads": 1'))
         assert texts[1] == texts[2] == texts[4]
 
-    def test_generated_run_starts_no_thread(self, tmp_path, monkeypatch):
-        # a generated run decomposes in the calling thread whatever
-        # `threads` says: at 4 it starts no thread, and its bytes are
-        # those of a run at 1
+    @pytest.mark.parametrize("source", ["synth", "data_dir"])
+    def test_run_starts_no_thread(self, tmp_path, monkeypatch, source):
+        # from either source a run computes in the calling thread whatever
+        # `threads` says: at 4, and at 8 for 6 samples per noise level, it
+        # starts no thread, and its bytes are those of a run at 1
         import threading
 
-        cfg = tiny_experiment(noise_grid=(0.01, 0.1), rank_grid=(1, 2, 3))
-        emit_report(run_experiment(replace(cfg, threads=1)), tmp_path / "t1")
-
-        def no_start(thread):
-            raise AssertionError("a generated run started a thread")
-
-        with monkeypatch.context() as m:
-            m.setattr(threading.Thread, "start", no_start)
-            report = run_experiment(replace(cfg, threads=4))
-        emit_report(report, tmp_path / "t4")
-        csv1, csv4 = ((tmp_path / t / "report.csv").read_bytes()
-                      for t in ("t1", "t4"))
-        json1, json4 = ((tmp_path / t / "summary.json").read_text()
-                        for t in ("t1", "t4"))
-        assert csv1 == csv4
-        assert json4.count('"threads": 4') == 1
-        assert json4.replace('"threads": 4', '"threads": 1') == json1
-
-    def test_data_dir_reads_each_sample_into_its_slot(self, tmp_path,
-                                                      monkeypatch):
-        # both reads of sample k land in the buffer of slot k % threads,
-        # so `threads` buffers serve 12 samples; the report is the serial
-        # one
-        from stmkernels import harness
-        save_dataset(generate(tiny_synth(), dense=True), tmp_path / "d")
-        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path / "d"))
-        real_load = harness.load_tensor
-        texts = {}
-        for n in (1, 2, 4):
-            reads = {}  # path -> the arrays its reads returned
-
-            def recording(path, out=None):
-                t = real_load(path, out=out)
-                reads.setdefault(path, []).append(t)
-                return t
-
-            monkeypatch.setattr(harness, "load_tensor", recording)
-            out = tmp_path / f"t{n}"
-            emit_report(run_experiment(replace(cfg, threads=n)), out)
-            summary = (out / "summary.json").read_text()
-            assert summary.count(f'"threads": {n}') == 1
-            texts[n] = ((out / "report.csv").read_bytes(),
-                        summary.replace(f'"threads": {n}', '"threads": 1'))
-            paths = sorted(reads)
-            assert len(paths) == 12
-            slots = [reads[path][0] for path in paths[:n]]
-            for k, path in enumerate(paths):
-                assert len(reads[path]) == 2
-                assert all(t is slots[k % n] for t in reads[path])
-            assert all(a is not b for i, a in enumerate(slots)
-                       for b in slots[:i])
-        assert texts[1] == texts[2] == texts[4]
-
-    @pytest.mark.parametrize("source", ["synth", "above_core", "data_dir"])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_at_most_threads_dense_arrays_alive(self, tmp_path, monkeypatch,
-                                               source, threads):
-        # at every build or read, at most threads - 1 arrays of other
-        # samples are alive, not counting the buffer being refilled. A
-        # generated sample is built once, at its core's size, also with a
-        # rank above its core ("above_core"); a container is read twice
-        import threading
-
-        from stmkernels import harness
-        cfg = tiny_experiment(threads=threads)
-        if source == "above_core":
-            cfg = replace(cfg, rank_grid=(2, 3))  # r_approx is 2
+        synth_cfg = tiny_synth(samples_per_class=3)
+        cfg = tiny_experiment(synth=synth_cfg, noise_grid=(0.01, 0.1),
+                              rank_grid=(1, 2, 3))
         if source == "data_dir":
-            # written before the wrapping: save_dataset builds too
-            save_dataset(generate(tiny_synth(), dense=True), tmp_path / "d")
+            save_dataset(generate(synth_cfg, dense=True), tmp_path / "d")
             cfg = replace(cfg, synth=None, data_dir=str(tmp_path / "d"),
                           noise_grid=None)
-        lock = threading.Lock()
-        made = []  # (sample, weakref) per array made, oldest first
-        others = []  # per build or read, other samples' arrays alive
-        shapes = []  # per build or read, the array's shape
+        emit_report(run_experiment(replace(cfg, threads=1)), tmp_path / "t1")
+        csv1 = (tmp_path / "t1" / "report.csv").read_bytes()
+        json1 = (tmp_path / "t1" / "summary.json").read_text()
 
-        def tracking(real, sample, arg, out=None):
-            with lock:
-                # each live array but `out`, and the sample it last held
-                alive = {id(ref()): key for key, ref in made
-                         if ref() is not None and ref() is not out}
-                others.append(sum(key != sample for key in alive.values()))
-            t = real(arg) if out is None else real(arg, out=out)
-            with lock:
-                made.append((sample, weakref.ref(t)))
-                shapes.append(t.shape)
-            return t
+        def no_start(thread):
+            raise AssertionError("a run started a thread")
 
-        real_build, real_load = harness.tucker_reconstruct, harness.load_tensor
-        # a generated sample's build reads its core
-        monkeypatch.setattr(harness, "tucker_reconstruct", lambda t: tracking(
-            real_build, id(t.core), t))
-        monkeypatch.setattr(harness, "load_tensor", lambda path, out=None:
-                            tracking(real_load, path, path, out))
-        run_experiment(cfg)
-        assert len(others) == (24 if source == "data_dir" else 12)
-        assert max(others) <= threads - 1
-        # mode 12 containers; generated samples built at their r_approx 2
-        # cores only, never at mode 12
-        size = (12, 12, 12) if source == "data_dir" else (2, 2, 2)
-        assert set(shapes) == {size}
+        for n in (4, 8):
+            with monkeypatch.context() as m:
+                m.setattr(threading.Thread, "start", no_start)
+                report = run_experiment(replace(cfg, threads=n))
+            out = tmp_path / f"t{n}"
+            emit_report(report, out)
+            summary = (out / "summary.json").read_text()
+            assert (out / "report.csv").read_bytes() == csv1
+            assert summary.count(f'"threads": {n}') == 1
+            assert summary.replace(f'"threads": {n}', '"threads": 1') == json1
 
     @pytest.mark.parametrize("fault", ["weighting", "nan", "both", "missing",
                                        "missing-both"])
@@ -1510,41 +1429,11 @@ class TestThreads:
             assert messages[0].startswith("sample 5 at noise nan: weighting "
                                           "power p = 200.0")
 
-    def test_more_workers_than_cores_under_fast_switching(self, tmp_path):
-        # 5 workers hand 40 containers back and forth while the
-        # interpreter switches threads every microsecond: every
-        # decomposition lands at its sample's index, bit for bit the
-        # serial one
-        import sys
-
-        from stmkernels.harness import _decompose_by_rank, _open_dataset
-        rng = np.random.default_rng(70)
-        save_dataset([sk.LabeledSample(sk.tucker_reconstruct(sk.TuckerTensor(
-            core=rng.standard_normal((3, 3, 3)),
-            factors=[rng.standard_normal((i, 3)) for i in (6, 7, 5)])),
-            (-1) ** k) for k in range(40)], tmp_path)
-        serial = _decompose_by_rank(_open_dataset(tmp_path)[1], (1, 2), None,
-                                    0.5)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pooled = _decompose_by_rank(iter(_open_dataset(tmp_path)[1]),
-                                        (1, 2), None, 0.5, 5)
-        finally:
-            sys.setswitchinterval(interval)
-        assert list(pooled) == [1, 2]
-        for rank in (1, 2):
-            assert len(pooled[rank]) == 40
-            for a, b in zip(pooled[rank], serial[rank]):
-                assert np.array_equal(a.core, b.core)
-                for x, y in zip(a.factors, b.factors):
-                    assert np.array_equal(x, y)
-
     def test_tall_first_mode_data_dir_is_read_once(self, tmp_path,
                                                    monkeypatch):
         # a (40, 4, 4) sample's mode-1 unfolding is tall: np.linalg.svd
-        # leaves the slot buffer as read, and the projections read it
-        # there, so each container is read once at any `threads`
+        # leaves the buffer as read, and the projections read it
+        # there, so each container is read once
         from stmkernels import decomp, harness
         from stmkernels.harness import _decompose_by_rank, _open_dataset
         rng = np.random.default_rng(40)
@@ -1555,92 +1444,25 @@ class TestThreads:
             expected = [decomp.weighted_hosvd(t, grid)
                         for t in load_dataset(tmp_path).samples]
         real_load = harness.load_tensor
-        for n in (1, 2):
-            reads = Counter()
+        reads = Counter()
 
-            def counting(path, out=None):
-                reads[path] += 1
-                return real_load(path, out=out)
+        def counting(path, out=None):
+            reads[path] += 1
+            return real_load(path, out=out)
 
-            monkeypatch.setattr(harness, "load_tensor", counting)
-            with decomp._blas_threads(1):
-                got = _decompose_by_rank(_open_dataset(tmp_path)[1],
-                                         (1, 2, 3), None, math.nan, n)
-            assert len(reads) == 8 and set(reads.values()) == {1}
-            assert list(got) == [1, 2, 3]
-            for rank, tuckers in got.items():
-                for a, tk in zip(tuckers, expected, strict=True):
-                    b = tk[rank - 1]
-                    assert a.p == b.p and np.array_equal(a.core, b.core)
-                    for x, y in zip(a.factors + a.sigmas,
-                                    b.factors + b.sigmas, strict=True):
-                        assert np.array_equal(x, y)
-
-    def test_pool_jobs_compute_on_one_blas_thread(self, tmp_path,
-                                                  monkeypatch):
-        # the pool decomposes containers; each of the 12 jobs runs off the
-        # main thread on one BLAS thread
-        _openblas_or_skip()
-        import threading
-
-        from stmkernels import decomp, harness
-        save_dataset(generate(tiny_synth(), dense=True), tmp_path)
-        seen = []
-        real = harness.weighted_hosvd
-
-        def recording(*args, **kwargs):
-            seen.append((_linalg_blas_threads(),
-                         threading.current_thread() is threading.main_thread()))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "weighted_hosvd", recording)
-        with decomp._blas_threads(2):
-            run_experiment(tiny_experiment(synth=None, data_dir=str(tmp_path),
-                                           threads=2))
-            assert _linalg_blas_threads() == 2
-        assert seen == [(1, False)] * 12
-
-    @pytest.mark.parametrize("source", ["synth", "data_dir"])
-    def test_threads_above_the_sample_count(self, tmp_path, monkeypatch,
-                                            source):
-        # 8 threads for 6 samples per noise level: the report is the
-        # serial one, the pool starts no thread that no job needs, and it
-        # leaves none behind. A generated run's one call per noise level
-        # decomposes all 6 in the calling thread, and starts no thread
-        import threading
-
-        from stmkernels import harness
-        synth_cfg = tiny_synth(samples_per_class=3)
-        cfg = tiny_experiment(synth=synth_cfg, noise_grid=(0.01, 0.1))
-        if source == "data_dir":
-            save_dataset(generate(synth_cfg, dense=True), tmp_path / "d")
-            cfg = replace(cfg, synth=None, data_dir=str(tmp_path / "d"),
-                          noise_grid=None)
-        real = harness.weighted_hosvd
-        seen = []
-
-        def counting(*args, **kwargs):
-            seen.append(threading.active_count())
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "weighted_hosvd", counting)
-        before = threading.enumerate()
-        texts = {}
-        for n in (1, 8):
-            out = tmp_path / f"t{n}"
-            emit_report(run_experiment(replace(cfg, threads=n)), out)
-            summary = (out / "summary.json").read_text()
-            assert summary.count(f'"threads": {n}') == 1
-            texts[n] = ((out / "report.csv").read_bytes(),
-                        summary.replace(f'"threads": {n}', '"threads": 1'))
-            assert threading.enumerate() == before
-        assert texts[1] == texts[8]
-        if source == "synth":
-            assert len(seen) == 2 * 2  # per noise level, at threads 1 and 8
-            assert max(seen) == len(before)
-        else:
-            assert len(seen) == 2 * 6
-            assert max(seen) <= len(before) + 6
+        monkeypatch.setattr(harness, "load_tensor", counting)
+        with decomp._blas_threads(1):
+            got = _decompose_by_rank(_open_dataset(tmp_path)[1], (1, 2, 3),
+                                     None, math.nan)
+        assert len(reads) == 8 and set(reads.values()) == {1}
+        assert list(got) == [1, 2, 3]
+        for rank, tuckers in got.items():
+            for a, tk in zip(tuckers, expected, strict=True):
+                b = tk[rank - 1]
+                assert a.p == b.p and np.array_equal(a.core, b.core)
+                for x, y in zip(a.factors + a.sigmas, b.factors + b.sigmas,
+                                strict=True):
+                    assert np.array_equal(x, y)
 
 
 class TestReports:
