@@ -334,7 +334,10 @@ class TestCoreRoute:
             assert got[1][k] is not got[2][k]
             _assert_same_bits(got[2][k], alone[2][k])
 
-    def test_one_core_sized_build_per_sample(self, monkeypatch):
+    @pytest.mark.parametrize("low", [1, 2])
+    def test_one_core_sized_build_per_sample(self, monkeypatch, low):
+        # with ranks below, at and above a core's sizes each sample is
+        # built once, at its core's size
         from stmkernels import harness
         from stmkernels.harness import _decompose_by_rank
         rng = np.random.default_rng(19)
@@ -352,38 +355,9 @@ class TestCoreRoute:
             return out
 
         monkeypatch.setattr(harness, "tucker_reconstruct", recording)
-        _decompose_by_rank(samples, (1, 3), None, 0.0)
+        _decompose_by_rank(samples, (low, 3), None, 0.0)
         assert sorted(built) == sorted((id(s.core), (3, 4, 5))
                                        for s in samples)
-
-    @pytest.mark.parametrize("source", ["synth", "above_core"])
-    def test_one_core_sized_array_alive_at_a_time(self, monkeypatch, source):
-        # at every build no array of another sample is alive. A generated
-        # sample is built once, at its core's size, also with a rank above
-        # its core ("above_core")
-        from stmkernels import harness
-        cfg = tiny_experiment()
-        if source == "above_core":
-            cfg = replace(cfg, rank_grid=(2, 3))  # r_approx is 2
-        made = []  # (sample, weakref) per array built, oldest first
-        others = []  # per build, other samples' arrays alive
-        shapes = []  # per build, the array's shape
-        real = harness.tucker_reconstruct
-
-        def tracking(t):
-            # a generated sample's build reads its core
-            others.append(sum(ref() is not None and key != id(t.core)
-                              for key, ref in made))
-            out = real(t)
-            made.append((id(t.core), weakref.ref(out)))
-            shapes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(harness, "tucker_reconstruct", tracking)
-        run_experiment(cfg)
-        assert others == [0] * 12
-        # built at the r_approx 2 cores only, never at mode 12
-        assert set(shapes) == {(2, 2, 2)}
 
 
 class TestStratifiedFolds:
@@ -922,11 +896,10 @@ class TestRunExperiment:
                 r"without one class with folds = 2")):
             run_experiment(cfg)
 
-    @pytest.mark.parametrize("threads", [1, 4])
     def test_data_dir_holds_one_dense_sample_at_a_time(self, tmp_path,
-                                                       monkeypatch, threads):
-        # at any `threads` each sample is read twice, and every read lands
-        # in the first one's array; no other sample array is alive at a read
+                                                       monkeypatch):
+        # each sample is read twice, and every read lands in the first
+        # one's array; no other sample array is alive at a read
         from stmkernels import harness
         data = generate(tiny_synth(), dense=True)
         save_dataset(data, tmp_path)
@@ -942,8 +915,7 @@ class TestRunExperiment:
             return t
 
         monkeypatch.setattr(harness, "load_tensor", tracking_load)
-        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path),
-                              threads=threads)
+        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path))
         rows = run_experiment(cfg).rows
         assert alive_at_load == [0] * (2 * len(data))
         assert in_first == [True] * (2 * len(data))
@@ -1349,37 +1321,147 @@ class TestThreads:
                         summary.replace(f'"threads": {n}', '"threads": 1'))
         assert texts[1] == texts[2] == texts[4]
 
-    @pytest.mark.parametrize("source", ["synth", "data_dir"])
-    def test_run_starts_no_thread(self, tmp_path, monkeypatch, source):
-        # from either source a run computes in the calling thread whatever
-        # `threads` says: at 4, and at 8 for 6 samples per noise level, it
-        # starts no thread, and its bytes are those of a run at 1
+    def test_generated_run_starts_no_thread(self, tmp_path, monkeypatch):
+        # a generated run decomposes in the calling thread whatever
+        # `threads` says: at 4 it starts no thread, and its bytes are
+        # those of a run at 1
         import threading
 
+        cfg = tiny_experiment(noise_grid=(0.01, 0.1), rank_grid=(1, 2, 3))
+        emit_report(run_experiment(replace(cfg, threads=1)), tmp_path / "t1")
+
+        def no_start(thread):
+            raise AssertionError("a generated run started a thread")
+
+        with monkeypatch.context() as m:
+            m.setattr(threading.Thread, "start", no_start)
+            report = run_experiment(replace(cfg, threads=4))
+        emit_report(report, tmp_path / "t4")
+        csv1, csv4 = ((tmp_path / t / "report.csv").read_bytes()
+                      for t in ("t1", "t4"))
+        json1, json4 = ((tmp_path / t / "summary.json").read_text()
+                        for t in ("t1", "t4"))
+        assert csv1 == csv4
+        assert json4.count('"threads": 4') == 1
+        assert json4.replace('"threads": 4', '"threads": 1') == json1
+
+    def test_data_dir_reads_each_sample_into_its_slot(self, tmp_path,
+                                                      monkeypatch):
+        # at any `threads` both reads of every sample land in one buffer,
+        # so one buffer serves 12 samples; the report is that of a run at 1
+        from stmkernels import harness
+        save_dataset(generate(tiny_synth(), dense=True), tmp_path / "d")
+        cfg = tiny_experiment(synth=None, data_dir=str(tmp_path / "d"))
+        real_load = harness.load_tensor
+        texts = {}
+        for n in (1, 2, 4):
+            reads = {}  # path -> the arrays its reads returned
+
+            def recording(path, out=None):
+                t = real_load(path, out=out)
+                reads.setdefault(path, []).append(t)
+                return t
+
+            monkeypatch.setattr(harness, "load_tensor", recording)
+            out = tmp_path / f"t{n}"
+            emit_report(run_experiment(replace(cfg, threads=n)), out)
+            summary = (out / "summary.json").read_text()
+            assert summary.count(f'"threads": {n}') == 1
+            texts[n] = ((out / "report.csv").read_bytes(),
+                        summary.replace(f'"threads": {n}', '"threads": 1'))
+            paths = sorted(reads)
+            assert len(paths) == 12
+            buffer = reads[paths[0]][0]
+            for path in paths:
+                assert len(reads[path]) == 2
+                assert all(t is buffer for t in reads[path])
+        assert texts[1] == texts[2] == texts[4]
+
+    @pytest.mark.parametrize("source", ["synth", "above_core", "data_dir"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_at_most_threads_dense_arrays_alive(self, tmp_path, monkeypatch,
+                                               source, threads):
+        # at any `threads`, at every build or read no array of another
+        # sample is alive, not counting the buffer being refilled. A
+        # generated sample is built once, at its core's size, also with a
+        # rank above its core ("above_core"); a container is read twice
+        from stmkernels import harness
+        cfg = tiny_experiment(threads=threads)
+        if source == "above_core":
+            cfg = replace(cfg, rank_grid=(2, 3))  # r_approx is 2
+        if source == "data_dir":
+            # written before the wrapping: save_dataset builds too
+            save_dataset(generate(tiny_synth(), dense=True), tmp_path / "d")
+            cfg = replace(cfg, synth=None, data_dir=str(tmp_path / "d"),
+                          noise_grid=None)
+        made = []  # (sample, weakref) per array made, oldest first
+        others = []  # per build or read, other samples' arrays alive
+        shapes = []  # per build or read, the array's shape
+
+        def tracking(real, sample, arg, out=None):
+            # each live array but `out`, and the sample it last held
+            alive = {id(ref()): key for key, ref in made
+                     if ref() is not None and ref() is not out}
+            others.append(sum(key != sample for key in alive.values()))
+            t = real(arg) if out is None else real(arg, out=out)
+            made.append((sample, weakref.ref(t)))
+            shapes.append(t.shape)
+            return t
+
+        real_build, real_load = harness.tucker_reconstruct, harness.load_tensor
+        # a generated sample's build reads its core
+        monkeypatch.setattr(harness, "tucker_reconstruct", lambda t: tracking(
+            real_build, id(t.core), t))
+        monkeypatch.setattr(harness, "load_tensor", lambda path, out=None:
+                            tracking(real_load, path, path, out))
+        run_experiment(cfg)
+        assert others == [0] * (24 if source == "data_dir" else 12)
+        # mode 12 containers; generated samples built at their r_approx 2
+        # cores only, never at mode 12
+        size = (12, 12, 12) if source == "data_dir" else (2, 2, 2)
+        assert set(shapes) == {size}
+
+    @pytest.mark.parametrize("source", ["synth", "data_dir"])
+    def test_threads_above_the_sample_count(self, tmp_path, monkeypatch,
+                                            source):
+        # 8 threads for 6 samples per noise level: the run starts no
+        # thread, from either source, and its bytes are those of a run at
+        # 1. A generated run makes one call per noise level for all 6, a
+        # data_dir run one per container
+        import threading
+
+        from stmkernels import harness
         synth_cfg = tiny_synth(samples_per_class=3)
-        cfg = tiny_experiment(synth=synth_cfg, noise_grid=(0.01, 0.1),
-                              rank_grid=(1, 2, 3))
+        cfg = tiny_experiment(synth=synth_cfg, noise_grid=(0.01, 0.1))
         if source == "data_dir":
             save_dataset(generate(synth_cfg, dense=True), tmp_path / "d")
             cfg = replace(cfg, synth=None, data_dir=str(tmp_path / "d"),
                           noise_grid=None)
-        emit_report(run_experiment(replace(cfg, threads=1)), tmp_path / "t1")
-        csv1 = (tmp_path / "t1" / "report.csv").read_bytes()
-        json1 = (tmp_path / "t1" / "summary.json").read_text()
+        real = harness.weighted_hosvd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(threading.current_thread() is threading.main_thread())
+            return real(*args, **kwargs)
 
         def no_start(thread):
             raise AssertionError("a run started a thread")
 
-        for n in (4, 8):
+        monkeypatch.setattr(harness, "weighted_hosvd", counting)
+        texts = {}
+        for n in (1, 8):
+            out = tmp_path / f"t{n}"
             with monkeypatch.context() as m:
                 m.setattr(threading.Thread, "start", no_start)
                 report = run_experiment(replace(cfg, threads=n))
-            out = tmp_path / f"t{n}"
             emit_report(report, out)
             summary = (out / "summary.json").read_text()
-            assert (out / "report.csv").read_bytes() == csv1
             assert summary.count(f'"threads": {n}') == 1
-            assert summary.replace(f'"threads": {n}', '"threads": 1') == json1
+            texts[n] = ((out / "report.csv").read_bytes(),
+                        summary.replace(f'"threads": {n}', '"threads": 1'))
+        assert texts[1] == texts[8]
+        # per noise level or container, at threads 1 and 8
+        assert calls == [True] * (2 * 2 if source == "synth" else 2 * 6)
 
     @pytest.mark.parametrize("fault", ["weighting", "nan", "both", "missing",
                                        "missing-both"])
