@@ -32,12 +32,16 @@ was, so the projections read the first array. The projections read an
 F-ordered tensor in place, any other through one F-ordered copy, and
 that tensor is dropped before any rank's modes 2...M run.
 
-A batch of tensors of one shape, stacked on a leading sample axis, is
-decomposed by the same steps, each on all samples at once: the ST-HOSVD
-helpers take an optional leading sample axis, each sample's matrices are
-laid out as a decomposition of that tensor alone lays them out, and
-stacked SVDs and matrix products run LAPACK and BLAS on each sample as
-the single calls do, so every sample gets the bits of its own call.
+The ST-HOSVD has one path, on a batch: tensors of one shape stacked on
+a leading sample axis, each step on all samples at once. A lone tensor
+or source is the batch of one. A batch of one takes `_left_svd`'s
+routes, dgelqf in place on a source's buffer among them; a larger batch
+takes one stacked np.linalg.svd per mode, whose U and sigma are the bits
+of those routes. After the mode-1 SVD every sample is laid out F-ordered
+once, in place when it already is, and each later step lays out each
+sample's matrices as a decomposition of that tensor alone lays them out,
+so stacked matrix products run BLAS on each sample as a lone call does
+and every sample gets the bits of its own call.
 
 This is the one module that reaches numpy's native libraries, all
 through `_numpy_symbol`, a lookup in numpy's linalg extension that finds
@@ -55,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import fold, frobenius_norm, matricize, mode_product
+from .tensor import frobenius_norm, matricize, mode_product
 
 # Singular values below SIGMA_FLOOR * sigma_max count as numerically zero.
 # weighted_hosvd zeroes the core along their directions once, at
@@ -416,7 +420,9 @@ def weighted_hosvd(t, ranks, p=None, *, batch=False):
     which np.linalg.svd left as it was. Either way the tensor is held
     dense once at a time. A tensor is held beside the private copy that
     dgelqf overwrites while the mode-1 SVD runs, and the projections read
-    it in place when F-ordered, else through one F-ordered copy.
+    it in place when F-ordered, else through one F-ordered copy. Either
+    way it is decomposed as the batch of one, `t[None]`, and the result
+    is that sample's.
 
     `ranks` is either one per-mode rank tuple, which returns one
     TuckerTensor, or a sequence of such tuples, which returns a list with
@@ -432,7 +438,9 @@ def weighted_hosvd(t, ranks, p=None, *, batch=False):
     what `weighted_hosvd(t[k], ranks, p)` returns for each sample k, bit
     for bit: the samples are decomposed together, each step on all of
     them at once (one stacked np.linalg.svd per mode and entry, whose U
-    and sigma are the bits of `_left_svd`'s routes by construction). `p`
+    and sigma are the bits of `_left_svd`'s routes by construction; a
+    batch of one takes those routes), and laid out F-ordered once, after
+    the mode-1 SVD, each sample as a lone tensor is projected. `p`
     defaults to 1/M with M the samples' order. The first sample in order
     that a call of its own would refuse, all-zero or with sigma**p that
     float64 cannot hold, is refused by a ValueError whose `index` names
@@ -448,43 +456,43 @@ def weighted_hosvd(t, ranks, p=None, *, batch=False):
     """
     build = t if callable(t) and not batch else None
     g = build() if build else np.asarray(t, dtype=np.float64)
-    lead = int(batch)  # the sample axis, when there is one
+    if not batch:
+        g = g[None]  # a lone tensor is a batch of one
+    shape = g.shape[1:]
     ranks = list(ranks)
     single = len(ranks) == 0 or np.ndim(ranks[0]) == 0
-    grid = [_checked_ranks(g.shape[lead:], r)
-            for r in ([ranks] if single else ranks)]
+    grid = [_checked_ranks(shape, r) for r in ([ranks] if single else ranks)]
     if p is None:
-        p = 1.0 / (g.ndim - lead)
-    nonzero = np.any(g, axis=tuple(range(lead, g.ndim))).reshape(-1)
+        p = 1.0 / len(shape)
+    nonzero = np.any(g, axis=tuple(range(1, g.ndim)))
     live = len(nonzero) if nonzero.all() else int(np.argmin(nonzero))
 
     stages = []  # per entry, _truncate's arrays for the samples before `live`
     if live:
-        if batch:
-            # each sample F-ordered, as a tensor of its own is projected
-            g = np.moveaxis(np.asfortranarray(np.moveaxis(g[:live], 0, -1)),
-                            -1, 0)
-        u, s = _left_svds(g, 0, lead, build)
-        if not batch and (not build or _wide(len(g), g.size // len(g))):
-            del g  # dgelqf may have overwritten a build
-            g = build() if build else np.asfortranarray(t, dtype=np.float64)
+        g = g[:live]
+        u, s = _left_svds(g, 0, build)
+        if build and _wide(shape[0], g[0].size // shape[0]):
+            del g  # dgelqf has overwritten the first build
+            g = build()[None]
+        # each sample F-ordered, as the projections read it: no copy of
+        # one that already is
+        g = np.moveaxis(np.asfortranarray(np.moveaxis(g, 0, -1)), -1, 0)
         heads = [_project(g, u, s, r[0], 0) for r in grid]
         del g  # only the mode-1 projections read it
         stages = [_truncate(*head, r, p) for head, r in zip(heads, grid)]
 
-    picks = [(k,) for k in range(len(nonzero))] if batch else [()]
     out = []
-    for k, pick in enumerate(picks):
+    for k in range(len(nonzero)):
         try:
             if k == live:
                 raise ValueError("cannot decompose an all-zero tensor")
             tuckers = []
             for core, factors, sigmas, held in stages:
-                if not held[pick]:
+                if not held[k]:
                     raise _unrepresentable(p)
                 tuckers.append(TuckerTensor(
-                    core=core[pick], factors=[f[pick] for f in factors],
-                    sigmas=[s[pick] for s in sigmas], p=float(p)))
+                    core=core[k], factors=[f[k] for f in factors],
+                    sigmas=[s[k] for s in sigmas], p=float(p)))
         except ValueError as err:
             if batch:
                 raise _Refused(k, err) from err
@@ -493,67 +501,61 @@ def weighted_hosvd(t, ranks, p=None, *, batch=False):
     return out if batch else out[0]
 
 
-def _unfold(g, m, lead):
-    """matricize(g, m + 1) of the tensor `g` (`lead` 0), or of each
-    tensor of the batch `g` (`lead` 1, a leading sample axis) as one
-    (samples, I_m, N) stack whose matrices are laid out as matricize lays
-    out each one's: a view of each F-ordered sample at m = 0, else an
-    F-ordered copy."""
-    if not lead:
-        return matricize(g, m + 1)
+def _unfold(g, m):
+    """matricize(g[k], m + 1) of each tensor of the batch `g` (a leading
+    sample axis) as one (samples, I_m, N) stack whose matrices are laid
+    out as matricize lays out each one's: a view of each F-ordered sample
+    at m = 0, else an F-ordered copy."""
     # the samples as the last, slowest-varying, columns of one unfolding
     x = matricize(np.moveaxis(g, 0, -1), m + 1)
     return np.moveaxis(x.reshape(len(x), -1, len(g), order="F"), -1, 0)
 
 
 def _fold(y, m, shape):
-    """Inverse of `_unfold`: the tensor of `shape` from its mode-(m+1)
-    unfolding `y`, or, when `y` stacks unfoldings, the batch of such
-    tensors; a view of `y`, laid out for each sample as `fold` lays out
-    one tensor."""
-    if y.ndim == 2:
-        return fold(y, m + 1, shape)
+    """Inverse of `_unfold`: the batch of tensors of `shape` from their
+    stacked mode-(m+1) unfoldings `y`; a view of `y`, laid out for each
+    sample as `fold` lays out one tensor."""
     x = np.moveaxis(y, 0, -1).reshape(
         (shape[m],) + shape[:m] + shape[m + 1:] + (len(y),), order="F")
     return np.moveaxis(x, (0, -1), (m + 1, 0))
 
 
-def _left_svds(g, m, lead, build=None):
-    """`_left_svd` of the tensor `g` (`lead` 0), or of each tensor of the
-    batch `g` (`lead` 1) stacked on a leading axis: one stacked
-    np.linalg.svd, the bits `_left_svd` gives for each tensor."""
-    if not lead:
-        return _left_svd(g, m, build)
-    u, s, _ = np.linalg.svd(_unfold(g, m, lead), full_matrices=False)
+def _left_svds(g, m, build=None):
+    """`_left_svd` of each tensor of the batch `g`, stacked on a leading
+    axis. A batch of one takes `_left_svd`'s routes (dgelqf in place on a
+    source's buffer given `build`, see `weighted_hosvd`); a larger one,
+    one stacked np.linalg.svd, whose U and sigma are the bits `_left_svd`
+    gives for each tensor."""
+    if len(g) == 1:
+        u, s = _left_svd(g[0], m, build)
+        return u[None], s[None]
+    u, s, _ = np.linalg.svd(_unfold(g, m), full_matrices=False)
     return u, s
 
 
 def _project(g, u, s, r, m):
-    """One ST-HOSVD step: the leading `r` (capped) sign-fixed columns of
-    the mode-(m+1) SVD (u, s), their sigmas, and `g` projected onto them,
-    on its unfolding: a view of an F-ordered `g` at m = 0, which
-    `mode_product` would copy to C order. When `u` stacks the SVDs of a
-    batch's samples, `g` is that batch on a leading sample axis, and each
-    sample's step is the one its tensor alone would take."""
+    """One ST-HOSVD step on the batch `g` (a leading sample axis): the
+    leading `r` (capped) sign-fixed columns of each sample's mode-(m+1)
+    SVD, stacked in (u, s), their sigmas, and each sample projected onto
+    them, on its unfolding: a view of an F-ordered sample at m = 0, which
+    `mode_product` would copy to C order. Each sample's step is the one
+    its tensor alone would take."""
     u = fix_signs(u[..., :min(r, u.shape[-1])])
-    lead = u.ndim - 2
-    shape = g.shape[lead:]
-    shape = shape[:m] + (u.shape[-1],) + shape[m + 1:]
-    y = np.swapaxes(u, -1, -2) @ _unfold(g, m, lead)
+    shape = g.shape[1:m + 1] + (u.shape[-1],) + g.shape[m + 2:]
+    y = np.swapaxes(u, -1, -2) @ _unfold(g, m)
     return u, s[..., :u.shape[-1]], _fold(y, m, shape)
 
 
 def _truncate(u, s, g, ranks, p):
-    """ST-HOSVD at `ranks` from its mode-1 step (u, s, g), modes 2...M,
-    its core zeroed along the tiny sigmas and reweighted from p = 0 to
-    `p`, on a leading sample axis when `u` has one: (core, factors,
-    sigmas, held), `held` telling for each sample whether float64 holds
-    its weighting (see `_rescaled`)."""
-    lead = u.ndim - 2
+    """ST-HOSVD at `ranks` of each sample of the batch `g` from its
+    mode-1 step (u, s, g), modes 2...M, its core zeroed along the tiny
+    sigmas and reweighted from p = 0 to `p`: (core, factors, sigmas,
+    held), each on a leading sample axis, `held` telling for each sample
+    whether float64 holds its weighting (see `_rescaled`)."""
     basis = [u]
     sigmas = [s]
     for m in range(1, len(ranks)):
-        u, s, g = _project(g, *_left_svds(g, m, lead), ranks[m], m)
+        u, s, g = _project(g, *_left_svds(g, m), ranks[m], m)
         basis.append(u)
         sigmas.append(s)
     for m, s in enumerate(sigmas):

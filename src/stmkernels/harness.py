@@ -206,8 +206,13 @@ def save_dataset(samples, out_dir):
     `samples` is a list of LabeledSample; Tucker samples are materialized
     by `tucker_reconstruct`, whose F-ordered tensors `save_tensor` writes
     from their own memory. The manifest has one `relative-path,label`
-    line per sample.
+    line per sample. A label not equal to -1, 0 or +1, NaN among them, is
+    refused, naming its sample, before any file is written.
     """
+    for k, sample in enumerate(samples):
+        if sample.label not in (-1, 0, 1):
+            raise ValueError(f"sample {k}: label {sample.label!r} is not "
+                             "-1, 0 or +1")
     os.makedirs(out_dir, exist_ok=True)
     lines = []
     for k, sample in enumerate(samples):

@@ -285,10 +285,10 @@ class TestWeightedHosvd:
         assert len(modes) == 1 + 2 * 3
 
     def test_rank_grid_projects_one_f_ordered_tensor(self, monkeypatch):
-        # every rank's mode-1 projection reads the same F-ordered array:
-        # an F-ordered tensor, a Tucker reconstruction among them, is read
-        # in place, and a C-ordered one through one copy per grid, not one
-        # per rank
+        # every rank's mode-1 projection reads the same batch of one
+        # F-ordered tensor: an F-ordered tensor, a Tucker reconstruction
+        # among them, is read in place, and a C-ordered one through one
+        # copy per grid, not one per rank
         rng = np.random.default_rng(17)
         tucker = tucker_reconstruct(
             weighted_hosvd(rng.standard_normal((8, 7, 6)), (3, 3, 3)))
@@ -308,9 +308,11 @@ class TestWeightedHosvd:
             weighted_hosvd(t, [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
             assert len(seen) == 3
             assert all(s is seen[0] for s in seen)
-            assert seen[0].flags.f_contiguous
-            assert np.array_equal(seen[0], t)
-            assert np.shares_memory(seen[0], t) == (t is not c_ordered)
+            assert seen[0].shape == (1,) + t.shape
+            sample = seen[0][0]
+            assert sample.flags.f_contiguous
+            assert np.array_equal(sample, t)
+            assert np.shares_memory(sample, t) == (t is not c_ordered)
 
     def test_working_copy_dropped_before_the_later_modes(self, monkeypatch):
         # dgelqf's private copy of an F-ordered tensor is dropped when the

@@ -111,6 +111,17 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="unknown label"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("label", [0.5, 2, float("nan")])
+    def test_bad_label_refused_before_any_file(self, tmp_path, label):
+        # 0.5 would be written as 0 and read back as -1, 2 refused only
+        # at load, and NaN refused after every container was written
+        data = generate(tiny_synth(samples_per_class=1), dense=True)
+        data[1] = sk.LabeledSample(data[1].tensor, label)
+        with pytest.raises(ValueError) as err:
+            save_dataset(data, tmp_path)
+        assert str(err.value) == f"sample 1: label {label!r} is not -1, 0 or +1"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ValueError) as err:
             load_dataset(tmp_path)

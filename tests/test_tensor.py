@@ -165,6 +165,17 @@ class TestInnerAndNorm:
                               atol=1e-12)
 
 
+class TestScalarInput:
+    def test_zero_d_input_is_an_order_1_tensor_of_length_1(self, tmp_path):
+        assert np.array_equal(matricize(np.float64(2.0), 1), [[2.0]])
+        assert np.array_equal(mode_product(2.0, [[3.0]], 1), [6.0])
+        assert inner(2.0, 3.0) == 6.0
+        assert frobenius_norm(-3.0) == 3.0
+        save_tensor(tmp_path / "scalar.tnsr", np.float64(4.0))
+        back = load_tensor(tmp_path / "scalar.tnsr")
+        assert back.shape == (1,) and back[0] == 4.0
+
+
 class TestContainer:
     def test_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(31)
