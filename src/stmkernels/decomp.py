@@ -447,6 +447,9 @@ def weighted_hosvd(t, ranks, p=None, *, batch=False):
     it and whose `reason` is that call's error. Without `batch`, no input
     changes meaning: a nested sequence is still one tensor.
 
+    A sample of order 0 (a scalar, or a 1-D array with `batch`) is
+    refused by a ValueError before any SVD.
+
     Requested ranks are additionally capped by the column count of each
     unfolding (directions beyond it carry zero singular values). The SVDs
     run on the caller's BLAS threads, and a multi-threaded SVD rounds
@@ -459,6 +462,8 @@ def weighted_hosvd(t, ranks, p=None, *, batch=False):
     if not batch:
         g = g[None]  # a lone tensor is a batch of one
     shape = g.shape[1:]
+    if not shape:
+        raise ValueError("a sample of order 0 has no mode to decompose")
     ranks = list(ranks)
     single = len(ranks) == 0 or np.ndim(ranks[0]) == 0
     grid = [_checked_ranks(shape, r) for r in ([ranks] if single else ranks)]

@@ -14,7 +14,9 @@ tensors, are never built dense: a noise level's samples are decomposed
 together, as one batch, from their cores (`_decompose_cores`); a rank
 above that core decomposes at the core's size, shares the core-size
 decomposition with every other such rank, and its row keeps the
-requested rank.
+requested rank. Ranks that share decompositions share cells: each
+kernel's cell is computed for the first of them, and each later rank's
+row is a copy with its own rank.
 
 Protocol per (kernel, rank, noise) cell: every sample is decomposed once
 per noise level, by one call for all feasible ranks that shares the
@@ -35,7 +37,8 @@ training and validation blocks from the Gram stack once and fills
 acc[repeat, i, j], the mean validation accuracy over folds at
 c_grid[i] and g_grid[j], NaN if training failed on a fold. A cell's
 `kernel_seconds` time its Gram stack and its `train_seconds` the whole
-search, SMO and validation predictions alike. Each repeat
+search, SMO and validation predictions alike; a copied cell built no
+Gram and ran no search, so both are 0. Each repeat
 selects the first maximum of its (C, g) plane, and the reported pair is
 the one selected most often; both grids increase, so ties go to the
 smaller C, then the smaller g. Reported numbers are the mean of the
@@ -561,6 +564,11 @@ def run_experiment(cfg):
 
     Cells whose SVM never converges, or whose rank is infeasible for the
     data, are reported with NaN statistics instead of aborting the run.
+    A cell is computed once per kernel and decomposition list: a rank
+    whose decompositions are the same objects as an earlier rank's (a
+    generated rank at or above the core's size, `_decompose_cores`) gets
+    a copy of that rank's row with its own `rank`, and `kernel_seconds`
+    and `train_seconds` of 0, as it builds no Gram and runs no search.
     The (noise, rank) groups run serially in a deterministic order, and
     the whole run computes with numpy's BLAS on one thread: a multi-
     threaded SVD rounds differently, so the report would follow the
@@ -592,15 +600,23 @@ def run_experiment(cfg):
     rows = []
     for noise, raw_samples in datasets:
         by_rank = _decompose_by_rank(raw_samples, cfg.rank_grid, cfg.p, noise)
+        cells = {}  # (id of a rank's decompositions, kind) -> its row
         for rank in cfg.rank_grid:
             for kind in cfg.kernels:
                 if rank not in by_rank:
                     rows.append(_nan_cell(kind, rank, noise))
                     continue
+                key = id(by_rank[rank]), kind
+                if key in cells:
+                    # the same decompositions give the same Grams and search
+                    rows.append(replace(cells[key], rank=rank,
+                                        kernel_seconds=0.0, train_seconds=0.0))
+                    continue
                 decomposed = derive_kernel_inputs(by_rank[rank], kind)
-                rows.append(_evaluate_cell(
+                cells[key] = _evaluate_cell(
                     kind, rank, noise, decomposed, labels, cfg, splits,
-                    by_rank[rank][0].p))
+                    by_rank[rank][0].p)
+                rows.append(cells[key])
     rows.sort(key=_row_key)
     return CVReport(rows=rows, config=dataclasses.asdict(cfg))
 

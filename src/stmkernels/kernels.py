@@ -4,7 +4,10 @@ Four kernel families over decomposed (or dense) tensors:
 
 * ``gaussian``  - exp(-||X - Y||_F^2 / 2g^2), with the squared distance
   expanded as ||X||^2 + ||Y||^2 - 2<X,Y> and the inner products
-  contracted format-natively for Tucker, Kruskal, and TT inputs.
+  contracted format-natively for Tucker, Kruskal, and TT inputs. Tucker
+  cores are contracted stacked, per run of consecutive samples of one
+  core shape: one np.matmul per mode for the whole run, each product the
+  one a per-pair np.tensordot chain makes, bit for bit.
 * ``dusk``      - sum over CP column pairs of the product over modes of
   Gaussian scalar kernels on the factor columns.
 * ``subspace``  - product over modes of Gaussian kernels on the chordal
@@ -16,17 +19,26 @@ Every kernel value comes from one row evaluator per kind, giving
 K(x, y_j) for each y_j of a list and each length scale g of a grid. The
 g-independent part of a row (squared distances, chordal exponents) is
 computed once and exp(-d2 / 2g^2) is applied per g, so a Gram over a
-whole g grid costs about one distance pass. For ``dusk`` a pair's
-R_x x R_y exponent grid is built from exact column differences in
-blocks of its rows, and its exp terms are summed in blocks of g; no
-block holds more than `_DUSK_BLOCK` floats unless one row of the grid,
-or one g's terms, alone does. Each term is a positive exp, so nothing
-cancels. `gram_matrix` reads its samples once, in order, from any sized
-iterable, checking each and making its view as it is read, so a sample
-made on access need not outlive its view. It fills rows from the
-diagonal onward and mirrors them; the single-pair functions are the
-one-g view and average both argument orders, so swapping the inputs
-gives bitwise identical values.
+whole g grid costs about one distance pass. For ``dusk`` a row takes
+each run of consecutive pairs of one term count in blocks of pairs:
+each block of x's columns gives one block of exact differences with
+every column of the pairs' views, and one einsum turns it into
+exponents; the pairs' R_x x R_y exponent grids then take their exps per
+block of g, each exp block, (g's, pairs, terms), summed over its
+contiguous last axis once. Every block is capped twice, at `_DUSK_BLOCK`
+floats and at a pair's difference block (the rows of its grid's
+differences that fit in `_DUSK_BLOCK`), and holds more only when one row
+of differences, or one g's terms of one pair, alone does. Blocks hold
+whole pairs and split g only for a pair of its own. Each term is a
+positive exp, so nothing cancels; each exponent is the one einsum over
+the same contiguous difference row, and each g's terms of a pair are
+summed as one contiguous row, so no block moves a bit. `gram_matrix`
+reads its samples once, in order, from any sized iterable,
+checking each and making its view as it is read, so a sample made on
+access need not outlive its view. It fills rows from the diagonal onward
+and mirrors them; the single-pair functions are the one-g view and
+average both argument orders, so swapping the inputs gives bitwise
+identical values.
 Expanded squared distances are clamped at 0 against cancellation.
 """
 
@@ -130,23 +142,38 @@ def _stack(blocks):
     return np.concatenate(blocks, axis=-1), starts
 
 
+def _runs(keys):
+    """(lo, hi) of each run of equal consecutive entries of `keys`."""
+    cuts = [k for k in range(1, len(keys)) if keys[k] != keys[k - 1]]
+    return list(zip([0] + cuts, cuts + [len(keys)]))
+
+
 def _inner_row(x, ys):
     """<X, Y_j> for every y_j in `ys`, contracted format-natively."""
     if isinstance(x, np.ndarray):
         return np.array([np.vdot(x, y) for y in ys])
     if isinstance(x, TuckerTensor):
-        # <X, Y> = <G_x, G_y x_m (U_x^(m)' U_y^(m))>; each tensordot
-        # contracts the leading mode of G_y and appends the x mode last
+        # <X, Y> = <G_x, G_y x_m (U_x^(m)' U_y^(m))>. The cores of each run
+        # of samples of one core shape are contracted together: per mode,
+        # one np.matmul on the operands that each pair's np.tensordot(z,
+        # w, axes=(0, 1)) builds (z's leading mode moved last and
+        # flattened, times w's transpose), so every product is the
+        # per-pair chain's, bit for bit
         crosses = []
         for m, fx in enumerate(x.factors):
             fy, starts = _stack([y.factors[m] for y in ys])
-            crosses.append(np.split(fx.T @ fy, starts[1:], axis=1))
+            crosses.append((fx.T @ fy, starts))
         out = np.empty(len(ys))
-        for j, y in enumerate(ys):
-            z = y.core
-            for blocks in crosses:
-                z = np.tensordot(z, blocks[j], axes=(0, 1))
-            out[j] = np.vdot(x.core, z)
+        for lo, hi in _runs([y.core.shape for y in ys]):
+            z = np.stack([y.core for y in ys[lo:hi]])
+            for cross, starts in crosses:
+                n, r = z.shape[:2]
+                wt = cross[:, starts[lo]:starts[lo] + n * r].reshape(
+                    -1, n, r).transpose(1, 2, 0)
+                z = np.matmul(np.moveaxis(z, 1, -1).reshape(n, -1, r),
+                              wt).reshape(z.shape[:1] + z.shape[2:] + (-1,))
+            for j in range(lo, hi):
+                out[j] = np.vdot(x.core, z[j - lo])
         return out
     if isinstance(x, KruskalTensor):
         weights, starts = _stack([y.weights for y in ys])
@@ -180,28 +207,48 @@ def _dusk_view(x):
         np.vstack([f * scale[None, :] for f in x.factors]).T)
 
 
-# float64 entries (8 MB) a dusk pair's difference or exp block may hold
+# float64 entries (8 MB) of a dusk pair's difference block, which caps every
+# difference, exponent and exp block of a dusk row
 _DUSK_BLOCK = 2 ** 20
 
 
 def _dusk_row(xv, yvs, g):
-    # Exact column differences, one pair at a time: no cancellation. The
-    # blocks leave every bit as one block gives it: each exponent comes
-    # from the same einsum over the same difference row, and each g's
-    # terms are summed as one contiguous row.
+    # Exact column differences: no cancellation. A run of pairs of one
+    # term count is taken in blocks of pairs. Each block of x's columns
+    # gives one difference block with every column of the pairs' views,
+    # (columns, pairs, R_y, width), whose einsum sums each difference row
+    # as it does for one pair alone. The pairs' exponent grids, (pairs,
+    # R_x R_y), take their exps per block of g, each exp block summed
+    # over its contiguous last axis: each g's terms of a pair are one
+    # contiguous row, so no blocking moves a bit.
     out = np.empty((len(g), len(yvs)))
-    for j, yv in enumerate(yvs):
-        expo = np.empty((len(xv), len(yv)))
-        rows = max(1, _DUSK_BLOCK // yv.size)
-        for lo in range(0, len(xv), rows):
-            diff = xv[lo:lo + rows, None, :] - yv[None, :, :]
-            expo[lo:lo + rows] = np.einsum("ijk,ijk->ij", diff, diff)
-            del diff  # before the next block is built
-        per_block = max(1, _DUSK_BLOCK // expo.size)
-        for lo in range(0, len(g), per_block):
-            gs = g[lo:lo + per_block]
-            out[lo:lo + per_block, j] = _exp_per_g(expo, gs).reshape(
-                len(gs), -1).sum(axis=1)
+    sizes = [len(yv) for yv in yvs]
+    for lo, hi in _runs(sizes):
+        row = yvs[lo].size  # floats of one x column's differences with a y
+        terms = len(xv) * sizes[lo]
+        # a pair's difference block, the rows of its grid that fit in
+        # `_DUSK_BLOCK` floats (at least one), caps every block, unless
+        # one g's terms of one pair alone outgrow it
+        rows = max(1, _DUSK_BLOCK // row)
+        cap = max(terms, min(_DUSK_BLOCK, min(rows, len(xv)) * row))
+        pairs = max(1, min(cap // (terms * len(g)), cap // row))
+        for plo in range(lo, hi, pairs):
+            n = min(pairs, hi - plo)
+            expo = np.empty((n, len(xv), sizes[lo]))
+            ys = np.stack(yvs[plo:plo + n])
+            cols = max(1, cap // ys.size)
+            for r in range(0, len(xv), cols):
+                diff = xv[r:r + cols, None, None, :] - ys
+                expo[:, r:r + cols] = np.einsum(
+                    "ipjk,ipjk->ipj", diff, diff).transpose(1, 0, 2)
+                del diff  # before the next block is built
+            del ys  # before the exp blocks are built
+            expo = expo.reshape(n, terms)
+            per_block = max(1, cap // expo.size)
+            for glo in range(0, len(g), per_block):
+                gs = g[glo:glo + per_block]
+                out[glo:glo + per_block, plo:plo + n] = _exp_per_g(
+                    expo, gs).sum(axis=-1)
     return out
 
 

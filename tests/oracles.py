@@ -156,6 +156,40 @@ def wsek_pairwise_loop(ux_cols, uy_cols, g):
     return value
 
 
+def tucker_inner_chain(x, ys):
+    """<X, Y_j> for Tucker X and each Tucker Y_j, one pair at a time: one
+    product per mode of X's factor with every Y_j's factor, then per pair
+    a chain of np.tensordot calls, each contracting the leading mode of
+    Y_j's core and appending X's mode last, and np.vdot with X's core."""
+    crosses = []
+    for m, fx in enumerate(x.factors):
+        widths = [y.factors[m].shape[1] for y in ys]
+        cross = fx.T @ np.concatenate([y.factors[m] for y in ys], axis=1)
+        crosses.append(np.split(cross, np.cumsum(widths)[:-1], axis=1))
+    out = np.empty(len(ys))
+    for j, y in enumerate(ys):
+        z = y.core
+        for blocks in crosses:
+            z = np.tensordot(z, blocks[j], axes=(0, 1))
+        out[j] = np.vdot(x.core, z)
+    return out
+
+
+def dusk_pair_sums(xv, yvs, g):
+    """K(x, y_j) of `dusk` for every g of the 1-D array `g`, from the
+    (terms, concatenated modes) views: per pair, the whole exponent grid
+    from exact column differences, then one stack of exp(-expo / 2g^2)
+    over all g, each g's terms summed as one contiguous row."""
+    out = np.empty((len(g), len(yvs)))
+    for j, yv in enumerate(yvs):
+        diff = xv[:, None, :] - yv[None, :, :]
+        expo = np.einsum("ijk,ijk->ij", diff, diff)
+        q = -expo / (2.0 * g * g).reshape(-1, 1, 1)
+        np.exp(q, out=q)
+        out[:, j] = q.reshape(len(g), -1).sum(axis=1)
+    return out
+
+
 def subspace_projector_kernel(ux, uy, g):
     """Chordal-distance kernel evaluated with explicitly formed projectors."""
     value = 1.0

@@ -124,6 +124,21 @@ class TestWeightedHosvd:
         with pytest.raises(ValueError, match="rank 0"):
             weighted_hosvd(t, (0, 1, 1))
 
+    def test_order_zero_sample_refused(self, monkeypatch):
+        # a scalar, with or without ranks, and a 1-D batch are samples of
+        # order 0, refused before any SVD runs
+        from stmkernels import decomp
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        monkeypatch.setattr(decomp, "_left_svds", no_svd)
+        for call in (lambda: weighted_hosvd(np.float64(2.0), ()),
+                     lambda: weighted_hosvd(2.0, (1,)),
+                     lambda: weighted_hosvd(np.ones(4), (1,), batch=True)):
+            with pytest.raises(ValueError, match="order 0"):
+                call()
+
     def test_tiny_tensor_is_not_all_zero(self):
         # a plain sum of squares underflows to 0 here, yet the SVD is fine;
         # only a tensor of exact zeros is rejected

@@ -880,6 +880,37 @@ class TestRunExperiment:
         assert len(calls) == feasible_groups * len(cfg.kernels)
         assert all(spec.g == cfg.g_grid for spec in calls)
 
+    def test_one_gram_per_decomposition_list_and_kernel(self, monkeypatch):
+        # on r_approx 2, ranks 3 and 4 decompose at the core's size and
+        # share rank 2's decompositions, so their cells are rank 2's rows,
+        # computed once: one Gram per kernel and noise level, no more
+        from stmkernels import harness
+        calls = []
+
+        def counting_gram(samples, spec):
+            calls.append(spec.kind)
+            return gram_matrix(samples, spec)
+
+        monkeypatch.setattr(harness, "gram_matrix", counting_gram)
+        cfg = tiny_experiment(noise_grid=(0.01, 0.1), rank_grid=(2, 3, 4),
+                              kernels=("gaussian", "dusk", "wsek"))
+        rows = run_experiment(cfg).rows
+        assert sorted(calls) == sorted(2 * cfg.kernels)
+        monkeypatch.undo()
+        for rank in cfg.rank_grid:
+            alone = run_experiment(replace(cfg, rank_grid=(rank,))).rows
+            assert [r for r in rows if r.rank == rank] == alone
+
+    def test_reused_cell_times_no_work(self):
+        cfg = tiny_experiment(rank_grid=(2, 3), measure_time=True)
+        by_rank = {}
+        for row in run_experiment(cfg).rows:
+            by_rank.setdefault(row.rank, []).append(row)
+        assert all(r.kernel_seconds > 0 and r.train_seconds > 0
+                   for r in by_rank[2])
+        assert all(r.kernel_seconds == r.train_seconds == 0.0
+                   for r in by_rank[3])
+
     @pytest.mark.parametrize("per_class, folds", [(2, 3), (1, 2)])
     def test_fold_left_empty_rejected_before_decomposing(
             self, monkeypatch, per_class, folds):

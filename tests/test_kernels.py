@@ -29,8 +29,10 @@ from stmkernels.kernels import (
 
 from oracles import (
     dusk_double_loop,
+    dusk_pair_sums,
     gauss_scalar,
     subspace_projector_kernel,
+    tucker_inner_chain,
     wsek_pairwise_loop,
 )
 
@@ -608,3 +610,121 @@ class TestDuskBlocks:
         # block and its einsum, or an exp block and its quotient), the
         # exponent grid, its negation and the output, and both views
         assert peak < 8 * (2 * cap + 3 * terms ** 2 + 2 * terms * width)
+
+
+def _reference_gram(monkeypatch, samples, kind, g):
+    """`gram_matrix` with the per-pair references of tests/oracles.py in
+    place of the Tucker inner-product row and the `dusk` row."""
+    from stmkernels import kernels
+    inner = kernels._inner_row
+    required, view, _, unit_diagonal = kernels._EVALUATORS["dusk"]
+    with monkeypatch.context() as patched:
+        patched.setattr(kernels, "_inner_row", lambda x, ys: (
+            tucker_inner_chain(x, ys) if isinstance(x, TuckerTensor)
+            else inner(x, ys)))
+        patched.setitem(kernels._EVALUATORS, "dusk",
+                        (required, view, dusk_pair_sums, unit_diagonal))
+        return gram_matrix(samples, KernelSpec(kind, g=g))
+
+
+def _generated(mode, ranks, p, seed=7):
+    """Decompositions of generated samples at each rank, by the harness's
+    path, rank -> list."""
+    from stmkernels import harness
+    from stmkernels.synth import SynthConfig, generate
+    cfg = SynthConfig(scenario="leaf", mode_size=mode, r_exact=3,
+                      r_approx=max(ranks), noise_variance=0.1,
+                      samples_per_class=3, seed=seed)
+    samples = [s.tensor for s in generate(cfg)]
+    return harness._decompose_by_rank(samples, ranks, p, 0.1)
+
+
+def _with_layout(t, layout):
+    """TuckerTensor `t` with its core copied into `layout` ("C" or "F")."""
+    return TuckerTensor(np.array(t.core, order=layout), t.factors, t.sigmas,
+                        t.p)
+
+
+class TestRowBits:
+    """The stacked Tucker contractions of `gaussian` and the blocks of
+    `dusk` pairs give every bit of the per-pair references."""
+
+    GRIDS = (G_GRID_17, 1.5)
+
+    def assert_bitwise(self, monkeypatch, samples, kind):
+        for g in self.GRIDS:
+            got = gram_matrix(samples, KernelSpec(kind, g=g))
+            expected = _reference_gram(monkeypatch, samples, kind, g)
+            assert got.tobytes() == expected.tobytes(), (kind, g)
+
+    @pytest.mark.parametrize("mode", [20, 50, 100])
+    @pytest.mark.parametrize("p", [None, 0.0, 0.5])
+    def test_generated_decompositions(self, monkeypatch, mode, p):
+        from stmkernels.harness import derive_kernel_inputs
+        by_rank = _generated(mode, range(1, 11), p)
+        for rank, tuckers in by_rank.items():
+            assert tuckers[0].ranks == (rank,) * 3
+            self.assert_bitwise(monkeypatch, tuckers, "gaussian")
+            if rank <= 4:  # rank r has r**6 CP term pairs per entry
+                self.assert_bitwise(
+                    monkeypatch, derive_kernel_inputs(tuckers, "dusk"), "dusk")
+
+    def test_mixed_ranks(self, monkeypatch):
+        # runs of one core shape of lengths 1 to 3, and shapes that recur
+        rng = np.random.default_rng(50)
+        ranks = [(1, 1, 1), (2, 3, 1), (2, 3, 1), (3, 3, 3), (2, 3, 1),
+                 (3, 3, 3), (3, 3, 3), (3, 3, 3), (1, 2, 3), (4, 2, 2)]
+        samples = [weighted_hosvd(rng.standard_normal((8, 7, 6)), r)
+                   for r in ranks]
+        self.assert_bitwise(monkeypatch, samples, "gaussian")
+        self.assert_bitwise(monkeypatch, samples[::-1], "gaussian")
+
+    @pytest.mark.parametrize("ranks", [(3, 4, 5), (10, 9, 8)])
+    @pytest.mark.parametrize("layout", ["C", "F", "mixed"])
+    def test_per_mode_ranks_and_core_layouts(self, monkeypatch, ranks, layout):
+        rng = np.random.default_rng(51)
+        samples = [weighted_hosvd(rng.standard_normal((12, 11, 10)), ranks)
+                   for _ in range(7)]
+        layouts = "CCFFFCF" if layout == "mixed" else layout * 7
+        samples = [_with_layout(t, order) for t, order in zip(samples, layouts)]
+        assert [t.core.flags.c_contiguous for t in samples] == [
+            order == "C" for order in layouts]
+        self.assert_bitwise(monkeypatch, samples, "gaussian")
+
+    def test_cp_lists_of_mixed_term_counts(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        terms = [1, 4, 4, 9, 4, 9, 9, 2, 27, 1]
+        samples = [KruskalTensor([rng.standard_normal((n, r)) for n in (9, 8, 7)],
+                                 rng.uniform(0.5, 2.0, r)) for r in terms]
+        self.assert_bitwise(monkeypatch, samples, "dusk")
+        self.assert_bitwise(monkeypatch, samples, "gaussian")
+
+    @pytest.mark.parametrize("cap, grid, grouped, split_g", [
+        (None, G_GRID_17, True, False),
+        (30000, G_GRID_17, True, False),
+        (8000, G_GRID_17, True, True),
+        (8000, (1.5,), True, False),
+        (1, G_GRID_17, False, True)])
+    def test_dusk_blocks_split_pairs_and_g(self, monkeypatch, cap, grid,
+                                           grouped, split_g):
+        # mode 20: pairs of 27 x 27, 27 x 8 and 8 x 8 terms, over 60 rows.
+        # At a cap of 8000 a 27 x 27 pair's 17 g split into blocks of 8,
+        # while 27 x 8 pairs go 2 to a block; a cap of 1 leaves one g of
+        # one pair per block
+        from stmkernels import kernels
+        samples = dusk_samples(3, mode=20, n=7) + dusk_samples(2, mode=20, n=3)
+        if cap is not None:
+            monkeypatch.setattr(kernels, "_DUSK_BLOCK", cap)
+        blocks = []  # (pairs, g's) of each exp block
+        exp_per_g = kernels._exp_per_g
+
+        def recording(expo, g):
+            blocks.append((len(expo), len(g)))
+            return exp_per_g(expo, g)
+
+        monkeypatch.setattr(kernels, "_exp_per_g", recording)
+        got = gram_matrix(samples, KernelSpec("dusk", g=grid))
+        assert (max(p for p, _ in blocks) > 1) == grouped
+        assert (min(n for _, n in blocks) < len(grid)) == split_g
+        expected = _reference_gram(monkeypatch, samples, "dusk", grid)
+        assert got.tobytes() == expected.tobytes()
