@@ -10,14 +10,16 @@ its entry of maximum absolute value is positive (ties broken by the
 smallest row index). This makes repeated decompositions of the same input
 bitwise identical.
 
-Left singular vectors of a wide unfolding (at least int(11 M / 6) columns
-for M rows) come from its LQ factor: LAPACK's dgelqf on a private copy,
-then the SVD of the M x M triangle L. That is the first half of what
-`np.linalg.svd` runs on such a matrix (dgesdd's LQ path), so U and sigma
-are bitwise the same; only the right singular vectors, which nothing
-here reads, are never formed. Tall, square and narrower unfoldings, a
-numpy without an ILP64 dgelqf, and magnitudes that dgesdd would rescale
-take the plain `np.linalg.svd` call.
+Left singular vectors of a lone wide unfolding (at least int(11 M / 6)
+columns for M rows) come from its LQ factor: LAPACK's dgelqf on a
+source's buffer in place or on a private copy, then the SVD of the M x M
+triangle L. That is the first half of what `np.linalg.svd` runs on such
+a matrix (dgesdd's LQ path), so U and sigma are bitwise the same; only
+the right singular vectors, which nothing here reads, are never formed.
+Tall, square and narrower unfoldings, a numpy without an ILP64 dgelqf,
+and magnitudes that dgesdd would rescale take the plain `np.linalg.svd`
+call. One function, `_left_svds`, holds both routes and the ST-HOSVD's
+one np.linalg.svd call.
 
 The decomposition reads one layout, F order (mode 1 varies fastest, as
 in `matricize` and the tensor container). Its input is a tensor or a
@@ -25,19 +27,19 @@ source, a function that gives the tensor anew, F-ordered, such as a
 re-read of a container into one buffer or a new `tucker_reconstruct`
 build at each call. A tensor is held beside a copy of itself only while
 the mode-1 SVD runs: the private copy dgelqf overwrites. A source is
-called once for that SVD, which dgelqf runs in place, and, only when the
-mode-1 unfolding is wide, once more for every rank's mode-1 projections,
-one array at a time; np.linalg.svd leaves any other unfolding as it
-was, so the projections read the first array. The projections read an
-F-ordered tensor in place, any other through one F-ordered copy, and
+called once for that SVD, which dgelqf runs in place, and once more for
+every rank's mode-1 projections only after dgelqf has overwritten it,
+one array at a time; np.linalg.svd leaves its input as it was, so
+otherwise the projections read the first array. The projections read
+an F-ordered tensor in place, any other through one F-ordered copy, and
 that tensor is dropped before any rank's modes 2...M run.
 
 The ST-HOSVD has one path, on a batch: tensors of one shape stacked on
 a leading sample axis, each step on all samples at once. A lone tensor
-or source is the batch of one. A batch of one takes `_left_svd`'s
-routes, dgelqf in place on a source's buffer among them; a larger batch
-takes one stacked np.linalg.svd per mode, whose U and sigma are the bits
-of those routes. After the mode-1 SVD every sample is laid out F-ordered
+or source is the batch of one. A batch of one may take the LQ route,
+dgelqf in place on a source's buffer among them; a larger batch takes
+one stacked np.linalg.svd per mode, whose U and sigma are the bits of
+those routes. After the mode-1 SVD every sample is laid out F-ordered
 once, in place when it already is, and each later step lays out each
 sample's matrices as a decomposition of that tensor alone lays them out,
 so stacked matrix products run BLAS on each sample as a lone call does
@@ -135,10 +137,15 @@ class KruskalTensor:
 
     def __post_init__(self):
         self.factors = [np.asarray(f, dtype=np.float64) for f in self.factors]
-        rank = self.factors[0].shape[1]
+        if not self.factors:
+            raise ValueError("at least one factor is required")
         for m, f in enumerate(self.factors):
-            if f.ndim != 2 or f.shape[1] != rank:
-                raise ValueError(f"factor {m + 1} does not have rank {rank}")
+            if f.ndim != 2:
+                raise ValueError(f"factor {m + 1} is not a matrix")
+            if f.shape[1] != self.rank:
+                raise ValueError(
+                    f"factor {m + 1} does not have rank {self.rank}")
+        rank = self.rank
         if self.weights is None:
             self.weights = np.ones(rank)
         else:
@@ -171,12 +178,13 @@ class TTTensor:
         self.cores = [np.asarray(c, dtype=np.float64) for c in self.cores]
         if not self.cores:
             raise ValueError("at least one core is required")
+        for k, c in enumerate(self.cores):
+            if c.ndim != 3:
+                raise ValueError(f"core {k + 1} is not of order 3")
+            if k and self.cores[k - 1].shape[2] != c.shape[0]:
+                raise ValueError(f"rank mismatch between cores {k} and {k + 1}")
         if self.cores[0].shape[0] != 1 or self.cores[-1].shape[2] != 1:
             raise ValueError("boundary ranks must equal 1")
-        for k in range(len(self.cores) - 1):
-            if self.cores[k].shape[2] != self.cores[k + 1].shape[0]:
-                raise ValueError(
-                    f"rank mismatch between cores {k + 1} and {k + 2}")
 
     @property
     def order(self):
@@ -349,40 +357,6 @@ def _wide(rows, cols):
     return rows < cols and cols >= int(rows * 11.0 / 6.0)
 
 
-def _left_svd(g, m, build=None):
-    """Left singular vectors and values of the mode-(m+1) unfolding.
-
-    Bitwise equal to the U and sigma of `np.linalg.svd(X,
-    full_matrices=False)`. For a wide unfolding X (M x N with N at least
-    LAPACK's crossover int(11 M / 6)), that call's dgesdd LQ-factors X =
-    L Q by dgelqf, takes the SVD of the M x M triangle L, then forms Q
-    only to build the right singular vectors. Here dgelqf runs on a
-    private F-ordered copy of X (never the caller's tensor) and the SVD
-    of L comes from `np.linalg.svd`: the same LAPACK calls on the same
-    bits, without Q, V^T or their N-column buffers. Given `build`, the
-    source `g` was built by (see `weighted_hosvd`), dgelqf runs on `g`
-    itself when its unfolding is F-contiguous, and the plain call, should
-    it be needed afterwards, reads `build()` again. The plain call runs
-    instead for a tall, square or narrower unfolding, without an ILP64
-    dgelqf, or when X or L would be rescaled by dgesdd (see `_unscaled`).
-    """
-    x = matricize(g, m + 1)
-    if _wide(*x.shape) and _unscaled(x) and _dgelqf() is not None:
-        # matricize copies unless `g` is F-ordered; a view of `g` must be
-        # copied unless `g` is the caller's to overwrite
-        if not x.flags.f_contiguous or (
-                build is None and np.may_share_memory(x, g)):
-            x = x.copy(order="F")
-        low = _lq_lower(x)
-        if low is not None and _unscaled(low):
-            u, s, _ = np.linalg.svd(low, full_matrices=False)
-            return u, s
-        # dgelqf has overwritten x
-        x = matricize(g if build is None else build(), m + 1)
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
-    return u, s
-
-
 class _Refused(ValueError):
     """A batch's refusal of one sample: `index` names the sample, and
     `reason` is the ValueError a call on that sample alone raises."""
@@ -414,15 +388,15 @@ def weighted_hosvd(t, ranks, p=None, *, batch=False):
     overwrites it. That array may be one buffer filled anew (a `data_dir`
     sample's container, read again) or new on each call (a
     `tucker_reconstruct` build). A source is called once for the mode-1
-    SVD. Only when the mode-1 unfolding is wide (dgelqf's route, `_wide`)
-    is it called once more for the mode-1 projections, after the first
-    array is dropped; otherwise the projections read the first array,
-    which np.linalg.svd left as it was. Either way the tensor is held
-    dense once at a time. A tensor is held beside the private copy that
-    dgelqf overwrites while the mode-1 SVD runs, and the projections read
-    it in place when F-ordered, else through one F-ordered copy. Either
-    way it is decomposed as the batch of one, `t[None]`, and the result
-    is that sample's.
+    SVD. Only when dgelqf has factored that array in place (see
+    `_left_svds`) is it called once more for the mode-1 projections,
+    after the first array is dropped; otherwise the projections read the
+    first array, which np.linalg.svd left as it was. Either way the
+    tensor is held dense once at a time. A tensor is held beside the
+    private copy that dgelqf overwrites while the mode-1 SVD runs, and
+    the projections read it in place when F-ordered, else through one
+    F-ordered copy. Either way it is decomposed as the batch of one,
+    `t[None]`, and the result is that sample's.
 
     `ranks` is either one per-mode rank tuple, which returns one
     TuckerTensor, or a sequence of such tuples, which returns a list with
@@ -438,14 +412,15 @@ def weighted_hosvd(t, ranks, p=None, *, batch=False):
     what `weighted_hosvd(t[k], ranks, p)` returns for each sample k, bit
     for bit: the samples are decomposed together, each step on all of
     them at once (one stacked np.linalg.svd per mode and entry, whose U
-    and sigma are the bits of `_left_svd`'s routes by construction; a
-    batch of one takes those routes), and laid out F-ordered once, after
-    the mode-1 SVD, each sample as a lone tensor is projected. `p`
-    defaults to 1/M with M the samples' order. The first sample in order
-    that a call of its own would refuse, all-zero or with sigma**p that
-    float64 cannot hold, is refused by a ValueError whose `index` names
-    it and whose `reason` is that call's error. Without `batch`, no input
-    changes meaning: a nested sequence is still one tensor.
+    and sigma are the bits of a batch of one's routes by construction,
+    see `_left_svds`), and laid out F-ordered once, after the mode-1
+    SVD, each sample as a lone tensor is projected. `p` defaults to 1/M
+    with M the samples' order. Every sample is decomposed; then the
+    first sample in order that a call of its own would refuse, all-zero
+    or with sigma**p that float64 cannot hold, is refused by a
+    ValueError whose `index` names it and whose `reason` is that call's
+    error. Without `batch`, no input changes meaning: a nested sequence
+    is still one tensor.
 
     A sample of order 0 (a scalar, or a 1-D array with `batch`) is
     refused by a ValueError before any SVD.
@@ -470,26 +445,20 @@ def weighted_hosvd(t, ranks, p=None, *, batch=False):
     if p is None:
         p = 1.0 / len(shape)
     nonzero = np.any(g, axis=tuple(range(1, g.ndim)))
-    live = len(nonzero) if nonzero.all() else int(np.argmin(nonzero))
-
-    stages = []  # per entry, _truncate's arrays for the samples before `live`
-    if live:
-        g = g[:live]
-        u, s = _left_svds(g, 0, build)
-        if build and _wide(shape[0], g[0].size // shape[0]):
-            del g  # dgelqf has overwritten the first build
-            g = build()[None]
-        # each sample F-ordered, as the projections read it: no copy of
-        # one that already is
-        g = np.moveaxis(np.asfortranarray(np.moveaxis(g, 0, -1)), -1, 0)
-        heads = [_project(g, u, s, r[0], 0) for r in grid]
-        del g  # only the mode-1 projections read it
-        stages = [_truncate(*head, r, p) for head, r in zip(heads, grid)]
+    u, s, g = _left_svds(g, 0, build)
+    if g is None:  # dgelqf has overwritten the source's buffer
+        g = build()[None]
+    # each sample F-ordered, as the projections read it: no copy of one
+    # that already is
+    g = np.moveaxis(np.asfortranarray(np.moveaxis(g, 0, -1)), -1, 0)
+    heads = [_project(g, u, s, r[0], 0) for r in grid]
+    del g  # only the mode-1 projections read it
+    stages = [_truncate(*head, r, p) for head, r in zip(heads, grid)]
 
     out = []
     for k in range(len(nonzero)):
         try:
-            if k == live:
+            if not nonzero[k]:
                 raise ValueError("cannot decompose an all-zero tensor")
             tuckers = []
             for core, factors, sigmas, held in stages:
@@ -513,7 +482,8 @@ def _unfold(g, m):
     at m = 0, else an F-ordered copy."""
     # the samples as the last, slowest-varying, columns of one unfolding
     x = matricize(np.moveaxis(g, 0, -1), m + 1)
-    return np.moveaxis(x.reshape(len(x), -1, len(g), order="F"), -1, 0)
+    shape = (len(x), np.prod(g.shape[1:]) // len(x), len(g))
+    return np.moveaxis(x.reshape(shape, order="F"), -1, 0)
 
 
 def _fold(y, m, shape):
@@ -526,16 +496,42 @@ def _fold(y, m, shape):
 
 
 def _left_svds(g, m, build=None):
-    """`_left_svd` of each tensor of the batch `g`, stacked on a leading
-    axis. A batch of one takes `_left_svd`'s routes (dgelqf in place on a
-    source's buffer given `build`, see `weighted_hosvd`); a larger one,
-    one stacked np.linalg.svd, whose U and sigma are the bits `_left_svd`
-    gives for each tensor."""
-    if len(g) == 1:
-        u, s = _left_svd(g[0], m, build)
-        return u[None], s[None]
-    u, s, _ = np.linalg.svd(_unfold(g, m), full_matrices=False)
-    return u, s
+    """(u, s, g): the left singular vectors and values of the
+    mode-(m+1) unfolding of each tensor of the batch `g`, stacked on a
+    leading axis, and the batch the projections must read, `g` itself, or
+    None when dgelqf overwrote the buffer of the source `build` (see
+    `weighted_hosvd`), which must then be built again.
+
+    U and sigma are bitwise those of `np.linalg.svd(X,
+    full_matrices=False)` on each unfolding X, all taken by one stacked
+    call, except in one case. For a batch of one whose X is wide (M x N
+    with N at least LAPACK's crossover int(11 M / 6)), that call's dgesdd
+    LQ-factors X = L Q by dgelqf, takes the SVD of the M x M triangle L,
+    then forms Q only to build the right singular vectors. Here dgelqf
+    runs on the source's buffer in place when X is a view of it, and
+    otherwise on a private F-ordered copy of X (never the caller's
+    tensor), and the SVD of L comes from `np.linalg.svd`: the same LAPACK
+    calls on the same bits, without Q, V^T or their N-column buffers. The
+    plain call runs instead without an ILP64 dgelqf, or when X or L would
+    be rescaled by dgesdd (see `_unscaled`). A source is built again only
+    after dgelqf overwrote its buffer: here, when L is refused, for the
+    plain call, whose batch is returned for the projections; else by the
+    caller, on None.
+    """
+    x = _unfold(g, m)
+    if (len(g) == 1 and _wide(*x.shape[1:]) and _unscaled(x)
+            and _dgelqf() is not None):
+        a = x[0]
+        if not a.flags.f_contiguous or (
+                build is None and np.may_share_memory(a, g)):
+            a = a.copy(order="F")
+        low = _lq_lower(a)
+        lq = low is not None and _unscaled(low)
+        if np.may_share_memory(a, g):  # dgelqf has overwritten the buffer
+            g = None if lq else build()[None]
+        x = low[None] if lq else _unfold(g, m)
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    return u, s, g
 
 
 def _project(g, u, s, r, m):
@@ -560,7 +556,7 @@ def _truncate(u, s, g, ranks, p):
     basis = [u]
     sigmas = [s]
     for m in range(1, len(ranks)):
-        u, s, g = _project(g, *_left_svds(g, m), ranks[m], m)
+        u, s, g = _project(g, *_left_svds(g, m)[:2], ranks[m], m)
         basis.append(u)
         sigmas.append(s)
     for m, s in enumerate(sigmas):
@@ -703,7 +699,7 @@ def cp_als(t, rank, max_iters=200, tol=1e-8):
     pad_rng = np.random.default_rng(8191)
     factors = []
     for m in range(order):
-        u = _left_svd(t, m)[0]
+        u = _left_svds(t[None], m)[0][0]
         have = min(rank, u.shape[1])
         f = u[:, :have]
         if have < rank:
@@ -873,12 +869,8 @@ def tucker_to_cp(tt):
     idx = np.unravel_index(np.arange(rank), core_shape, order="F")
     scale = np.abs(g) ** (1.0 / order)
     sign = np.where(g < 0, -1.0, 1.0)
-    factors = []
-    for m in range(order):
-        a = tt.factors[m][:, idx[m]] * scale[None, :]
-        if m == 0:
-            a = a * sign[None, :]
-        factors.append(a)
+    factors = [f[:, i] * scale for f, i in zip(tt.factors, idx)]
+    factors[0] = factors[0] * sign
     return KruskalTensor(factors, np.ones(rank))
 
 

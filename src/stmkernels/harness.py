@@ -5,10 +5,10 @@ stratified k-fold cross-validation, and deterministic CSV/JSON reporting.
 A run holds at most one dense sample at a time: a data directory's
 manifest is read first (labels and their checks), and each container is
 then read and checked into one buffer, and decomposed, before the next
-is read. When the sample's mode-1 unfolding is wide, dgelqf overwrites
-that buffer, and the container is read and checked once more for the
-mode-1 projections; otherwise the projections read the buffer as first
-read. The buffer serves sample after sample and is dropped when the
+is read. Only when dgelqf has factored that buffer in place, which it
+does for a wide mode-1 unfolding when numpy exports an ILP64 dgelqf, is
+the container read and checked once more for the mode-1 projections;
+otherwise the projections read the buffer as first read. The buffer serves sample after sample and is dropped when the
 noise level's decompositions end. Generated samples, exact Tucker
 tensors, are never built dense: a noise level's samples are decomposed
 together, as one batch, from their cores (`_decompose_cores`); a rank
@@ -442,7 +442,8 @@ def _source(s, read):
     """The source weighted_hosvd decomposes for the container that `read`
     read into `s`: it returns `s` as read, then reads the container into
     `s` again at each later call, so dgelqf factors `s` in place;
-    `weighted_hosvd` calls it again only after a wide mode-1 unfolding."""
+    `weighted_hosvd` calls it again only after dgelqf has overwritten
+    `s`."""
     unread = [s]  # the first call's tensor is read already
     return lambda: unread.pop() if unread else read(s)
 
@@ -583,7 +584,7 @@ def run_experiment(cfg):
     whose sigma**p float64 cannot hold for some sample raises ValueError
     naming the sample and its noise level. A `data_dir` sample is read
     only when its turn to be decomposed comes, and read again for its
-    mode-1 projections when its mode-1 unfolding is wide, so a bad one,
+    mode-1 projections when dgelqf factored it in place, so a bad one,
     or one that changed between its reads, is refused, with
     `load_dataset`'s message, after the samples before it have been
     decomposed.

@@ -287,13 +287,13 @@ class TestWeightedHosvd:
     def test_rank_grid_shares_the_mode1_svd(self, monkeypatch):
         import stmkernels.decomp as decomp
         modes = []
-        real = decomp._left_svd
+        real = decomp._left_svds
 
         def counting(g, m, *build):
             modes.append(m)
             return real(g, m, *build)
 
-        monkeypatch.setattr(decomp, "_left_svd", counting)
+        monkeypatch.setattr(decomp, "_left_svds", counting)
         t = np.random.default_rng(11).standard_normal((5, 4, 3))
         weighted_hosvd(t, [(1, 1, 1), (2, 2, 2), (3, 3, 3)])
         assert modes.count(0) == 1
@@ -336,8 +336,8 @@ class TestWeightedHosvd:
         import tracemalloc
 
         t = np.asfortranarray(np.random.default_rng(18).standard_normal((64, 64, 64)))
-        decomp._left_svd(t[:4, :4, :4], 0)  # bind dgelqf outside the trace
-        real = decomp._left_svd
+        decomp._left_svds(t[None, :4, :4, :4], 0)  # bind dgelqf outside the trace
+        real = decomp._left_svds
         seen = []
 
         def recording(g, m, *build):
@@ -345,7 +345,7 @@ class TestWeightedHosvd:
                 seen.append(tracemalloc.get_traced_memory()[0])
             return real(g, m, *build)
 
-        monkeypatch.setattr(decomp, "_left_svd", recording)
+        monkeypatch.setattr(decomp, "_left_svds", recording)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -369,10 +369,10 @@ class TestWeightedHosvd:
     def test_rank_grid_validated_before_any_svd(self, monkeypatch):
         import stmkernels.decomp as decomp
 
-        def no_svd(g, m):
+        def no_svd(g, m, build=None):
             raise AssertionError("SVD before all ranks were validated")
 
-        monkeypatch.setattr(decomp, "_left_svd", no_svd)
+        monkeypatch.setattr(decomp, "_left_svds", no_svd)
         t = np.random.default_rng(13).standard_normal((3, 3, 3))
         with pytest.raises(ValueError, match="rank 4"):
             weighted_hosvd(t, [(2, 2, 2), (4, 3, 3)])
@@ -463,6 +463,10 @@ class TestBatch:
         assert err.value.index == 1
         with pytest.raises(ValueError, match="^sample 0: cannot decompose"):
             weighted_hosvd(np.zeros((2, 3, 3, 3)), (1, 1, 1), batch=True)
+
+    def test_empty_batch_gives_no_decomposition(self):
+        assert weighted_hosvd(np.empty((0, 4, 5)), [(1, 1), (2, 2)],
+                              batch=True) == []
 
     def test_without_batch_a_stack_is_one_tensor(self):
         # the leading axis is a mode of one tensor unless batch is set
@@ -570,8 +574,10 @@ class TestSource:
 
     @pytest.mark.parametrize("fallback", ["x-scaled", "l-scaled", "no-dgelqf"])
     def test_fallbacks_rebuild_what_dgelqf_consumed(self, monkeypatch, fallback):
-        # the plain SVD after a refusal reads the tensor dgelqf did not
-        # overwrite: the source is built again once it did
+        # the source is built again only once dgelqf has overwritten it:
+        # without dgelqf, or with X out of dgesdd's unscaled range, the
+        # plain SVD and the projections read the first build; after L's
+        # refusal, they read the second
         rng = np.random.default_rng(62)
         tt = TuckerTensor(core=rng.standard_normal((3, 3, 3)),
                           factors=[rng.standard_normal((i, 3))
@@ -596,7 +602,7 @@ class TestSource:
             got = weighted_hosvd(build, self.GRID)
             self._assert_same(got, weighted_hosvd(base * scale, self.GRID))
         rebuilt = fallback == "l-scaled"
-        assert len(log) == (3 if rebuilt else 2)
+        assert len(log) == (2 if rebuilt else 1)
 
     def test_source_holds_one_dense_tensor(self):
         # a mode-64 Tucker source peaks about one dense tensor above its
@@ -891,6 +897,13 @@ class TestKruskalValidation:
      "cannot reweight without sigma vectors"),
     (lambda: tt_svd(np.ones((3, 3, 3)), (2,)),
      "expected 2 interior ranks, got 1"),
+    (lambda: KruskalTensor([]), "at least one factor is required"),
+    (lambda: KruskalTensor([np.ones(3)]), "factor 1 is not a matrix"),
+    (lambda: KruskalTensor([np.ones((3, 2)), np.ones(3)]),
+     "factor 2 is not a matrix"),
+    (lambda: TTTensor([np.ones((1, 3))]), "core 1 is not of order 3"),
+    (lambda: TTTensor([np.ones((1, 3, 2)), np.ones((2, 3))]),
+     "core 2 is not of order 3"),
 ])
 def test_malformed_representations_rejected(build, message):
     with pytest.raises(ValueError) as err:
@@ -959,7 +972,7 @@ _LEFT_SVD_CASES = {
 
 
 class TestLeftSvd:
-    """`_left_svd` returns the U and sigma of `np.linalg.svd` bit for bit,
+    """`_left_svds` returns the U and sigma of `np.linalg.svd` bit for bit,
     whichever route it takes."""
 
     @staticmethod
@@ -986,10 +999,12 @@ class TestLeftSvd:
         if not bound:
             monkeypatch.setattr(decomp, "_dgelqf", lambda: None)
         shapes = self._svd_inputs(monkeypatch)
-        u, s = decomp._left_svd(x, 0)
-        assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref)
+        batch = x[None]
+        u, s, g = decomp._left_svds(batch, 0)
+        assert np.array_equal(u[0], u_ref) and np.array_equal(s[0], s_ref)
+        assert g is batch  # the caller's, intact, for the projections
         rows = x.shape[0]
-        assert shapes == [(rows, rows) if lq and bound else x.shape]
+        assert shapes == [(1, rows, rows) if lq and bound else (1,) + x.shape]
 
     @pytest.mark.parametrize("mode", [50, 64])
     def test_lq_bits_do_not_follow_the_buffer_address(self, mode):
@@ -1016,10 +1031,10 @@ class TestLeftSvd:
         t = np.asfortranarray(
             np.random.default_rng(41).standard_normal((10, 40, 30)))
         before = t.copy()
-        u, s = decomp._left_svd(t, 0)
+        u, s, _ = decomp._left_svds(t[None], 0)
         tk = weighted_hosvd(t, (3, 3, 3))
         assert np.array_equal(t, before)
-        u_ref, s_ref = decomp._left_svd(before, 0)
+        u_ref, s_ref, _ = decomp._left_svds(before[None], 0)
         assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref)
         ref = weighted_hosvd(before, (3, 3, 3))
         assert np.array_equal(tk.core, ref.core)
@@ -1033,10 +1048,10 @@ class TestLeftSvd:
 
         import stmkernels.decomp as decomp
         t = np.random.default_rng(42).standard_normal((100, 100, 100))
-        decomp._left_svd(t[:4, :4, :4], 0)  # bind dgelqf outside the trace
+        decomp._left_svds(t[None, :4, :4, :4], 0)  # bind dgelqf outside the trace
         tracemalloc.start()
         try:
-            decomp._left_svd(t, 0)
+            decomp._left_svds(t[None], 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1558,35 +1558,56 @@ class TestThreads:
         # a (40, 4, 4) sample's mode-1 unfolding is tall: np.linalg.svd
         # leaves the buffer as read, and the projections read it
         # there, so each container is read once
-        from stmkernels import decomp, harness
-        from stmkernels.harness import _decompose_by_rank, _open_dataset
-        rng = np.random.default_rng(40)
-        save_dataset([sk.LabeledSample(rng.standard_normal((40, 4, 4)),
-                                       (-1) ** k) for k in range(8)], tmp_path)
-        grid = [(r, r, r) for r in (1, 2, 3)]
-        with decomp._blas_threads(1):
-            expected = [decomp.weighted_hosvd(t, grid)
-                        for t in load_dataset(tmp_path).samples]
-        real_load = harness.load_tensor
-        reads = Counter()
+        _assert_each_container_read_once(tmp_path, monkeypatch, (40, 4, 4))
 
-        def counting(path, out=None):
-            reads[path] += 1
-            return real_load(path, out=out)
+    def test_wide_first_mode_data_dir_without_dgelqf_is_read_once(
+            self, tmp_path, monkeypatch):
+        # a (6, 5, 5) sample's mode-1 unfolding is wide, but without an
+        # ILP64 dgelqf it takes the plain np.linalg.svd, which leaves the
+        # buffer as read, so each container is read once here too
+        from stmkernels import decomp
+        decomp._dgelqf.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(decomp, "_dgelqf", lambda: None)
+                _assert_each_container_read_once(tmp_path, m, (6, 5, 5))
+        finally:
+            decomp._dgelqf.cache_clear()
 
-        monkeypatch.setattr(harness, "load_tensor", counting)
-        with decomp._blas_threads(1):
-            got = _decompose_by_rank(_open_dataset(tmp_path)[1], (1, 2, 3),
-                                     None, math.nan)
-        assert len(reads) == 8 and set(reads.values()) == {1}
-        assert list(got) == [1, 2, 3]
-        for rank, tuckers in got.items():
-            for a, tk in zip(tuckers, expected, strict=True):
-                b = tk[rank - 1]
-                assert a.p == b.p and np.array_equal(a.core, b.core)
-                for x, y in zip(a.factors + a.sigmas, b.factors + b.sigmas,
-                                strict=True):
-                    assert np.array_equal(x, y)
+
+def _assert_each_container_read_once(tmp_path, monkeypatch, shape):
+    """Eight containers of `shape`, decomposed through `data_dir`'s path
+    at ranks 1, 2 and 3, are each read once and give the bits of
+    `weighted_hosvd` on `load_dataset`'s arrays."""
+    from stmkernels import decomp, harness
+    from stmkernels.harness import _decompose_by_rank, _open_dataset
+    rng = np.random.default_rng(40)
+    save_dataset([sk.LabeledSample(rng.standard_normal(shape), (-1) ** k)
+                  for k in range(8)], tmp_path)
+    grid = [(r, r, r) for r in (1, 2, 3)]
+    with decomp._blas_threads(1):
+        expected = [decomp.weighted_hosvd(t, grid)
+                    for t in load_dataset(tmp_path).samples]
+    real_load = harness.load_tensor
+    reads = Counter()
+
+    def counting(path, out=None):
+        reads[path] += 1
+        return real_load(path, out=out)
+
+    monkeypatch.setattr(harness, "load_tensor", counting)
+    with decomp._blas_threads(1):
+        got = _decompose_by_rank(_open_dataset(tmp_path)[1], (1, 2, 3),
+                                 None, math.nan)
+    assert len(reads) == 8 and set(reads.values()) == {1}
+    assert list(got) == [1, 2, 3]
+    for rank, tuckers in got.items():
+        for a, tk in zip(tuckers, expected, strict=True):
+            b = tk[rank - 1]
+            assert a.p == b.p and np.array_equal(a.core, b.core)
+            for x, y in zip(a.factors + a.sigmas, b.factors + b.sigmas,
+                            strict=True):
+                assert np.array_equal(x, y)
 
 
 class TestReports:
