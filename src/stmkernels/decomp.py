@@ -423,7 +423,10 @@ def weighted_hosvd(t, ranks, p=None, *, batch=False):
     is still one tensor.
 
     A sample of order 0 (a scalar, or a 1-D array with `batch`) is
-    refused by a ValueError before any SVD.
+    refused by a ValueError before any SVD, and so is an array's first
+    sample with a NaN or inf entry (named by `index` with `batch`). A
+    source is not scanned: the harness's container reader refuses such a
+    tensor.
 
     Requested ranks are additionally capped by the column count of each
     unfolding (directions beyond it carry zero singular values). The SVDs
@@ -444,7 +447,19 @@ def weighted_hosvd(t, ranks, p=None, *, batch=False):
     grid = [_checked_ranks(shape, r) for r in ([ranks] if single else ranks)]
     if p is None:
         p = 1.0 / len(shape)
-    nonzero = np.any(g, axis=tuple(range(1, g.ndim)))
+
+    def refused(k, reason):  # the error refusing sample k
+        return _Refused(k, reason) if batch else reason
+
+    axes = tuple(range(1, g.ndim))
+    if build is None:  # the harness's container reader refuses NaN and inf
+        # NaN propagates through np.max and np.min, which need no
+        # temporary as large as the batch
+        finite = np.isfinite([np.max(g, axis=axes), np.min(g, axis=axes)])
+        if not finite.all():
+            raise refused(int(np.argmin(finite.all(axis=0))), ValueError(
+                "cannot decompose a tensor holding NaN or inf values"))
+    nonzero = np.any(g, axis=axes)
     u, s, g = _left_svds(g, 0, build)
     if g is None:  # dgelqf has overwritten the source's buffer
         g = build()[None]
@@ -457,20 +472,13 @@ def weighted_hosvd(t, ranks, p=None, *, batch=False):
 
     out = []
     for k in range(len(nonzero)):
-        try:
-            if not nonzero[k]:
-                raise ValueError("cannot decompose an all-zero tensor")
-            tuckers = []
-            for core, factors, sigmas, held in stages:
-                if not held[k]:
-                    raise _unrepresentable(p)
-                tuckers.append(TuckerTensor(
-                    core=core[k], factors=[f[k] for f in factors],
-                    sigmas=[s[k] for s in sigmas], p=float(p)))
-        except ValueError as err:
-            if batch:
-                raise _Refused(k, err) from err
-            raise
+        if not nonzero[k]:
+            raise refused(k, ValueError("cannot decompose an all-zero tensor"))
+        if not all(held[k] for *_, held in stages):
+            raise refused(k, _unrepresentable(p))
+        tuckers = [TuckerTensor(core=core[k], factors=[f[k] for f in factors],
+                                sigmas=[s[k] for s in sigmas], p=float(p))
+                   for core, factors, sigmas, _ in stages]
         out.append(tuckers[0] if single else tuckers)
     return out if batch else out[0]
 

@@ -25,14 +25,15 @@ each block of x's columns gives one block of exact differences with
 every column of the pairs' views, and one einsum turns it into
 exponents; the pairs' R_x x R_y exponent grids then take their exps per
 block of g, each exp block, (g's, pairs, terms), summed over its
-contiguous last axis once. Every block is capped twice, at `_DUSK_BLOCK`
-floats and at a pair's difference block (the rows of its grid's
-differences that fit in `_DUSK_BLOCK`), and holds more only when one row
-of differences, or one g's terms of one pair, alone does. Blocks hold
-whole pairs and split g only for a pair of its own. Each term is a
-positive exp, so nothing cancels; each exponent is the one einsum over
-the same contiguous difference row, and each g's terms of a pair are
-summed as one contiguous row, so no block moves a bit. `gram_matrix`
+contiguous last axis once. One cap bounds every difference, exponent and
+exp block at `_DUSK_BLOCK` floats, and a block holds more only when one
+row of differences, or one g's terms of one pair, is larger on its own:
+so many small pairs (rank 1) share a block, and a high-rank pair's grid
+is split by rows of differences and by g. Blocks hold whole pairs and
+split g only for a pair of its own. Each term is a positive exp, so
+nothing cancels; each exponent is the one einsum over the same
+contiguous difference row, and each g's terms of a pair are summed as
+one contiguous row, so no block moves a bit. `gram_matrix`
 reads its samples once, in order, from any sized iterable,
 checking each and making its view as it is read, so a sample made on
 access need not outlive its view. It fills rows from the diagonal onward
@@ -207,9 +208,9 @@ def _dusk_view(x):
         np.vstack([f * scale[None, :] for f in x.factors]).T)
 
 
-# float64 entries (8 MB) of a dusk pair's difference block, which caps every
-# difference, exponent and exp block of a dusk row
-_DUSK_BLOCK = 2 ** 20
+# float64 entries (0.8 MB, about a rank-3, mode-50 pair's differences) that
+# cap every difference, exponent and exp block of a dusk row
+_DUSK_BLOCK = 100_000
 
 
 def _dusk_row(xv, yvs, g):
@@ -226,17 +227,16 @@ def _dusk_row(xv, yvs, g):
     for lo, hi in _runs(sizes):
         row = yvs[lo].size  # floats of one x column's differences with a y
         terms = len(xv) * sizes[lo]
-        # a pair's difference block, the rows of its grid that fit in
-        # `_DUSK_BLOCK` floats (at least one), caps every block, unless
-        # one g's terms of one pair alone outgrow it
-        rows = max(1, _DUSK_BLOCK // row)
-        cap = max(terms, min(_DUSK_BLOCK, min(rows, len(xv)) * row))
+        # one cap for every block, outgrown only by one row of differences
+        # or one g's terms of one pair on its own; a block of pairs takes
+        # every g unless it is one pair
+        cap = max(_DUSK_BLOCK, row, terms)
         pairs = max(1, min(cap // (terms * len(g)), cap // row))
         for plo in range(lo, hi, pairs):
             n = min(pairs, hi - plo)
             expo = np.empty((n, len(xv), sizes[lo]))
             ys = np.stack(yvs[plo:plo + n])
-            cols = max(1, cap // ys.size)
+            cols = cap // ys.size  # at least 1: the pairs' rows fit in cap
             for r in range(0, len(xv), cols):
                 diff = xv[r:r + cols, None, None, :] - ys
                 expo[:, r:r + cols] = np.einsum(
@@ -244,11 +244,10 @@ def _dusk_row(xv, yvs, g):
                 del diff  # before the next block is built
             del ys  # before the exp blocks are built
             expo = expo.reshape(n, terms)
-            per_block = max(1, cap // expo.size)
+            per_block = cap // expo.size
             for glo in range(0, len(g), per_block):
-                gs = g[glo:glo + per_block]
                 out[glo:glo + per_block, plo:plo + n] = _exp_per_g(
-                    expo, gs).sum(axis=-1)
+                    expo, g[glo:glo + per_block]).sum(axis=-1)
     return out
 
 

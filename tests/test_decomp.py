@@ -464,6 +464,27 @@ class TestBatch:
         with pytest.raises(ValueError, match="^sample 0: cannot decompose"):
             weighted_hosvd(np.zeros((2, 3, 3, 3)), (1, 1, 1), batch=True)
 
+    @pytest.mark.parametrize("k, value", [(1, np.nan), (2, np.inf),
+                                          (0, -np.inf)])
+    def test_non_finite_sample_named_before_any_svd(self, monkeypatch, k,
+                                                    value):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        tensors = np.random.default_rng(73).standard_normal((3, 4, 4, 4))
+        tensors[k, 1, 2, 3] = value
+        if k:
+            tensors[k - 1] = 0.0  # all-zero, refused only after the SVDs
+        monkeypatch.setattr(decomp, "_left_svds", no_svd)
+        reason = "cannot decompose a tensor holding NaN or inf values"
+        with pytest.raises(ValueError, match=f"^sample {k}: {reason}$") as err:
+            weighted_hosvd(tensors, (2, 2, 2), batch=True)
+        assert err.value.index == k
+        assert str(err.value.reason) == reason
+        with pytest.raises(ValueError, match=f"^{reason}$") as err:
+            weighted_hosvd(tensors[k], (2, 2, 2))
+        assert not hasattr(err.value, "index")
+
     def test_empty_batch_gives_no_decomposition(self):
         assert weighted_hosvd(np.empty((0, 4, 5)), [(1, 1), (2, 2)],
                               batch=True) == []

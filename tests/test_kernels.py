@@ -611,6 +611,25 @@ class TestDuskBlocks:
         # exponent grid, its negation and the output, and both views
         assert peak < 8 * (2 * cap + 3 * terms ** 2 + 2 * terms * width)
 
+    def test_rank1_pairs_share_exp_blocks(self, monkeypatch):
+        # mode 100, rank 1: a pair is one term over 300 rows of factors, so
+        # a row's 12 pairs and 17 g are one block of each kind, far below
+        # the cap, and no pair takes a block of its own
+        from stmkernels import kernels
+        samples = dusk_samples(1, mode=100, n=12)
+        blocks = []  # (pairs, g's) of each exp block
+        exp_per_g = kernels._exp_per_g
+
+        def recording(expo, g):
+            blocks.append((len(expo), len(g)))
+            return exp_per_g(expo, g)
+
+        monkeypatch.setattr(kernels, "_exp_per_g", recording)
+        got = gram_matrix(samples, KernelSpec("dusk", g=G_GRID_17))
+        assert blocks == [(12 - i, 17) for i in range(12)]
+        expected = _reference_gram(monkeypatch, samples, "dusk", G_GRID_17)
+        assert got.tobytes() == expected.tobytes()
+
 
 def _reference_gram(monkeypatch, samples, kind, g):
     """`gram_matrix` with the per-pair references of tests/oracles.py in
